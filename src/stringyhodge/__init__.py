@@ -52,6 +52,7 @@ from .sncweights import (
 )
 from .analysis import (
     ConjectureReport,
+    CrossCheckError,
     ExceptionalFiberDescriptor,
     FiberComponent,
     conjecture_report,

@@ -5,17 +5,15 @@ and nonnegativity reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import hodge
 from .hodge import HodgeDiamond
 from .stringy import (
     DescriptorError,
     ResolutionDescriptor,
-    StringyReport,
     a_pq,
     closed_form_h,
-    h22st_fourfold,
     stringy_hodge_table,
     _require_terminal,
 )
@@ -77,6 +75,18 @@ class ExceptionalFiberDescriptor:
         if problems:
             raise DescriptorError("; ".join(problems))
 
+    def discrepancy_one_count(self) -> int:
+        """Number of discrepancy-1 fiber surfaces, each piece of a union counted."""
+        return sum(c.diamond.h0() for c in self.components if c.discrepancy == 1)
+
+
+class CrossCheckError(Exception):
+    """Raised when a closed form disagrees with the series expansion.
+
+    The two are computed independently from the same descriptor, so a
+    disagreement is a defect of the library, not of the input.
+    """
+
 
 def local_defect(fd: ExceptionalFiberDescriptor) -> int:
     """sigma = h^{1,1}(E(1)) - h^0(E(2)) - h^0(E(1)) for the fiber.
@@ -97,8 +107,7 @@ def defect_bound_check(fd: ExceptionalFiberDescriptor) -> bool:
     singularity; the bound is a theorem for genuine geometric input.
     """
     fd.check_valid()
-    ones = sum(c.diamond.h0() for c in fd.components if c.discrepancy == 1)
-    return local_defect(fd) <= ones
+    return local_defect(fd) <= fd.discrepancy_one_count()
 
 
 def threefold_h22_minus_h11(d: ResolutionDescriptor) -> int:
@@ -112,16 +121,11 @@ def threefold_h22_minus_h11(d: ResolutionDescriptor) -> int:
     if d.n != 3:
         raise DescriptorError(f"threefold formula requires n = 3, got n = {d.n}")
     _require_terminal(d)
-    ones = sum(
-        d.strata[(cid,)].h0()
-        for cid, a in d.components
-        if a == 1 and (cid,) in d.strata
-    )
     return (
         -d.level_hpq(1, 1, 1)
-        + (d.level(2).h0() if d.level(2) is not None else 0)
-        + (d.level(1).h0() if d.level(1) is not None else 0)
-        + ones
+        + d.level_hpq(2, 0, 0)
+        + d.level_hpq(1, 0, 0)
+        + d.discrepancy_one_count()
     )
 
 
@@ -167,9 +171,10 @@ def conjecture_report(
     """Check nonnegativity of every h^{p,q}_st with p + q <= bound.
 
     Values come from the origin expansion; for q <= 2 on terminal input the
-    closed forms are used as provenance cross-checks.  Negative entries are
-    reported with their contributing terms (the discrepancy-free part and the
-    discrepancy-1 correction).
+    closed forms are cross-checked against them, and CrossCheckError is
+    raised on a disagreement.  Negative entries are reported with their
+    contributing terms (the discrepancy-free part and the discrepancy-1
+    correction).
     """
     report = stringy_hodge_table(d, bound)
     terminal = all(a >= 1 for _, a in d.components)
@@ -183,20 +188,20 @@ def conjecture_report(
             values[(p, q)] = value
             verdicts[(p, q)] = "nonnegative" if value >= 0 else "negative"
             if q <= 2 and (q == 0 or terminal):
-                assert closed_form_h(d, p, q) == value
+                closed = closed_form_h(d, p, q)
+                if closed != value:
+                    raise CrossCheckError(
+                        f"closed form gives h^{{{p},{q}}}_st = {closed}, "
+                        f"series expansion gives {value}"
+                    )
                 provenance[(p, q)] = "closed-form"
             else:
                 provenance[(p, q)] = "expansion"
             if value < 0:
-                ones = sum(
-                    d.strata[(cid,)].h0()
-                    for cid, a in d.components
-                    if a == 1 and (cid,) in d.strata
-                )
                 negative_details[(p, q)] = {
                     "h_st": value,
                     "a_pq": a_pq(d, p, q),
-                    "discrepancy_one_count": ones,
+                    "discrepancy_one_count": d.discrepancy_one_count(),
                 }
     ineq = None
     if d.n == 3 and terminal:

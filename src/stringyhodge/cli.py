@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (and all-nonnegative for `check`), 1 when `check`
 finds a negative stringy Hodge number or `compare` finds a mismatch, 2 on
-input or validation errors.
+input or validation errors, 3 when a closed form disagrees with the series
+expansion (a defect of the library, reported on one line).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 from typing import Dict, Optional
 
-from .analysis import conjecture_report, defect_bound_check, local_defect
+from .analysis import CrossCheckError, conjecture_report, defect_bound_check, local_defect
 from .descriptors import DescriptorFileError, load_bundle
 from .sncweights import weight_graded_dims
 from .stringy import (
@@ -144,9 +145,7 @@ def cmd_defect(args) -> int:
                 "point": fd.point,
                 "local_defect": local_defect(fd),
                 "bound_satisfied": defect_bound_check(fd),
-                "discrepancy_one_count": sum(
-                    c.diamond.h0() for c in fd.components if c.discrepancy == 1
-                ),
+                "discrepancy_one_count": fd.discrepancy_one_count(),
             }
         )
     doc = {"label": bundle.descriptor.label, "fibers": rows}
@@ -168,7 +167,7 @@ def cmd_compare(args) -> int:
     d1 = load_bundle(args.path_a).descriptor
     d2 = load_bundle(args.path_b).descriptor
     equal = crepant_compare(d1, d2)
-    diff = None if equal else first_coefficient_difference(d1, d2)
+    diff = None if equal else first_coefficient_difference(d1, d2, args.max_degree)
     doc = {
         "labels": [d1.label, d2.label],
         "equal": equal,
@@ -182,6 +181,11 @@ def cmd_compare(args) -> int:
     def render(doc):
         if doc["equal"]:
             print("stringy E-functions are EQUAL (exact rational-function identity)")
+        elif doc["first_difference"] is None:
+            print(
+                "stringy E-functions DIFFER, but their expansions agree "
+                f"up to p+q <= {args.max_degree}"
+            )
         else:
             d = doc["first_difference"]
             print(
@@ -209,19 +213,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--max-degree", type=int, default=None,
-                       help="expansion bound on p+q (default 2*dim)")
+    def add_common(p, max_degree_help=None):
+        if max_degree_help:
+            p.add_argument("--max-degree", type=int, default=None, help=max_degree_help)
         p.add_argument("--format", choices=("text", "machine"), default="text")
 
     p = sub.add_parser("compute", help="full stringy report for one descriptor")
     p.add_argument("path")
-    add_common(p)
+    add_common(p, "expansion bound on p+q (default 2*dim)")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("check", help="nonnegativity verdicts (exit 1 on a negative)")
     p.add_argument("path")
-    add_common(p)
+    add_common(p, "expansion bound on p+q (default 2*dim)")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("defect", help="per-point local defect table")
@@ -232,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="exact equality of two stringy E-functions")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    add_common(p)
+    add_common(p, "bound on p+q for locating the first mismatch (default 2*dim+2); "
+                  "equality is decided exactly")
     p.set_defaults(fn=cmd_compare)
     return parser
 
@@ -244,6 +249,9 @@ def main(argv=None) -> int:
     except (DescriptorFileError, DescriptorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CrossCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -39,6 +39,11 @@ def _expect(cond: bool, location: str, message: str) -> None:
         raise DescriptorFileError(location, message)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not integers here
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_diamond(obj, dim: int, location: str) -> HodgeDiamond:
     h: Dict[Tuple[int, int], int] = {}
     if isinstance(obj, list):
@@ -51,7 +56,7 @@ def _parse_diamond(obj, dim: int, location: str) -> HodgeDiamond:
             )
             for q, value in enumerate(row):
                 _expect(
-                    isinstance(value, int), f"{location}[{p}][{q}]", "entries must be integers"
+                    _is_int(value), f"{location}[{p}][{q}]", "entries must be integers"
                 )
                 if value:
                     h[(p, q)] = value
@@ -63,7 +68,7 @@ def _parse_diamond(obj, dim: int, location: str) -> HodgeDiamond:
                 f"{location}[{key!r}]",
                 'sparse keys must look like "p,q"',
             )
-            _expect(isinstance(value, int), f"{location}[{key!r}]", "entries must be integers")
+            _expect(_is_int(value), f"{location}[{key!r}]", "entries must be integers")
             p, q = int(parts[0]), int(parts[1])
             _expect(
                 0 <= p <= dim and 0 <= q <= dim,
@@ -82,7 +87,7 @@ def _diamond_to_json(d: HodgeDiamond) -> Dict[str, int]:
 
 
 def _parse_fraction(obj, location: str) -> Fraction:
-    if isinstance(obj, int):
+    if _is_int(obj):
         return Fraction(obj)
     if isinstance(obj, str):
         try:
@@ -123,13 +128,13 @@ def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
             diamond = None
             if "diamond" in comp:
                 diamond = _parse_diamond(comp["diamond"], dim - r, f"{loc}.diamond")
-            faces = tuple(comp.get("faces", ()))
+            faces = comp.get("faces", [])
             _expect(
-                all(isinstance(f, int) for f in faces), f"{loc}.faces",
-                "faces must be integer indices",
+                isinstance(faces, list) and all(_is_int(f) for f in faces), f"{loc}.faces",
+                "faces must be a list of integer indices",
             )
             parsed.append(
-                SncComponent(subset=tuple(sorted(subset)), diamond=diamond, faces=faces)
+                SncComponent(subset=tuple(sorted(subset)), diamond=diamond, faces=tuple(faces))
             )
         levels[r] = tuple(parsed)
     user_maps: Dict[Tuple[int, int, int], Tuple[Matrix, ...]] = {}
@@ -160,7 +165,7 @@ def _parse_fiber(obj, location: str) -> ExceptionalFiberDescriptor:
         loc = f"{location}.components[{i}]"
         _expect(isinstance(comp, dict), loc, "component must be an object")
         _expect(isinstance(comp.get("id"), str), f"{loc}.id", "id must be a string")
-        _expect(isinstance(comp.get("discrepancy"), int), f"{loc}.discrepancy",
+        _expect(_is_int(comp.get("discrepancy")), f"{loc}.discrepancy",
                 "discrepancy must be an integer")
         diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond")
         parsed.append(FiberComponent(comp["id"], diamond, comp["discrepancy"]))
@@ -169,7 +174,7 @@ def _parse_fiber(obj, location: str) -> ExceptionalFiberDescriptor:
         loc = f"{location}.pairwise_counts[{key!r}]"
         pair = tuple(key.split(","))
         _expect(len(pair) == 2, loc, 'keys must look like "id1,id2"')
-        _expect(isinstance(value, int) and value >= 0, loc, "counts must be nonnegative integers")
+        _expect(_is_int(value) and value >= 0, loc, "counts must be nonnegative integers")
         counts[pair] = value
     fd = ExceptionalFiberDescriptor(point=point, components=tuple(parsed), pairwise_counts=counts)
     problems = fd.validate()
@@ -180,7 +185,7 @@ def _parse_fiber(obj, location: str) -> ExceptionalFiberDescriptor:
 def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     _expect(isinstance(doc, dict), location, "top level must be a JSON object")
     dim = doc.get("dim")
-    _expect(isinstance(dim, int) and dim >= 0, f"{location}.dim",
+    _expect(_is_int(dim) and dim >= 0, f"{location}.dim",
             "dim must be a nonnegative integer")
     label = doc.get("label", "")
     _expect(isinstance(label, str), f"{location}.label", "label must be a string")
@@ -191,7 +196,7 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
         loc = f"{location}.components[{i}]"
         _expect(isinstance(comp, dict), loc, "component must be an object")
         _expect(isinstance(comp.get("id"), str), f"{loc}.id", "id must be a string")
-        _expect(isinstance(comp.get("discrepancy"), int), f"{loc}.discrepancy",
+        _expect(_is_int(comp.get("discrepancy")), f"{loc}.discrepancy",
                 "discrepancy must be an integer")
         components.append((comp["id"], comp["discrepancy"]))
     strata_doc = doc.get("strata")

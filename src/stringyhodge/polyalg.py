@@ -8,6 +8,7 @@ No floating point appears anywhere; coefficients are Python ints.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -247,25 +248,13 @@ class DenominatorSpec:
 
     def union(self, other: "DenominatorSpec") -> "DenominatorSpec":
         """Least common multiset: max multiplicity of each factor."""
-        counts: Dict[int, int] = {}
-        for m in self.factors:
-            counts[m] = counts.get(m, 0) + 1
-        other_counts: Dict[int, int] = {}
-        for m in other.factors:
-            other_counts[m] = other_counts.get(m, 0) + 1
-        for m, c in other_counts.items():
-            counts[m] = max(counts.get(m, 0), c)
-        out = []
-        for m, c in counts.items():
-            out.extend([m] * c)
-        return DenominatorSpec(tuple(out))
+        counts = Counter(self.factors) | Counter(other.factors)
+        return DenominatorSpec(tuple(counts.elements()))
 
     def cofactor(self, sub: "DenominatorSpec") -> "DenominatorSpec":
         """Factors of self not accounted for by sub (multiset difference)."""
-        remaining = list(self.factors)
-        for m in sub.factors:
-            remaining.remove(m)
-        return DenominatorSpec(tuple(remaining))
+        counts = Counter(self.factors) - Counter(sub.factors)
+        return DenominatorSpec(tuple(counts.elements()))
 
     def expand_w(self) -> WPoly:
         out: WPoly = {0: 1}

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .hodge import HodgeDiamond
@@ -95,6 +96,9 @@ class SncComplexData:
     user_maps[(k, p, q)] is the list [delta_1, delta_2, ...] of matrices of
     the coboundary on the (p,q) piece of the H^k row; delta_r has one row per
     basis vector of H^k(D(r+1)) and one column per basis vector of H^k(D(r)).
+
+    Both mappings are read-only, so a successful validation is recorded on
+    the instance and not repeated.
     """
 
     levels: Mapping[int, Tuple[SncComponent, ...]]
@@ -102,11 +106,15 @@ class SncComplexData:
         default_factory=dict
     )
 
+    _valid = False  # set by the first validate() that finds no problem
+
     def __post_init__(self):
         object.__setattr__(
-            self, "levels", {r: tuple(cs) for r, cs in dict(self.levels).items()}
+            self,
+            "levels",
+            MappingProxyType({r: tuple(cs) for r, cs in dict(self.levels).items()}),
         )
-        object.__setattr__(self, "user_maps", dict(self.user_maps))
+        object.__setattr__(self, "user_maps", MappingProxyType(dict(self.user_maps)))
 
     def max_level(self) -> int:
         return max((r for r, cs in self.levels.items() if cs), default=0)
@@ -166,9 +174,13 @@ class SncComplexData:
                     problems.append(
                         f"user map ({k},{p},{q}): delta_{i + 2} . delta_{i + 1} != 0"
                     )
+        if not problems:
+            object.__setattr__(self, "_valid", True)
         return problems
 
     def check_valid(self) -> None:
+        if self._valid:
+            return
         problems = self.validate()
         if problems:
             raise SncDataError("; ".join(problems))
@@ -263,12 +275,9 @@ def purity_consequence_check(data: SncComplexData, n: int, s: int) -> Dict[str, 
     for (k, p, q) in sorted(data.user_maps):
         if k < n + s:
             continue
-        mats, dims = _row_maps_and_dims(data, k, p, q)
-        failing = [
-            (l, weight_graded_dims(data, k, l, p, q))
-            for l in range(1, len(dims))
-            if weight_graded_dims(data, k, l, p, q) != 0
-        ]
+        _, dims = _row_maps_and_dims(data, k, p, q)
+        spots = [(l, weight_graded_dims(data, k, l, p, q)) for l in range(1, len(dims))]
+        failing = [(l, dim) for l, dim in spots if dim != 0]
         entry: Dict[str, object] = {"exact": not failing, "failing_spots": failing}
         if not failing:
             entry["h_pq_D"] = sum(

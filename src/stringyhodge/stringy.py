@@ -8,9 +8,11 @@ this module is coefficient arithmetic over those diamonds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import hodge
 from .hodge import HodgeDiamond
@@ -19,6 +21,7 @@ from .polyalg import (
     DenominatorSpec,
     StringyFunction,
     exact_divide_test,
+    w_mul,
 )
 
 Subset = Tuple[str, ...]
@@ -37,6 +40,10 @@ class ResolutionDescriptor:
     stratum is empty.  A single component entry may stand for a disjoint
     union of divisors sharing one discrepancy: its stratum diamond is then
     the entrywise sum and h^{0,0} counts the pieces.
+
+    The fields never change after construction (strata is a read-only
+    mapping), so derived data is computed once per instance and kept: the
+    outcome of a successful validation, the level sums and E_st.
     """
 
     n: int
@@ -44,10 +51,14 @@ class ResolutionDescriptor:
     strata: Mapping[Subset, HodgeDiamond]
     label: str = ""
 
+    _valid = False  # set by the first validate() that finds no problem
+
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(
-            self, "strata", {tuple(k): v for k, v in dict(self.strata).items()}
+            self,
+            "strata",
+            MappingProxyType({tuple(k): v for k, v in dict(self.strata).items()}),
         )
 
     def discrepancy(self, comp_id: str) -> int:
@@ -89,9 +100,13 @@ class ResolutionDescriptor:
                         problems.append(
                             f"downward closure broken: {subset!r} present but {sub!r} missing"
                         )
+        if not problems:
+            object.__setattr__(self, "_valid", True)
         return problems
 
     def check_valid(self) -> None:
+        if self._valid:
+            return
         problems = self.validate()
         if problems:
             raise DescriptorError("; ".join(problems))
@@ -99,18 +114,19 @@ class ResolutionDescriptor:
     def ambient(self) -> HodgeDiamond:
         return self.strata[()]
 
+    @cached_property
+    def _levels(self) -> Dict[int, HodgeDiamond]:
+        out: Dict[int, HodgeDiamond] = {}
+        for J, d in self.strata.items():
+            out[len(J)] = out[len(J)] + d if len(J) in out else d
+        return out
+
     def level(self, k: int) -> Optional[HodgeDiamond]:
         """Summed diamond of D(k), the union of all |J| = k strata.
 
         D(0) is the ambient variety.  Returns None when D(k) is empty.
         """
-        pieces = [d for J, d in self.strata.items() if len(J) == k]
-        if not pieces:
-            return None
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out = out + piece
-        return out
+        return self._levels.get(k)
 
     def level_hpq(self, k: int, p: int, q: int) -> int:
         lvl = self.level(k)
@@ -122,27 +138,50 @@ class ResolutionDescriptor:
             not hodge.validate(d, smooth_projective=True) for d in self.strata.values()
         )
 
+    def discrepancy_one_count(self) -> int:
+        """Number of discrepancy-1 divisors, each piece of a union counted."""
+        return sum(
+            self.strata[(cid,)].h0()
+            for cid, a in self.components
+            if a == 1 and (cid,) in self.strata
+        )
+
+    @cached_property
+    def _e_st(self) -> StringyFunction:
+        # E_st without validation: the identity checks use it so that
+        # negative controls with broken diamonds still evaluate
+        return _assemble(self)
+
 
 def _assemble(d: ResolutionDescriptor) -> StringyFunction:
-    # stringy_e without descriptor validation; the identity checks use this so
-    # that negative controls with broken diamonds still evaluate
-    positive = [(cid, a) for cid, a in d.components if a >= 1]
-    denom = DenominatorSpec(tuple(a + 1 for _, a in positive))
-    numerator = BivariatePoly.zero()
+    """Sum E(D_J) * prod_{j in J} (w - w^m_j)/(w^m_j - 1), m_j = a_j + 1, by signature.
+
+    The factor of a stratum depends only on its signature, the sorted m_j
+    over J, so the E-polynomials of the strata sharing a signature are summed
+    first and each sum is multiplied once by a polynomial in w.  The common
+    denominator holds each w^m - 1 as often as the most demanding signature
+    needs it.  Components with a < 1 give no denominator factor; a = 0 makes
+    the numerator factor w - w vanish, so its strata are skipped.
+    """
     discrepancies = dict(d.components)
+    groups: Dict[Tuple[int, ...], BivariatePoly] = {}
     for subset, diamond in d.strata.items():
-        if any(discrepancies[cid] == 0 for cid in subset):
+        a = [discrepancies[cid] for cid in subset]
+        if 0 in a:
             continue
+        signature = tuple(sorted(x + 1 for x in a if x >= 1))
         term = hodge.e_polynomial(diamond, check=False)
-        for cid, a in positive:
-            m = a + 1
-            if cid in subset:
-                factor = BivariatePoly({(1, 1): 1, (m, m): -1})  # w - w^m
-            else:
-                factor = BivariatePoly({(m, m): 1, (0, 0): -1})  # w^m - 1
-            term = term * factor
-        numerator = numerator + term
-    return StringyFunction(numerator, denom)
+        groups[signature] = groups[signature] + term if signature in groups else term
+    common = DenominatorSpec()
+    for signature in groups:
+        common = common.union(DenominatorSpec(signature))
+    numerator = BivariatePoly.zero()
+    for signature, e_sum in groups.items():
+        factor = common.cofactor(DenominatorSpec(signature)).expand_w()
+        for m in signature:
+            factor = w_mul(factor, {1: 1, m: -1})  # w - w^m
+        numerator = numerator + e_sum * BivariatePoly.from_w(factor)
+    return StringyFunction(numerator, common)
 
 
 def stringy_e(d: ResolutionDescriptor) -> StringyFunction:
@@ -150,10 +189,10 @@ def stringy_e(d: ResolutionDescriptor) -> StringyFunction:
 
     Sum over subsets J of E(D_J) * prod_{j in J} (w - w^{a_j+1})/(w^{a_j+1}-1)
     with w = uv.  Subsets containing a discrepancy-0 component contribute the
-    zero factor w - w and are skipped.
+    zero factor w - w and are skipped.  Assembled once per descriptor.
     """
     d.check_valid()
-    return _assemble(d)
+    return d._e_st
 
 
 @dataclass(frozen=True)
@@ -181,7 +220,7 @@ class StringyReport:
 
 def check_symmetry(d: ResolutionDescriptor) -> bool:
     """E_st(u, v) = E_st(v, u): the numerator is u <-> v invariant."""
-    num = _assemble(d).numerator
+    num = d._e_st.numerator
     return num == num.swap_vars()
 
 
@@ -195,7 +234,7 @@ def check_pd_identity(d: ResolutionDescriptor) -> Optional[bool]:
     """
     if not d.strata_pd_consistent():
         return None
-    f = _assemble(d)
+    f = d._e_st
     r = len(f.denominator.factors)
     shift = d.n + sum(f.denominator.factors)
     transformed = f.numerator.invert_vars() * BivariatePoly.w_power(shift, (-1) ** r)
@@ -305,12 +344,7 @@ def h22st_fourfold(d: ResolutionDescriptor) -> int:
     if d.n != 4:
         raise DescriptorError(f"fourfold formula requires n = 4, got n = {d.n}")
     _require_terminal(d)
-    ones = sum(
-        d.strata[(cid,)].h0()
-        for cid, a in d.components
-        if a == 1 and (cid,) in d.strata
-    )
-    return a_pq(d, 2, 2) + ones
+    return a_pq(d, 2, 2) + d.discrepancy_one_count()
 
 
 def crepant_compare(d1: ResolutionDescriptor, d2: ResolutionDescriptor) -> bool:

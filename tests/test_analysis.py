@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from stringyhodge import (
+    CrossCheckError,
     DescriptorError,
     ExceptionalFiberDescriptor,
     FiberComponent,
@@ -181,3 +182,8 @@ class TestConjectureReport:
         report = conjecture_report(burkhardt)
         assert report.provenance[(1, 1)] == "closed-form"
         assert report.provenance[(3, 3)] == "expansion"
+
+    def test_closed_form_disagreement_raises(self, burkhardt, monkeypatch):
+        monkeypatch.setattr("stringyhodge.analysis.closed_form_h", lambda d, p, q: 10**9)
+        with pytest.raises(CrossCheckError, match=r"h\^\{0,0\}_st = 1000000000"):
+            conjecture_report(burkhardt)

@@ -1,0 +1,225 @@
+"""The grouped E_st assembly against an independent per-stratum reference,
+and the once-per-descriptor contract of validation and assembly."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stringyhodge import (
+    BivariatePoly,
+    DenominatorSpec,
+    DescriptorError,
+    HodgeDiamond,
+    ResolutionDescriptor,
+    StringyFunction,
+    a_pq,
+    check_pd_identity,
+    check_polynomial_consequences,
+    check_symmetry,
+    closed_form_h,
+    conjecture_report,
+    crepant_compare,
+    e_polynomial,
+    exact_divide_test,
+    h22st_fourfold,
+    load_bundle,
+    point,
+    product_stringy,
+    quadric_surface,
+    stringy,
+    stringy_e,
+    stringy_hodge_table,
+    threefold_h22_minus_h11,
+)
+from stringyhodge.cli import main
+from stringyhodge.stringy import first_coefficient_difference
+from conftest import descriptors, diag
+
+
+def reference_assemble(d):
+    """E_st one stratum at a time, over the product of all k denominators."""
+    positive = [(cid, a) for cid, a in d.components if a >= 1]
+    denom = DenominatorSpec(tuple(a + 1 for _, a in positive))
+    numerator = BivariatePoly.zero()
+    discrepancies = dict(d.components)
+    for subset, diamond in d.strata.items():
+        if any(discrepancies[cid] == 0 for cid in subset):
+            continue
+        term = e_polynomial(diamond, check=False)
+        for cid, a in positive:
+            m = a + 1
+            if cid in subset:
+                factor = BivariatePoly({(1, 1): 1, (m, m): -1})  # w - w^m
+            else:
+                factor = BivariatePoly({(m, m): 1, (0, 0): -1})  # w^m - 1
+            term = term * factor
+        numerator = numerator + term
+    return StringyFunction(numerator, denom)
+
+
+def reference_pd_verdict(d, f):
+    if not d.strata_pd_consistent():
+        return None
+    r = len(f.denominator.factors)
+    shift = d.n + sum(f.denominator.factors)
+    transformed = f.numerator.invert_vars() * BivariatePoly.w_power(shift, (-1) ** r)
+    return f.numerator == transformed
+
+
+@st.composite
+def negative_controls(draw):
+    """Descriptors with one diamond entry or one discrepancy broken; unvalidated."""
+    d = draw(descriptors())
+    strata = dict(d.strata)
+    components = list(d.components)
+    if components and draw(st.booleans()):
+        i = draw(st.integers(0, len(components) - 1))
+        components[i] = (components[i][0], -1)
+    else:
+        J = draw(st.sampled_from(sorted(strata)))
+        dim = strata[J].dim
+        p, q = draw(st.integers(0, dim)), draw(st.integers(0, dim))
+        h = dict(strata[J].h)
+        h[(p, q)] = h.get((p, q), 0) + draw(st.integers(1, 3))
+        strata[J] = HodgeDiamond(dim, h)
+    return ResolutionDescriptor(d.n, tuple(components), strata, "negative control")
+
+
+def assert_agrees_with_reference(d):
+    new = stringy._assemble(d)
+    ref = reference_assemble(d)
+    assert new.equals(ref)
+    bound = 2 * d.n + 2
+    assert new.series_coefficients(bound) == ref.series_coefficients(bound)
+    assert exact_divide_test(new) == exact_divide_test(ref)
+    assert check_symmetry(d) == (ref.numerator == ref.numerator.swap_vars())
+    assert check_pd_identity(d) == reference_pd_verdict(d, ref)
+    # at most one factor w^m - 1 per component of a stratum, so at most n
+    assert all(c <= d.n for c in Counter(new.denominator.factors).values())
+
+
+class TestAgainstReference:
+    @settings(max_examples=80)
+    @given(descriptors())
+    def test_valid_descriptors(self, d):
+        assert_agrees_with_reference(d)
+        assert stringy_e(d) is stringy_e(d)
+
+    @settings(max_examples=80)
+    @given(negative_controls())
+    def test_negative_controls(self, d):
+        assert_agrees_with_reference(d)
+
+    def test_denominator_takes_largest_multiplicity(self):
+        # signatures (2,), (3,), (2, 3) and (2, 2): w^2 - 1 twice, w^3 - 1 once
+        d = ResolutionDescriptor(
+            3,
+            (("A", 1), ("B", 2), ("C", 1)),
+            {
+                (): diag(1, 2, 2, 1),
+                ("A",): diag(1, 1, 1),
+                ("B",): diag(1, 1, 1),
+                ("C",): diag(1, 1, 1),
+                ("A", "B"): diag(1, 1),
+                ("A", "C"): diag(1, 1),
+            },
+        )
+        assert stringy_e(d).denominator.factors == (2, 2, 3)
+        assert len(reference_assemble(d).denominator.factors) == 3
+        assert_agrees_with_reference(d)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps owner.name and returns its call counter."""
+
+    def install(owner, name):
+        calls = Counter()
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return install
+
+
+class TestOncePerDescriptor:
+    def test_conjecture_report_validates_loaded_descriptor_once(self, corpus, count_calls):
+        calls = count_calls(ResolutionDescriptor, "validate")
+        d = load_bundle(str(corpus / "burkhardt_times_p1.json")).descriptor
+        report = conjecture_report(d)
+        assert report.all_nonnegative()
+        assert calls["validate"] == 1
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (("compute", "burkhardt_x0.json"), 1),
+            (("check", "burkhardt_times_p1.json"), 1),
+            (("compare", "node3fold_blowup.json", "node3fold_small.json"), 2),
+        ],
+    )
+    def test_cli_validates_and_assembles_once(self, argv, loaded, corpus, capsys, count_calls):
+        validations = count_calls(ResolutionDescriptor, "validate")
+        assemblies = count_calls(stringy, "_assemble")
+        command, *names = argv
+        assert main([command, *(str(corpus / name) for name in names)]) == 0
+        capsys.readouterr()
+        assert validations["validate"] == loaded
+        assert assemblies["_assemble"] == loaded
+
+    def test_level_sums_computed_once(self, count_calls):
+        d = ResolutionDescriptor(
+            3,
+            (("A", 1), ("B", 1)),
+            {(): diag(1, 3, 3, 1), ("A",): quadric_surface(), ("B",): diag(1, 1, 1)},
+        )
+        additions = count_calls(HodgeDiamond, "__add__")
+        assert a_pq(d, 2, 2) == 3 - 3
+        assert additions["__add__"] == 1  # D(1) = D_A + D_B, summed once
+        assert [a_pq(d, p, p) for p in range(4)] == [1, 3 - 2, 3 - 3, 1 - 2]
+        assert d.level(1) == quadric_surface() + diag(1, 1, 1)
+        assert additions["__add__"] == 2  # the comparison's own sum
+
+    def test_strata_are_read_only(self):
+        d = ResolutionDescriptor(2, (), {(): diag(1, 1, 1)})
+        with pytest.raises(TypeError):
+            d.strata[()] = diag(1, 2, 1)
+        assert d.strata == {(): diag(1, 1, 1)}
+
+
+BROKEN = ResolutionDescriptor(
+    3,
+    (("E", 1),),
+    {(): HodgeDiamond(3, {(0, 0): 1, (1, 0): 1, (3, 3): 1}), ("E",): quadric_surface()},
+    "asymmetric ambient diamond",
+)
+
+VALIDATING = {
+    "stringy_e": lambda d: stringy_e(d),
+    "stringy_hodge_table": lambda d: stringy_hodge_table(d),
+    "check_polynomial_consequences": lambda d: check_polynomial_consequences(d),
+    "closed_form_h": lambda d: closed_form_h(d, 0, 0),
+    "a_pq": lambda d: a_pq(d, 1, 1),
+    "h22st_fourfold": lambda d: h22st_fourfold(d),
+    "threefold_h22_minus_h11": lambda d: threefold_h22_minus_h11(d),
+    "product_stringy": lambda d: product_stringy(d, point()),
+    "conjecture_report": lambda d: conjecture_report(d),
+    "crepant_compare": lambda d: crepant_compare(d, d),
+    "first_coefficient_difference": lambda d: first_coefficient_difference(d, d),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VALIDATING))
+def test_invalid_descriptor_raises_at_every_entry_point(entry):
+    # the unvalidated identity checks assemble E_st first; that must not
+    # let the descriptor through, and a failed validation is not remembered
+    assert not check_symmetry(BROKEN)
+    for _ in range(2):
+        with pytest.raises(DescriptorError, match="conjugation symmetry"):
+            VALIDATING[entry](BROKEN)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +169,66 @@ class TestCompare:
         )
         assert code == 2
         assert "dimension mismatch" in err
+
+    def test_max_degree_bounds_the_search_not_the_verdict(self, corpus, capsys):
+        paths = (
+            str(corpus / "node3fold_wrong_discrepancy.json"),
+            str(corpus / "node3fold_small.json"),
+        )
+        code, out, _ = run(capsys, "compare", *paths, "--max-degree", "1",
+                           "--format", "machine")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["equal"] is False and doc["first_difference"] is None
+        code, out, _ = run(capsys, "compare", *paths, "--max-degree", "1")
+        assert code == 1
+        assert "agree up to p+q <= 1" in out
+        code, out, _ = run(capsys, "compare", *paths, "--max-degree", "4",
+                           "--format", "machine")
+        assert code == 1
+        diff = json.loads(out)["first_difference"]
+        assert (diff["p"], diff["q"]) == (2, 2)
+
+
+class TestDefectFlags:
+    def test_max_degree_not_accepted(self, corpus, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["defect", str(corpus / "fiber_node.json"), "--max-degree", "3"])
+        assert exc.value.code == 2
+        assert "--max-degree" in capsys.readouterr().err
+
+
+WRONG_CLOSED_FORM = """
+import sys
+import stringyhodge.analysis
+from stringyhodge.cli import main
+
+if __debug__ != (sys.argv[2] == "plain"):
+    sys.exit(99)  # not running in the mode the test asked for
+stringyhodge.analysis.closed_form_h = lambda d, p, q: 10**9
+sys.exit(main(["check", sys.argv[1]]))
+"""
+
+
+class TestCrossCheckFailure:
+    def test_exit_code_3_on_one_line(self, corpus, capsys, monkeypatch):
+        monkeypatch.setattr("stringyhodge.analysis.closed_form_h", lambda d, p, q: 10**9)
+        code, out, err = run(capsys, "check", str(corpus / "burkhardt_x0.json"))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "closed form" in err
+
+    @pytest.mark.parametrize("mode, flags", [("plain", []), ("optimized", ["-O"])])
+    def test_survives_optimized_mode(self, mode, flags, corpus, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = tmp_path / "wrong_closed_form.py"
+        script.write_text(WRONG_CLOSED_FORM)
+        proc = subprocess.run(
+            [sys.executable, *flags, str(script), str(corpus / "burkhardt_x0.json"), mode],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

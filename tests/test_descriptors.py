@@ -110,3 +110,56 @@ def test_negative_discrepancy_rejected():
     }
     with pytest.raises(DescriptorFileError, match="negative discrepancy"):
         parse_bundle(doc)
+
+
+def _bool_cases():
+    """(name, document, key path) with one integer field replaced by true."""
+    surface = {"0,0": 1, "1,1": 2, "2,2": 1}
+    base = {
+        "dim": 2,
+        "components": [{"id": "A", "discrepancy": 1}, {"id": "B", "discrepancy": 1}],
+        "strata": {"": {"0,0": 1, "1,1": 3, "2,2": 1}, "A": [[1, 0], [0, 1]],
+                   "B": {"0,0": 1, "1,1": 1}, "A,B": {"0,0": 1}},
+        "snc": {"levels": {"1": [{"subset": ["A"]}, {"subset": ["B"]}],
+                           "2": [{"subset": ["A", "B"], "faces": [1, 0]}]}},
+        "fibers": [{"point": "x", "components": [
+            {"id": "F1", "discrepancy": 1, "diamond": surface},
+            {"id": "F2", "discrepancy": 1, "diamond": surface}],
+            "pairwise_counts": {"F1,F2": 1}}],
+    }
+
+    def setting(path, value=True):
+        doc = json.loads(json.dumps(base))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+
+    yield "valid", base, None
+    yield "dim", setting(["dim"]), ".dim"
+    yield "discrepancy", setting(["components", 0, "discrepancy"]), ".components[0].discrepancy"
+    yield "sparse diamond entry", setting(["strata", "B", "0,0"]), ".strata['B']['0,0']"
+    yield "dense diamond entry", setting(["strata", "A", 0, 0]), ".strata['A'][0][0]"
+    yield "faces", setting(["snc", "levels", "2", 0, "faces"], [True, False]), \
+        ".snc.levels['2'][0].faces"
+    yield "fiber discrepancy", setting(["fibers", 0, "components", 0, "discrepancy"]), \
+        ".fibers[0].components[0].discrepancy"
+    yield "pairwise_counts", setting(["fibers", 0, "pairwise_counts", "F1,F2"]), \
+        ".fibers[0].pairwise_counts['F1,F2']"
+
+
+@pytest.mark.parametrize("doc, location", [c[1:] for c in _bool_cases()],
+                         ids=[c[0] for c in _bool_cases()])
+def test_json_booleans_are_not_integers(doc, location, tmp_path, capsys):
+    from stringyhodge.cli import main
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["compute", str(path), "--format", "machine"])
+    err = capsys.readouterr().err
+    if location is None:
+        assert code == 0, err
+    else:
+        assert code == 2
+        assert f"error: {path}{location}: " in err
