@@ -86,23 +86,28 @@ def _diamond_to_json(d: HodgeDiamond) -> Dict[str, int]:
     return {f"{p},{q}": n for (p, q), n in sorted(d.h.items())}
 
 
-def _parse_fraction(obj, location: str) -> Fraction:
-    if _is_int(obj):
-        return Fraction(obj)
-    if isinstance(obj, str):
+def _parse_fraction(obj, location: str, rationals: Dict[object, Fraction]) -> Fraction:
+    """One rational; `rationals` keeps the value of each integer or string parsed so far."""
+    if not (_is_int(obj) or isinstance(obj, str)):
+        raise DescriptorFileError(location, 'rationals must be integers or "num/den" strings')
+    value = rationals.get(obj)
+    if value is None:
         try:
-            return Fraction(obj)
+            value = Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise DescriptorFileError(location, f"bad rational {obj!r}: {exc}")
-    raise DescriptorFileError(location, 'rationals must be integers or "num/den" strings')
+        rationals[obj] = value
+    return value
 
 
-def _parse_matrix(obj, location: str) -> Matrix:
+def _parse_matrix(obj, location: str, rationals: Dict[object, Fraction]) -> Matrix:
     _expect(isinstance(obj, list), location, "matrix must be a list of rows")
     out: Matrix = []
     for i, row in enumerate(obj):
         _expect(isinstance(row, list), f"{location}[{i}]", "matrix row must be a list")
-        out.append([_parse_fraction(x, f"{location}[{i}][{j}]") for j, x in enumerate(row)])
+        out.append(
+            [_parse_fraction(x, f"{location}[{i}][{j}]", rationals) for j, x in enumerate(row)]
+        )
     widths = {len(row) for row in out}
     _expect(len(widths) <= 1, location, "ragged matrix")
     return out
@@ -110,8 +115,10 @@ def _parse_matrix(obj, location: str) -> Matrix:
 
 def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
     _expect(isinstance(obj, dict), location, "snc block must be an object")
+    levels_doc = obj.get("levels", {})
+    _expect(isinstance(levels_doc, dict), f"{location}.levels", "levels must be an object")
     levels: Dict[int, Tuple[SncComponent, ...]] = {}
-    for key, comps in obj.get("levels", {}).items():
+    for key, comps in levels_doc.items():
         _expect(str(key).isdigit() and int(key) >= 1, f"{location}.levels[{key!r}]",
                 "level keys must be integers >= 1")
         r = int(key)
@@ -137,8 +144,11 @@ def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
                 SncComponent(subset=tuple(sorted(subset)), diamond=diamond, faces=tuple(faces))
             )
         levels[r] = tuple(parsed)
+    maps_doc = obj.get("user_maps", {})
+    _expect(isinstance(maps_doc, dict), f"{location}.user_maps", "user_maps must be an object")
     user_maps: Dict[Tuple[int, int, int], Tuple[Matrix, ...]] = {}
-    for key, mats in obj.get("user_maps", {}).items():
+    rationals: Dict[object, Fraction] = {}  # "1", "-1" and "0" recur in every matrix
+    for key, mats in maps_doc.items():
         parts = str(key).split(",")
         _expect(
             len(parts) == 3 and all(part.strip().isdigit() for part in parts),
@@ -147,7 +157,7 @@ def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
         _expect(isinstance(mats, list), f"{location}.user_maps[{key!r}]", "must be a list")
         k, p, q = (int(part) for part in parts)
         user_maps[(k, p, q)] = tuple(
-            _parse_matrix(mat, f"{location}.user_maps[{key!r}][{i}]")
+            _parse_matrix(mat, f"{location}.user_maps[{key!r}][{i}]", rationals)
             for i, mat in enumerate(mats)
         )
     return SncComplexData(levels=levels, user_maps=user_maps)

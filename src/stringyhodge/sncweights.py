@@ -7,15 +7,18 @@ weight spectral complex is assembled from this incidence data alone; higher
 rows need user-supplied restriction-map matrices, which the source data
 offers no algorithm for.
 
-All ranks are computed exactly over the rationals (fraction-free
-elimination on integer matrices after clearing denominators).
+All ranks are computed exactly over the rationals, by fraction-free
+elimination over the integers on sparse rows (denominators cleared, each row
+divided by its content); products of restriction matrices, which validation
+forms to check that consecutive maps compose to zero, skip zero entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -28,47 +31,75 @@ class SncDataError(ValueError):
     """Raised when incidence or matrix data is inconsistent."""
 
 
-def exact_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination.
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Dict[int, int]], int]:
+    """The rows times the lcm d of all their denominators, as sparse rows
+    {column: int} of their nonzero entries, and d."""
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    scale = lcm(*(x.denominator for row in nonzero for _, x in row))
+    rows_int = [{j: x.numerator * (scale // x.denominator) for j, x in row} for row in nonzero]
+    return rows_int, scale
 
-    Denominators are cleared per row first, so all pivots stay integral.
+
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    """The row divided by the gcd of its entries (its content)."""
+    content = gcd(*row.values())  # 0 for an empty row
+    if content <= 1:
+        return row
+    return {j: v // content for j, v in row.items()}
+
+
+def exact_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
+    """Rank over Q by fraction-free elimination over Z on sparse rows.
+
+    Entries are ints or Fractions.  The matrix is cleared of denominators and
+    each row is kept as its nonzero entries {column: int}, divided by its
+    content.  A pivot row p is taken out, with its entry of least absolute
+    value in column c, and every row r with an entry in column c becomes
+    p[c]*r - r[c]*p, divided by its content; rows with no entry in column c
+    are not touched.  Each pivot adds one to the rank.
     """
-    mat: List[List[int]] = []
-    for row in rows:
-        if len(row) != ncols:
-            raise SncDataError("ragged matrix")
-        scale = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        mat.append([int(Fraction(x) * scale) for x in row])
-    nrows = len(mat)
+    if any(len(row) != ncols for row in rows):
+        raise SncDataError("ragged matrix")
+    pending = [_primitive(row) for row in _integer_rows(rows)[0] if row]
     rank = 0
-    prev = 1
-    col = 0
-    while rank < nrows and col < ncols:
-        pivot_row = next((r for r in range(rank, nrows) if mat[r][col] != 0), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
-        for r in range(rank + 1, nrows):
-            for c in range(col + 1, ncols):
-                mat[r][c] = (pivot * mat[r][c] - mat[r][col] * mat[rank][c]) // prev
-            mat[r][col] = 0
-        prev = pivot
+    while pending:
+        pivot = pending.pop()
+        col, head = min(pivot.items(), key=lambda item: abs(item[1]))
         rank += 1
-        col += 1
+        for i, row in enumerate(pending):
+            factor = row.get(col)
+            if factor is None:
+                continue
+            new = {j: head * v for j, v in row.items()}
+            for j, v in pivot.items():
+                new[j] = new.get(j, 0) - factor * v
+            pending[i] = _primitive({j: v for j, v in new.items() if v})
+        pending = [row for row in pending if row]
     return rank
 
 
 def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
+    """The exact product a.b.
+
+    Both factors are cleared of denominators.  Each row of the integer
+    product sums x*y over the nonzero entries x of a row of a and the nonzero
+    entries y of the matching row of b only, and is divided by the two scales.
+    """
+    if any(len(row) != len(b) for row in a):
         raise SncDataError("matrix shapes do not compose")
-    inner = len(b)
     cols = len(b[0]) if b else 0
-    return [
-        [sum((row[i] * b[i][j] for i in range(inner)), Fraction(0)) for j in range(cols)]
-        for row in a
-    ]
+    a_rows, a_scale = _integer_rows(a)
+    b_rows, b_scale = _integer_rows(b)
+    scale = a_scale * b_scale
+    zero = Fraction(0)
+    out: Matrix = []
+    for a_row in a_rows:
+        acc = [0] * cols
+        for i, x in a_row.items():
+            for j, y in b_rows[i].items():
+                acc[j] += x * y
+        out.append([Fraction(v, scale) if v else zero for v in acc])
+    return out
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -97,8 +128,9 @@ class SncComplexData:
     the coboundary on the (p,q) piece of the H^k row; delta_r has one row per
     basis vector of H^k(D(r+1)) and one column per basis vector of H^k(D(r)).
 
-    Both mappings are read-only, so a successful validation is recorded on
-    the instance and not repeated.
+    Both mappings are read-only, so what is derived from them alone is kept
+    on the instance once it succeeds: the validation, the H^0 coboundary chain
+    and the ranks of each weight row.  Failures are never kept.
     """
 
     levels: Mapping[int, Tuple[SncComponent, ...]]
@@ -115,6 +147,7 @@ class SncComplexData:
             MappingProxyType({r: tuple(cs) for r, cs in dict(self.levels).items()}),
         )
         object.__setattr__(self, "user_maps", MappingProxyType(dict(self.user_maps)))
+        object.__setattr__(self, "_ranked_rows", {})
 
     def max_level(self) -> int:
         return max((r for r, cs in self.levels.items() if cs), default=0)
@@ -153,20 +186,26 @@ class SncComplexData:
                             )
         # consecutive coboundaries must compose to zero
         if not problems:
-            for r in range(1, self.max_level()):
-                d1 = coboundary_h0(self, r)
-                d2 = coboundary_h0(self, r + 1)
+            chain = self._h0_chain
+            for r in range(1, len(chain)):
+                d1, d2 = chain[r - 1], chain[r]
                 if d1 and d2 and not is_zero_matrix(matrix_mul(d2, d1)):
                     problems.append(f"delta_{r + 1} . delta_{r} != 0 on the H^0 row")
         for (k, p, q), mats in self.user_maps.items():
-            dims = [self._piece_dim(r, p, q) for r in range(1, len(mats) + 2)]
-            for i, mat in enumerate(mats):
-                nrows, ncols = len(mat), len(mat[0]) if mat else 0
-                if (nrows, ncols) != (dims[i + 1], dims[i]) and mat:
-                    problems.append(
-                        f"user map ({k},{p},{q}) delta_{i + 1}: shape {nrows}x{ncols} "
-                        f"does not match declared dimensions {dims[i + 1]}x{dims[i]}"
-                    )
+            try:
+                dims = [self._piece_dim(r, p, q) for r in range(1, len(mats) + 2)]
+            except SncDataError as exc:
+                problems.append(f"user map ({k},{p},{q}): {exc}")
+                continue
+            misshapen = [
+                f"user map ({k},{p},{q}) delta_{i + 1}: shape {len(mat)}x{len(mat[0])} "
+                f"does not match declared dimensions {dims[i + 1]}x{dims[i]}"
+                for i, mat in enumerate(mats)
+                if mat and (len(mat), len(mat[0])) != (dims[i + 1], dims[i])
+            ]
+            problems += misshapen
+            if misshapen:
+                continue
             for i in range(len(mats) - 1):
                 if mats[i] and mats[i + 1] and not is_zero_matrix(
                     matrix_mul(mats[i + 1], mats[i])
@@ -184,6 +223,24 @@ class SncComplexData:
         problems = self.validate()
         if problems:
             raise SncDataError("; ".join(problems))
+
+    @cached_property
+    def _h0_chain(self) -> Tuple[Matrix, ...]:
+        """delta_1, ..., delta_{top-1} of the H^0 row, built once per instance."""
+        return tuple(coboundary_h0(self, r) for r in range(1, self.max_level()))
+
+    def _weight_row(self, k: int, p: int, q: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Space dimensions and map ranks of the (k, p, q) weight row.
+
+        ranks[i] is the rank of delta_{i+1}.  Each row is ranked once per
+        instance; a row that cannot be built raises and is not kept.
+        """
+        row = self._ranked_rows.get((k, p, q))
+        if row is None:
+            mats, dims = _row_maps_and_dims(self, k, p, q)
+            ranks = tuple(exact_rank(mat, dims[i]) for i, mat in enumerate(mats))
+            row = self._ranked_rows[(k, p, q)] = (tuple(dims), ranks)
+        return row
 
     def _piece_dim(self, r: int, p: int, q: int) -> int:
         """Dimension of the (p,q) piece of H^{p+q}(D(r)) from the diamonds."""
@@ -225,13 +282,12 @@ def coboundary_h0(data: SncComplexData, r: int) -> Matrix:
 
 def _row_maps_and_dims(
     data: SncComplexData, k: int, p: int, q: int
-) -> Tuple[List[Matrix], List[int]]:
+) -> Tuple[Sequence[Matrix], List[int]]:
     """The coboundary chain and space dimensions for one (k, p, q) row."""
     if k == 0 and p == 0 and q == 0:
         top = data.max_level()
         dims = [len(data.components(r)) for r in range(1, top + 1)]
-        mats = [coboundary_h0(data, r) for r in range(1, top)]
-        return mats, dims
+        return data._h0_chain, dims
     if p + q != k:
         raise SncDataError(f"Hodge piece ({p},{q}) does not lie in degree {k}")
     key = (k, p, q)
@@ -240,7 +296,7 @@ def _row_maps_and_dims(
             f"no restriction matrices supplied for degree {k}, piece ({p},{q}); "
             "the row cannot be computed"
         )
-    mats = [list(m) for m in data.user_maps[key]]
+    mats = data.user_maps[key]
     dims = [data._piece_dim(r, p, q) for r in range(1, len(mats) + 2)]
     return mats, dims
 
@@ -254,13 +310,12 @@ def weight_graded_dims(data: SncComplexData, k: int, l: int, p: int, q: int) -> 
     data.check_valid()
     if l < 0:
         raise SncDataError("l must be nonnegative")
-    mats, dims = _row_maps_and_dims(data, k, p, q)
+    dims, ranks = data._weight_row(k, p, q)
     if l >= len(dims):
         return 0
-    spot_dim = dims[l]
-    rank_out = exact_rank(mats[l], spot_dim) if l < len(mats) else 0
-    rank_in = exact_rank(mats[l - 1], dims[l - 1]) if l >= 1 else 0
-    return (spot_dim - rank_out) - rank_in
+    rank_out = ranks[l] if l < len(ranks) else 0
+    rank_in = ranks[l - 1] if l >= 1 else 0
+    return (dims[l] - rank_out) - rank_in
 
 
 def purity_consequence_check(data: SncComplexData, n: int, s: int) -> Dict[str, object]:
@@ -275,7 +330,7 @@ def purity_consequence_check(data: SncComplexData, n: int, s: int) -> Dict[str, 
     for (k, p, q) in sorted(data.user_maps):
         if k < n + s:
             continue
-        _, dims = _row_maps_and_dims(data, k, p, q)
+        dims, _ = data._weight_row(k, p, q)
         spots = [(l, weight_graded_dims(data, k, l, p, q)) for l in range(1, len(dims))]
         failing = [(l, dim) for l, dim in spots if dim != 0]
         entry: Dict[str, object] = {"exact": not failing, "failing_spots": failing}

@@ -152,6 +152,12 @@ class ResolutionDescriptor:
         # negative controls with broken diamonds still evaluate
         return _assemble(self)
 
+    @cached_property
+    def _e_st_polynomial(self) -> Optional[BivariatePoly]:
+        # the exact quotient of _e_st, or None when it is not a polynomial;
+        # shared by the Hodge table and the polynomial consequences
+        return exact_divide_test(self._e_st)
+
 
 def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     """Sum E(D_J) * prod_{j in J} (w - w^m_j)/(w^m_j - 1), m_j = a_j + 1, by signature.
@@ -254,7 +260,7 @@ def stringy_hodge_table(d: ResolutionDescriptor, bound: Optional[int] = None) ->
         raise ValueError("expansion bound must be nonnegative")
     f = stringy_e(d)
     coeffs = f.series_coefficients(bound)
-    poly = exact_divide_test(f)
+    poly = d._e_st_polynomial
     negative = tuple(
         sorted((p, q) for (p, q), b in coeffs.items() if (-1) ** (p + q) * b < 0)
     )
@@ -277,7 +283,8 @@ def check_polynomial_consequences(d: ResolutionDescriptor) -> Dict[str, object]:
     Degree exactly 2n, h^{p,q}_st = h^{n-p,n-q}_st, and vanishing outside the
     n x n diamond.  Inapplicable for non-polynomial E-functions.
     """
-    poly = exact_divide_test(stringy_e(d))
+    d.check_valid()
+    poly = d._e_st_polynomial
     if poly is None:
         return {"applicable": False}
     n = d.n

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,24 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 @pytest.fixture
 def corpus():
     return CORPUS
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps owner.name and returns its call counter."""
+
+    def install(owner, name):
+        calls = Counter()
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return install
 
 
 def diag(*vals):

@@ -130,24 +130,6 @@ class TestAgainstReference:
         assert_agrees_with_reference(d)
 
 
-@pytest.fixture
-def count_calls(monkeypatch):
-    """count_calls(owner, name) wraps owner.name and returns its call counter."""
-
-    def install(owner, name):
-        calls = Counter()
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-        return calls
-
-    return install
-
-
 class TestOncePerDescriptor:
     def test_conjecture_report_validates_loaded_descriptor_once(self, corpus, count_calls):
         calls = count_calls(ResolutionDescriptor, "validate")
@@ -172,6 +154,15 @@ class TestOncePerDescriptor:
         capsys.readouterr()
         assert validations["validate"] == loaded
         assert assemblies["_assemble"] == loaded
+
+    @pytest.mark.parametrize("name", ["burkhardt_times_p1.json", "synthetic_negative_fourfold.json"])
+    def test_cli_compute_divides_once(self, name, corpus, capsys, count_calls):
+        # the Hodge table and the polynomial consequences share one quotient,
+        # for a polynomial E_st and for one that is not
+        divisions = count_calls(stringy, "exact_divide_test")
+        assert main(["compute", str(corpus / name), "--format", "machine"]) == 0
+        capsys.readouterr()
+        assert divisions["exact_divide_test"] == 1
 
     def test_level_sums_computed_once(self, count_calls):
         d = ResolutionDescriptor(

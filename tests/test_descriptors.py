@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from stringyhodge import (
     load_bundle,
     save_bundle,
 )
-from stringyhodge.descriptors import bundle_to_json, parse_bundle
+from stringyhodge.descriptors import _parse_snc, bundle_to_json, parse_bundle
 
 ALL_CORPUS = [
     "smooth_p3.json",
@@ -163,3 +164,54 @@ def test_json_booleans_are_not_integers(doc, location, tmp_path, capsys):
     else:
         assert code == 2
         assert f"error: {path}{location}: " in err
+
+
+def _snc_doc(snc):
+    return {
+        "dim": 2,
+        "components": [{"id": "A", "discrepancy": 1}],
+        "strata": {"": {"0,0": 1, "1,1": 1, "2,2": 1}, "A": {"0,0": 1, "1,1": 1}},
+        "snc": snc,
+    }
+
+
+@pytest.mark.parametrize(
+    "snc, location, message",
+    [
+        ({"levels": []}, ".snc.levels", "levels must be an object"),
+        ({"levels": {}, "user_maps": []}, ".snc.user_maps", "user_maps must be an object"),
+        # a user map needs the diamonds of the levels it acts on
+        ({"levels": {"1": [{"subset": ["A"]}]}, "user_maps": {"1,1,0": [[["1"]]]}},
+         ".snc", "user map (1,1,0): level 1 component ('A',) has no diamond"),
+    ],
+    ids=["levels list", "user_maps list", "no diamond"],
+)
+def test_snc_block_errors_exit_2_with_key_path(snc, location, message, tmp_path, capsys):
+    from stringyhodge.cli import main
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_snc_doc(snc)))
+    assert main(["compute", str(path)]) == 2
+    assert f"error: {path}{location}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "maps, location",
+    [
+        ([[[1, "-1"], ["-1", True]]], "[0][1][1]"),  # true is not the 1 parsed before
+        ([[["1/0"]], [["1", "1/0"]]], "[0][0][0]"),  # the first of two bad entries
+        ([[["1/2", "1/2"]], [["1/2", "2/0"]]], "[1][0][1]"),
+    ],
+)
+def test_bad_user_map_entry_reports_its_own_key_path(maps, location):
+    doc = _snc_doc({"levels": {"1": [{"subset": ["A"]}]}, "user_maps": {"1,1,0": maps}})
+    with pytest.raises(DescriptorFileError) as err:
+        parse_bundle(doc)
+    assert err.value.location == f"<document>.snc.user_maps['1,1,0']{location}"
+
+
+def test_user_map_rationals_parsed_exactly():
+    snc = {"levels": {}, "user_maps": {"1,1,0": [[["1", 1, "-1"]], [["2/4", "-3/6", 0]]]}}
+    maps = _parse_snc(snc, 2, "snc").user_maps[(1, 1, 0)]
+    assert maps == ([[1, 1, -1]], [[Fraction(1, 2), Fraction(-1, 2), 0]])
+    assert all(type(x) is Fraction for mat in maps for row in mat for x in row)

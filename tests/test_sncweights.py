@@ -15,8 +15,10 @@ from stringyhodge import (
     projective_space,
     purity_consequence_check,
     quadric_surface,
+    sncweights,
     weight_graded_dims,
 )
+from stringyhodge.sncweights import matrix_mul
 from conftest import diag
 
 P1 = projective_space(1)
@@ -72,6 +74,7 @@ def brute_force_cohomology(ids, faces, degree):
 
 
 TRIANGLE = (["A", "B", "C"], [("A", "B"), ("A", "C"), ("B", "C")])
+TRIANGLE_FILLED = (["A", "B", "C"], TRIANGLE[1] + [("A", "B", "C")])
 CHAIN = (["A", "B"], [("A", "B")])
 
 
@@ -255,3 +258,205 @@ class TestExactRank:
     def test_ragged_rejected(self):
         with pytest.raises(SncDataError):
             exact_rank([[Fraction(1)], [Fraction(1), Fraction(2)]], 1)
+
+
+def dense_product(a, b):
+    """Reference product: the plain triple loop over every entry."""
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((row[i] * b[i][j] for i in range(inner)), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def sympy_rank(mat, ncols):
+    flat = [sympy.Rational(x.numerator, x.denominator) for row in mat for x in row]
+    return sympy.Matrix(len(mat), ncols, flat).rank()
+
+
+# mostly zeros, as in incidence matrices, with non-unit and fractional entries
+sparse_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+@st.composite
+def matrices(draw, nrows=st.integers(0, 7), ncols=st.integers(0, 7)):
+    rows, cols = draw(nrows), draw(ncols)
+    entry_rows = st.lists(sparse_entries, min_size=cols, max_size=cols)
+    return draw(st.lists(entry_rows, min_size=rows, max_size=rows)), cols
+
+
+class TestSparseKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(matrices())
+    def test_rank_matches_sympy(self, mc):
+        mat, cols = mc
+        assert exact_rank(mat, cols) == sympy_rank(mat, cols)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rank_of_low_rank_products_matches_sympy(self, data):
+        # tall times wide through a narrow inner dimension: rank deficient
+        inner = data.draw(st.integers(0, 3))
+        left, _ = data.draw(matrices(nrows=st.integers(0, 8), ncols=st.just(inner)))
+        right, cols = data.draw(matrices(nrows=st.just(inner), ncols=st.integers(0, 8)))
+        mat = dense_product(left, right) if right else [[Fraction(0)] * cols for _ in left]
+        assert exact_rank(mat, cols) == sympy_rank(mat, cols)
+        assert exact_rank(mat, cols) <= inner
+
+    def test_rank_edge_shapes(self):
+        assert exact_rank([], 4) == 0
+        assert exact_rank([[], [], []], 0) == 0
+        assert exact_rank([[Fraction(0)] * 3] * 4, 3) == 0
+        assert exact_rank([[Fraction(2), Fraction(4)], [Fraction(1, 3), Fraction(2, 3)]], 2) == 1
+        assert exact_rank([[Fraction(6), Fraction(0)], [Fraction(0), Fraction(10)]], 2) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matrix_mul_matches_dense_product(self, data):
+        a, inner = data.draw(matrices())
+        b, _ = data.draw(matrices(nrows=st.just(inner)))
+        product = matrix_mul(a, b)
+        assert product == dense_product(a, b)
+        assert all(isinstance(x, Fraction) for row in product for x in row)
+
+    def test_matrix_mul_rejects_shapes_that_do_not_compose(self):
+        with pytest.raises(SncDataError, match="do not compose"):
+            matrix_mul([[Fraction(1), Fraction(2)]], [[Fraction(1)]])
+
+
+def cech(ids, top):
+    """Cech coboundaries delta_1..delta_{top-1} of the (top-1)-skeleton on ids.
+
+    Built from the subsets alone: the row of an (r+1)-subset has (-1)^t in
+    the column of the r-subset that drops its t-th id.
+    """
+    subsets = {r: list(itertools.combinations(ids, r)) for r in range(1, top + 1)}
+    maps = []
+    for r in range(1, top):
+        column = {s: i for i, s in enumerate(subsets[r])}
+        mat = [[Fraction(0)] * len(subsets[r]) for _ in subsets[r + 1]]
+        for row, big in enumerate(subsets[r + 1]):
+            for t in range(r + 1):
+                mat[row][column[big[:t] + big[t + 1 :]]] = Fraction((-1) ** t)
+        maps.append(mat)
+    return maps
+
+
+def skeleton_with_user_maps(k=5, top=3, maps=None):
+    """The (top-1)-skeleton of a (k-1)-simplex; every component is a P^2, so
+    the (2,1,1) pieces are one-dimensional and its maps are Cech coboundaries."""
+    ids = [f"S{i}" for i in range(k)]
+    faces = [s for r in range(2, top + 1) for s in itertools.combinations(ids, r)]
+    bare = complex_from_faces(ids, faces)
+    P2 = projective_space(2)
+    levels = {
+        r: tuple(SncComponent(c.subset, P2, c.faces) for c in comps)
+        for r, comps in bare.levels.items()
+    }
+    return SncComplexData(
+        levels=levels, user_maps={(2, 1, 1): tuple(maps or cech(ids, top))}
+    )
+
+
+def flipped(maps, i, row, col, value):
+    out = [[list(r) for r in mat] for mat in maps]
+    out[i][row][col] = value
+    return out
+
+
+IDS5 = [f"S{i}" for i in range(5)]
+BROKEN_MAPS = {
+    "face sign in delta_1": flipped(cech(IDS5, 3), 0, 0, 0, Fraction(1)),
+    "face sign in delta_2": flipped(cech(IDS5, 3), 1, 0, 0, Fraction(-1)),
+    "zero entry of delta_2": flipped(cech(IDS5, 3), 1, 0, 9, Fraction(1)),
+}
+
+
+class TestRankedOnce:
+    def test_cech_maps_are_valid(self):
+        data = skeleton_with_user_maps()
+        assert data.validate() == []
+        # the 2-skeleton of a 4-simplex is a wedge of C(4, 3) = 4 two-spheres
+        for key in ((0, 0, 0), (2, 1, 1)):
+            k, p, q = key
+            assert [weight_graded_dims(data, k, l, p, q) for l in range(4)] == [1, 0, 4, 0]
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_MAPS))
+    def test_validate_rejects_user_maps_that_do_not_compose(self, name):
+        data = skeleton_with_user_maps(maps=BROKEN_MAPS[name])
+        assert data.validate() == ["user map (2,1,1): delta_2 . delta_1 != 0"]
+
+    def test_validate_rejects_h0_row_that_does_not_compose(self, monkeypatch):
+        # incidence data always gives delta^2 = 0, so the check on the H^0
+        # row is exercised with one face sign flipped in the built coboundary
+        build = sncweights.coboundary_h0
+
+        def one_sign_flipped(data, r):
+            mat = build(data, r)
+            if r == 1:
+                mat[0][0] = -mat[0][0]
+            return mat
+
+        monkeypatch.setattr(sncweights, "coboundary_h0", one_sign_flipped)
+        data = complex_from_faces(*TRIANGLE_FILLED)
+        assert data.validate() == ["delta_2 . delta_1 != 0 on the H^0 row"]
+
+    def test_each_matrix_ranked_once_per_instance(self, count_calls):
+        ranks = count_calls(sncweights, "exact_rank")
+        builds = count_calls(sncweights, "coboundary_h0")
+        data = skeleton_with_user_maps(k=5, top=4)
+        for _ in range(2):
+            for k, p, q in ((0, 0, 0), (2, 1, 1)):
+                dims = [weight_graded_dims(data, k, l, p, q) for l in range(5)]
+                assert dims == [1, 0, 0, 1, 0]
+            report = purity_consequence_check(data, n=1, s=1)
+            assert report["rows"][(2, 1, 1)]["failing_spots"] == [(3, 1)]
+        # three maps in each of the two rows, and the H^0 chain built once
+        assert ranks["exact_rank"] == 6
+        assert builds["coboundary_h0"] == 3
+        # the ranks belong to the instance, not to the process
+        weight_graded_dims(skeleton_with_user_maps(k=5, top=4), 2, 1, 1, 1)
+        assert ranks["exact_rank"] == 9
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_MAPS))
+    def test_invalid_data_raises_on_every_call(self, name):
+        data = skeleton_with_user_maps(maps=BROKEN_MAPS[name])
+        for _ in range(2):
+            with pytest.raises(SncDataError, match="delta_2 . delta_1 != 0"):
+                weight_graded_dims(data, 2, 1, 1, 1)
+            with pytest.raises(SncDataError, match="delta_2 . delta_1 != 0"):
+                weight_graded_dims(data, 0, 1, 0, 0)
+            with pytest.raises(SncDataError, match="delta_2 . delta_1 != 0"):
+                purity_consequence_check(data, n=1, s=1)
+            with pytest.raises(SncDataError, match="delta_2 . delta_1 != 0"):
+                data.check_valid()
+
+    def test_missing_row_raises_on_every_call(self):
+        data = skeleton_with_user_maps()
+        for _ in range(2):
+            with pytest.raises(SncDataError, match="no restriction matrices"):
+                weight_graded_dims(data, 3, 1, 2, 1)
+        assert weight_graded_dims(data, 2, 2, 1, 1) == 4
+
+    def test_missing_diamond_is_a_problem_not_an_exception(self):
+        data = SncComplexData(
+            levels={1: (SncComponent(("A",)),)}, user_maps={(1, 1, 0): ([[Fraction(1)]],)}
+        )
+        assert data.validate() == [
+            "user map (1,1,0): level 1 component ('A',) has no diamond; "
+            "cannot size the Hodge piece"
+        ]
+
+    def test_misshapen_row_is_reported_not_composed(self):
+        maps = cech(IDS5, 3)
+        maps[1] = [row[:-1] for row in maps[1]]  # delta_2 loses a column
+        problems = skeleton_with_user_maps(maps=maps).validate()
+        assert problems == [
+            "user map (2,1,1) delta_2: shape 10x9 does not match declared dimensions 10x10"
+        ]
