@@ -10,9 +10,6 @@ from .polyalg import (
     diagonal_decompose,
     diagonal_reassemble,
     exact_divide_test,
-    poly_invert_vars,
-    poly_mul,
-    ratfun_add,
     series_expand_factor,
 )
 from .hodge import (
@@ -65,7 +62,6 @@ from .descriptors import (
     DescriptorBundle,
     DescriptorFileError,
     load_bundle,
-    load_descriptor,
     save_bundle,
 )
 

@@ -106,7 +106,6 @@ def defect_bound_check(fd: ExceptionalFiberDescriptor) -> bool:
     False means the fiber data cannot come from a terminal threefold
     singularity; the bound is a theorem for genuine geometric input.
     """
-    fd.check_valid()
     return local_defect(fd) <= fd.discrepancy_one_count()
 
 
@@ -117,10 +116,7 @@ def threefold_h22_minus_h11(d: ResolutionDescriptor) -> int:
     component count; nonnegative for geometric input, and zero whenever the
     stringy E-function is a polynomial.
     """
-    d.check_valid()
-    if d.n != 3:
-        raise DescriptorError(f"threefold formula requires n = 3, got n = {d.n}")
-    _require_terminal(d)
+    _require_terminal(d, 3, "threefold")
     return (
         -d.level_hpq(1, 1, 1)
         + d.level_hpq(2, 0, 0)

@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, Optional
+from typing import Dict
 
 from .analysis import CrossCheckError, conjecture_report, defect_bound_check, local_defect
 from .descriptors import DescriptorFileError, load_bundle
 from .sncweights import weight_graded_dims
 from .stringy import (
-    DescriptorError,
     check_polynomial_consequences,
     crepant_compare,
     first_coefficient_difference,
@@ -35,7 +34,7 @@ def _emit(doc: Dict[str, object], fmt: str, text_renderer) -> None:
         text_renderer(doc)
 
 
-def _pq_map(table) -> Dict[str, int]:
+def _pq_map(table) -> Dict[str, object]:
     return {f"{p},{q}": v for (p, q), v in sorted(table.items())}
 
 
@@ -57,9 +56,7 @@ def cmd_compute(args) -> int:
         "checks": {
             "symmetry": report.symmetry,
             "poincare_duality": report.pd_identity,
-            "polynomial_consequences": _jsonable(
-                check_polynomial_consequences(bundle.descriptor)
-            ),
+            "polynomial_consequences": check_polynomial_consequences(bundle.descriptor),
         },
         "negative_at": [f"{p},{q}" for p, q in report.negative],
     }
@@ -105,12 +102,10 @@ def cmd_check(args) -> int:
         "expansion_bound": report.bound,
         "expansion_point": EXPANSION_NOTE,
         "polynomial": report.polynomial,
-        "verdicts": {f"{p},{q}": v for (p, q), v in sorted(report.verdicts.items())},
+        "verdicts": _pq_map(report.verdicts),
         "values": _pq_map(report.values),
-        "provenance": {f"{p},{q}": v for (p, q), v in sorted(report.provenance.items())},
-        "negative_details": {
-            f"{p},{q}": detail for (p, q), detail in sorted(report.negative_details.items())
-        },
+        "provenance": _pq_map(report.provenance),
+        "negative_details": _pq_map(report.negative_details),
         "threefold_inequality": report.threefold_inequality,
         "all_nonnegative": report.all_nonnegative(),
     }
@@ -197,14 +192,6 @@ def cmd_compare(args) -> int:
     return 0 if equal else 1
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stringy",
@@ -246,7 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DescriptorFileError, DescriptorError, ValueError) as exc:
+    except ValueError as exc:  # every input error class of the package subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CrossCheckError as exc:

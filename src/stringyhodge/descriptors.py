@@ -9,9 +9,9 @@ floating point ever appears on the wire.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .analysis import ExceptionalFiberDescriptor, FiberComponent
 from .hodge import HodgeDiamond
@@ -64,7 +64,7 @@ def _parse_diamond(obj, dim: int, location: str) -> HodgeDiamond:
         for key, value in obj.items():
             parts = key.split(",")
             _expect(
-                len(parts) == 2 and all(part.strip().isdigit() for part in parts),
+                len(parts) == 2 and all(part.strip().isdecimal() for part in parts),
                 f"{location}[{key!r}]",
                 'sparse keys must look like "p,q"',
             )
@@ -119,7 +119,7 @@ def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
     _expect(isinstance(levels_doc, dict), f"{location}.levels", "levels must be an object")
     levels: Dict[int, Tuple[SncComponent, ...]] = {}
     for key, comps in levels_doc.items():
-        _expect(str(key).isdigit() and int(key) >= 1, f"{location}.levels[{key!r}]",
+        _expect(str(key).isdecimal() and int(key) >= 1, f"{location}.levels[{key!r}]",
                 "level keys must be integers >= 1")
         r = int(key)
         parsed = []
@@ -151,7 +151,7 @@ def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
     for key, mats in maps_doc.items():
         parts = str(key).split(",")
         _expect(
-            len(parts) == 3 and all(part.strip().isdigit() for part in parts),
+            len(parts) == 3 and all(part.strip().isdecimal() for part in parts),
             f"{location}.user_maps[{key!r}]", 'keys must look like "k,p,q"',
         )
         _expect(isinstance(mats, list), f"{location}.user_maps[{key!r}]", "must be a list")
@@ -179,8 +179,11 @@ def _parse_fiber(obj, location: str) -> ExceptionalFiberDescriptor:
                 "discrepancy must be an integer")
         diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond")
         parsed.append(FiberComponent(comp["id"], diamond, comp["discrepancy"]))
+    counts_doc = obj.get("pairwise_counts", {})
+    _expect(isinstance(counts_doc, dict), f"{location}.pairwise_counts",
+            "pairwise_counts must be an object")
     counts: Dict[Tuple[str, str], int] = {}
-    for key, value in obj.get("pairwise_counts", {}).items():
+    for key, value in counts_doc.items():
         loc = f"{location}.pairwise_counts[{key!r}]"
         pair = tuple(key.split(","))
         _expect(len(pair) == 2, loc, 'keys must look like "id1,id2"')
@@ -228,9 +231,10 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
         snc = _parse_snc(doc["snc"], dim, f"{location}.snc")
         problems = snc.validate()
         _expect(not problems, f"{location}.snc", "; ".join(problems))
+    fibers_doc = doc.get("fibers", [])
+    _expect(isinstance(fibers_doc, list), f"{location}.fibers", "fibers must be a list")
     fibers = tuple(
-        _parse_fiber(fiber, f"{location}.fibers[{i}]")
-        for i, fiber in enumerate(doc.get("fibers", []))
+        _parse_fiber(fiber, f"{location}.fibers[{i}]") for i, fiber in enumerate(fibers_doc)
     )
     return DescriptorBundle(descriptor=descriptor, snc=snc, fibers=fibers)
 
@@ -244,10 +248,6 @@ def load_bundle(path: str) -> DescriptorBundle:
     except json.JSONDecodeError as exc:
         raise DescriptorFileError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg)
     return parse_bundle(doc, location=path)
-
-
-def load_descriptor(path: str) -> ResolutionDescriptor:
-    return load_bundle(path).descriptor
 
 
 def bundle_to_json(bundle: DescriptorBundle) -> Dict[str, object]:

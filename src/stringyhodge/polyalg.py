@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 # A univariate polynomial in w is a sparse dict {exponent: coefficient}.
 WPoly = Dict[int, int]
@@ -18,13 +18,6 @@ WPoly = Dict[int, int]
 
 def _wclean(p: WPoly) -> WPoly:
     return {e: c for e, c in p.items() if c != 0}
-
-
-def w_add(a: WPoly, b: WPoly) -> WPoly:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return _wclean(out)
 
 
 def w_mul(a: WPoly, b: WPoly, bound: Optional[int] = None) -> WPoly:
@@ -109,10 +102,6 @@ class BivariatePoly:
         return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, p: int, q: int, c: int = 1) -> "BivariatePoly":
-        return cls({(p, q): c})
-
-    @classmethod
     def w_power(cls, k: int, c: int = 1) -> "BivariatePoly":
         """c * (uv)^k."""
         return cls({(k, k): c})
@@ -146,9 +135,6 @@ class BivariatePoly:
                 k = (p1 + p2, q1 + q2)
                 out[k] = out.get(k, 0) + c1 * c2
         return BivariatePoly(out)
-
-    def scale(self, c: int) -> "BivariatePoly":
-        return BivariatePoly({k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BivariatePoly) and self.terms == other.terms
@@ -193,14 +179,6 @@ class BivariatePoly:
                 parts.append(f"{c}*{mono}")
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
-
-
-def poly_mul(a: BivariatePoly, b: BivariatePoly) -> BivariatePoly:
-    return a * b
-
-
-def poly_invert_vars(a: BivariatePoly) -> BivariatePoly:
-    return a.invert_vars()
 
 
 def diagonal_decompose(p: BivariatePoly) -> Dict[int, WPoly]:
@@ -292,10 +270,6 @@ class StringyFunction:
     numerator: BivariatePoly
     denominator: DenominatorSpec = field(default_factory=DenominatorSpec)
 
-    @classmethod
-    def from_poly(cls, p: BivariatePoly) -> "StringyFunction":
-        return cls(p, DenominatorSpec())
-
     def __add__(self, other: "StringyFunction") -> "StringyFunction":
         common = self.denominator.union(other.denominator)
         left = self.numerator * common.cofactor(self.denominator).expand_poly()
@@ -329,10 +303,6 @@ class StringyFunction:
         if self.denominator.is_trivial():
             return str(self.numerator)
         return f"({self.numerator}) / ({self.denominator})"
-
-
-def ratfun_add(f: StringyFunction, g: StringyFunction) -> StringyFunction:
-    return f + g
 
 
 def exact_divide_test(f: StringyFunction) -> Optional[BivariatePoly]:

@@ -191,9 +191,9 @@ class SncComplexData:
                 d1, d2 = chain[r - 1], chain[r]
                 if d1 and d2 and not is_zero_matrix(matrix_mul(d2, d1)):
                     problems.append(f"delta_{r + 1} . delta_{r} != 0 on the H^0 row")
-        for (k, p, q), mats in self.user_maps.items():
+        for k, p, q in self.user_maps:
             try:
-                dims = [self._piece_dim(r, p, q) for r in range(1, len(mats) + 2)]
+                mats, dims = _row_maps_and_dims(self, k, p, q)
             except SncDataError as exc:
                 problems.append(f"user map ({k},{p},{q}): {exc}")
                 continue
@@ -237,7 +237,11 @@ class SncComplexData:
         """
         row = self._ranked_rows.get((k, p, q))
         if row is None:
-            mats, dims = _row_maps_and_dims(self, k, p, q)
+            if (k, p, q) == (0, 0, 0):  # built from the incidence data, user maps ignored
+                mats = self._h0_chain
+                dims = [len(self.components(r)) for r in range(1, self.max_level() + 1)]
+            else:
+                mats, dims = _row_maps_and_dims(self, k, p, q)
             ranks = tuple(exact_rank(mat, dims[i]) for i, mat in enumerate(mats))
             row = self._ranked_rows[(k, p, q)] = (tuple(dims), ranks)
         return row
@@ -283,11 +287,7 @@ def coboundary_h0(data: SncComplexData, r: int) -> Matrix:
 def _row_maps_and_dims(
     data: SncComplexData, k: int, p: int, q: int
 ) -> Tuple[Sequence[Matrix], List[int]]:
-    """The coboundary chain and space dimensions for one (k, p, q) row."""
-    if k == 0 and p == 0 and q == 0:
-        top = data.max_level()
-        dims = [len(data.components(r)) for r in range(1, top + 1)]
-        return data._h0_chain, dims
+    """The supplied matrices of one (k, p, q) row and the dimensions they act between."""
     if p + q != k:
         raise SncDataError(f"Hodge piece ({p},{q}) does not lie in degree {k}")
     key = (k, p, q)

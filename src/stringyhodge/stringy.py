@@ -61,12 +61,6 @@ class ResolutionDescriptor:
             MappingProxyType({tuple(k): v for k, v in dict(self.strata).items()}),
         )
 
-    def discrepancy(self, comp_id: str) -> int:
-        for cid, a in self.components:
-            if cid == comp_id:
-                return a
-        raise KeyError(comp_id)
-
     def validate(self) -> List[str]:
         problems = []
         ids = [cid for cid, _ in self.components]
@@ -213,15 +207,16 @@ class StringyReport:
     coefficients: Mapping[Tuple[int, int], int]  # b_{p,q}, p+q <= bound
     symmetry: bool
     pd_identity: Optional[bool]  # None = inconclusive (strata not PD)
-    negative: Tuple[Tuple[int, int], ...] = ()
 
     def h_st(self, p: int, q: int) -> int:
         return (-1) ** (p + q) * self.coefficients.get((p, q), 0)
 
     def h_st_table(self) -> Dict[Tuple[int, int], int]:
-        return {
-            (p, q): (-1) ** (p + q) * b for (p, q), b in self.coefficients.items()
-        }
+        return {pq: self.h_st(*pq) for pq in self.coefficients}
+
+    @property
+    def negative(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(sorted(pq for pq, h in self.h_st_table().items() if h < 0))
 
 
 def check_symmetry(d: ResolutionDescriptor) -> bool:
@@ -253,27 +248,20 @@ def stringy_hodge_table(d: ResolutionDescriptor, bound: Optional[int] = None) ->
     The b_{p,q} come from the series expansion at the origin; when the
     E-function is a polynomial the expansion terminates and agrees with it.
     """
-    d.check_valid()
+    f = stringy_e(d)
     if bound is None:
         bound = 2 * d.n
     if bound < 0:
         raise ValueError("expansion bound must be nonnegative")
-    f = stringy_e(d)
-    coeffs = f.series_coefficients(bound)
-    poly = d._e_st_polynomial
-    negative = tuple(
-        sorted((p, q) for (p, q), b in coeffs.items() if (-1) ** (p + q) * b < 0)
-    )
     return StringyReport(
         label=d.label,
         n=d.n,
         e_function=f,
         bound=bound,
-        polynomial=poly,
-        coefficients=coeffs,
+        polynomial=d._e_st_polynomial,
+        coefficients=f.series_coefficients(bound),
         symmetry=check_symmetry(d),
         pd_identity=check_pd_identity(d),
-        negative=negative,
     )
 
 
@@ -308,7 +296,11 @@ def a_pq(d: ResolutionDescriptor, p: int, q: int) -> int:
     return total
 
 
-def _require_terminal(d: ResolutionDescriptor) -> None:
+def _require_terminal(d: ResolutionDescriptor, n: Optional[int] = None, kind: str = "") -> None:
+    """Validate d and require every discrepancy >= 1 and, if n is given, dimension n."""
+    d.check_valid()
+    if n is not None and d.n != n:
+        raise DescriptorError(f"{kind} formula requires n = {n}, got n = {d.n}")
     bad = [cid for cid, a in d.components if a < 1]
     if bad:
         raise DescriptorError(
@@ -347,10 +339,7 @@ def closed_form_h(d: ResolutionDescriptor, p: int, q: int) -> int:
 
 def h22st_fourfold(d: ResolutionDescriptor) -> int:
     """h^{2,2}_st of a terminal fourfold: a_{2,2} plus the discrepancy-1 count."""
-    d.check_valid()
-    if d.n != 4:
-        raise DescriptorError(f"fourfold formula requires n = 4, got n = {d.n}")
-    _require_terminal(d)
+    _require_terminal(d, 4, "fourfold")
     return a_pq(d, 2, 2) + d.discrepancy_one_count()
 
 

@@ -113,6 +113,16 @@ def test_negative_discrepancy_rejected():
         parse_bundle(doc)
 
 
+def _replaced(doc, path, value):
+    """A copy of the JSON document with the value at the key path replaced."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
 def _bool_cases():
     """(name, document, key path) with one integer field replaced by true."""
     surface = {"0,0": 1, "1,1": 2, "2,2": 1}
@@ -130,12 +140,7 @@ def _bool_cases():
     }
 
     def setting(path, value=True):
-        doc = json.loads(json.dumps(base))
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        return doc
+        return _replaced(base, path, value)
 
     yield "valid", base, None
     yield "dim", setting(["dim"]), ".dim"
@@ -183,8 +188,19 @@ def _snc_doc(snc):
         # a user map needs the diamonds of the levels it acts on
         ({"levels": {"1": [{"subset": ["A"]}]}, "user_maps": {"1,1,0": [[["1"]]]}},
          ".snc", "user map (1,1,0): level 1 component ('A',) has no diamond"),
+        # (1,1) lies in degree 2, not 3
+        ({"levels": {"1": [{"subset": ["A"], "diamond": {"0,0": 1, "1,1": 1}}]},
+          "user_maps": {"3,1,1": []}},
+         ".snc", "user map (3,1,1): Hodge piece (1,1) does not lie in degree 3"),
+        # "²" passes str.isdigit but not int()
+        ({"levels": {"²": []}}, ".snc.levels['²']", "level keys must be integers >= 1"),
+        ({"levels": {}, "user_maps": {"²,1,1": []}}, ".snc.user_maps['²,1,1']",
+         'keys must look like "k,p,q"'),
+        ({"levels": {"1": [{"subset": ["A"], "diamond": {"²,0": 1}}]}},
+         ".snc.levels['1'][0].diamond['²,0']", 'sparse keys must look like "p,q"'),
     ],
-    ids=["levels list", "user_maps list", "no diamond"],
+    ids=["levels list", "user_maps list", "no diamond", "user map outside its degree",
+         "superscript level key", "superscript user map key", "superscript diamond key"],
 )
 def test_snc_block_errors_exit_2_with_key_path(snc, location, message, tmp_path, capsys):
     from stringyhodge.cli import main
@@ -215,3 +231,62 @@ def test_user_map_rationals_parsed_exactly():
     maps = _parse_snc(snc, 2, "snc").user_maps[(1, 1, 0)]
     assert maps == ([[1, 1, -1]], [[Fraction(1, 2), Fraction(-1, 2), 0]])
     assert all(type(x) is Fraction for mat in maps for row in mat for x in row)
+
+
+@pytest.mark.parametrize(
+    "fibers, location, message",
+    [
+        (5, ".fibers", "fibers must be a list"),
+        ([{"point": "x", "components": [{"id": "F", "discrepancy": 1,
+                                         "diamond": {"0,0": 1, "1,1": 1, "2,2": 1}}],
+           "pairwise_counts": []}],
+         ".fibers[0].pairwise_counts", "pairwise_counts must be an object"),
+    ],
+    ids=["fibers number", "pairwise_counts list"],
+)
+def test_fiber_block_errors_exit_2_with_key_path(fibers, location, message, tmp_path, capsys):
+    from stringyhodge.cli import main
+
+    path = tmp_path / "doc.json"
+    doc = {"dim": 3, "strata": {"": {"0,0": 1, "1,1": 1, "2,2": 1, "3,3": 1}}, "fibers": fibers}
+    path.write_text(json.dumps(doc))
+    assert main(["defect", str(path)]) == 2
+    assert f"error: {path}{location}: {message}" in capsys.readouterr().err
+
+
+MUTANTS = ([], {}, 5, "x", True, None)
+
+
+def _key_paths(node, path=()):
+    """Every key path of a JSON document: object keys and list indices, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS)
+def test_mutated_corpus_loads_or_reports_its_file(name, corpus, tmp_path, capsys):
+    """Each value of a corpus document, replaced by each JSON type in turn,
+    either loads and `stringy compute` exits 0 on it, or raises
+    DescriptorFileError located at the file; nothing else escapes."""
+    from stringyhodge.cli import main
+
+    doc = json.loads((corpus / name).read_text())
+    path = tmp_path / name
+    for key_path in _key_paths(doc):
+        for value in MUTANTS:
+            mutated = _replaced(doc, key_path, value)
+            try:
+                parse_bundle(mutated, location=str(path))
+            except DescriptorFileError as exc:  # cli.main reports it and exits 2
+                assert exc.location.startswith(str(path)), (key_path, value)
+                continue
+            path.write_text(json.dumps(mutated))
+            assert main(["compute", str(path), "--format", "machine"]) == 0, (
+                key_path, value, capsys.readouterr().err)

@@ -60,7 +60,7 @@ class TestStringyE:
 
     def test_node_threefold(self, node):
         # oracle: (1+w)^2 * (w - w^2)/(w^2 - 1) = -w - w^2
-        expected = StringyFunction.from_poly(
+        expected = StringyFunction(
             e_polynomial(diag(1, 3, 3, 1)) - BivariatePoly({(1, 1): 1, (2, 2): 1})
         )
         assert stringy_e(node).equals(expected)
