@@ -5,6 +5,7 @@ and nonnegativity reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import hodge
@@ -32,19 +33,20 @@ class ExceptionalFiberDescriptor:
 
     Components are the surfaces of the fiber; pairwise_counts gives the
     number of connected components of each pairwise intersection curve.
+    The fields never change (pairwise_counts is a read-only mapping), so a
+    successful validation is kept.
     """
 
     point: str
     components: Tuple[FiberComponent, ...]
     pairwise_counts: Mapping[Tuple[str, str], int] = field(default_factory=dict)
 
+    _valid = False  # set by the first validate() that finds no problem
+
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(
-            self,
-            "pairwise_counts",
-            {tuple(sorted(k)): v for k, v in dict(self.pairwise_counts).items()},
-        )
+        counts = {tuple(sorted(k)): v for k, v in dict(self.pairwise_counts).items()}
+        object.__setattr__(self, "pairwise_counts", MappingProxyType(counts))
 
     def validate(self) -> List[str]:
         problems = []
@@ -68,9 +70,13 @@ class ExceptionalFiberDescriptor:
                 problems.append(f"intersection pair {pair!r} names unknown components")
             if count < 0:
                 problems.append(f"negative intersection count for pair {pair!r}")
+        if not problems:
+            object.__setattr__(self, "_valid", True)
         return problems
 
     def check_valid(self) -> None:
+        if self._valid:
+            return
         problems = self.validate()
         if problems:
             raise DescriptorError("; ".join(problems))

@@ -208,31 +208,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="full stringy report for one descriptor")
     p.add_argument("path")
     add_common(p, "expansion bound on p+q (default 2*dim)")
-    p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("check", help="nonnegativity verdicts (exit 1 on a negative)")
     p.add_argument("path")
     add_common(p, "expansion bound on p+q (default 2*dim)")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("defect", help="per-point local defect table")
     p.add_argument("path")
     add_common(p)
-    p.set_defaults(fn=cmd_defect)
 
     p = sub.add_parser("compare", help="exact equality of two stringy E-functions")
     p.add_argument("path_a")
     p.add_argument("path_b")
     add_common(p, "bound on p+q for locating the first mismatch (default 2*dim+2); "
                   "equality is decided exactly")
-    p.set_defaults(fn=cmd_compare)
     return parser
 
 
+_PARSER = None  # built by the first main() call, reused by later in-process calls
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up per call, so that a rebound cmd_* takes effect with the cached parser
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:  # every input error class of the package subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2

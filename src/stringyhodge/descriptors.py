@@ -79,6 +79,8 @@ def _parse_diamond(obj, dim: int, location: str) -> HodgeDiamond:
                 h[(p, q)] = value
     else:
         raise DescriptorFileError(location, "diamond must be a dense matrix or a sparse map")
+    # only an empty [] or {} gets here with dim < 0: the stratum itself must be empty
+    _expect(dim >= 0, location, f"dimension would be {dim}; an empty stratum has no diamond")
     return HodgeDiamond(dim, h)
 
 

@@ -264,25 +264,29 @@ class DenominatorSpec:
 class StringyFunction:
     """numerator / prod_j ((uv)^{m_j} - 1), kept unreduced.
 
-    Equality is decided by exact cross-multiplication; no GCDs are taken.
+    Sums and equality bring both sides to the union of the two denominators,
+    each numerator multiplied by its own cofactor only; no GCDs are taken.
+    Equal denominators are compared numerator to numerator.
     """
 
     numerator: BivariatePoly
     denominator: DenominatorSpec = field(default_factory=DenominatorSpec)
 
+    def _lift(self, common: DenominatorSpec) -> BivariatePoly:
+        """The numerator over common, a denominator that self's divides."""
+        cofactor = common.cofactor(self.denominator)
+        return self.numerator if cofactor.is_trivial() else self.numerator * cofactor.expand_poly()
+
     def __add__(self, other: "StringyFunction") -> "StringyFunction":
         common = self.denominator.union(other.denominator)
-        left = self.numerator * common.cofactor(self.denominator).expand_poly()
-        right = other.numerator * common.cofactor(other.denominator).expand_poly()
-        return StringyFunction(left + right, common)
+        return StringyFunction(self._lift(common) + other._lift(common), common)
 
     def mul_poly(self, p: BivariatePoly) -> "StringyFunction":
         return StringyFunction(self.numerator * p, self.denominator)
 
     def equals(self, other: "StringyFunction") -> bool:
-        left = self.numerator * other.denominator.expand_poly()
-        right = other.numerator * self.denominator.expand_poly()
-        return left == right
+        common = self.denominator.union(other.denominator)
+        return self._lift(common) == other._lift(common)
 
     def series_coefficients(self, bound: int) -> Dict[Tuple[int, int], int]:
         """Coefficients b_{p,q} of the expansion at the origin, for p+q <= bound.

@@ -21,7 +21,6 @@ from .polyalg import (
     DenominatorSpec,
     StringyFunction,
     exact_divide_test,
-    w_mul,
 )
 
 Subset = Tuple[str, ...]
@@ -158,30 +157,46 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
 
     The factor of a stratum depends only on its signature, the sorted m_j
     over J, so the E-polynomials of the strata sharing a signature are summed
-    first and each sum is multiplied once by a polynomial in w.  The common
-    denominator holds each w^m - 1 as often as the most demanding signature
-    needs it.  Components with a < 1 give no denominator factor; a = 0 makes
-    the numerator factor w - w vanish, so its strata are skipped.
+    into one table first.  The common denominator holds each w^m - 1 as often
+    as the most demanding signature needs it and is expanded once; a group's
+    factor is that expansion divided exactly by w^m - 1 and multiplied by
+    w - w^m for each m of its signature.  Components with a < 1 give no
+    denominator factor; a = 0 makes the numerator factor w - w vanish, so
+    its strata are skipped.
     """
     discrepancies = dict(d.components)
-    groups: Dict[Tuple[int, ...], BivariatePoly] = {}
+    groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
     for subset, diamond in d.strata.items():
         a = [discrepancies[cid] for cid in subset]
         if 0 in a:
             continue
-        signature = tuple(sorted(x + 1 for x in a if x >= 1))
-        term = hodge.e_polynomial(diamond, check=False)
-        groups[signature] = groups[signature] + term if signature in groups else term
+        e_sum = groups.setdefault(tuple(sorted(x + 1 for x in a if x >= 1)), {})
+        for pq, c in hodge.e_polynomial(diamond, check=False).terms.items():
+            e_sum[pq] = e_sum.get(pq, 0) + c
     common = DenominatorSpec()
     for signature in groups:
         common = common.union(DenominatorSpec(signature))
-    numerator = BivariatePoly.zero()
+    expanded = common.expand_w()
+    full = [expanded.get(k, 0) for k in range(sum(common.factors) + 1)]
+    rows: Dict[Tuple[int, int], List[int]] = {}  # (p, q) -> coefficients of w^k
+    zero = [0] * len(full)
     for signature, e_sum in groups.items():
-        factor = common.cofactor(DenominatorSpec(signature)).expand_w()
+        factor = full
         for m in signature:
-            factor = w_mul(factor, {1: 1, m: -1})  # w - w^m
-        numerator = numerator + e_sum * BivariatePoly.from_w(factor)
-    return StringyFunction(numerator, common)
+            # factor = quotient * (w^m - 1) gives quotient_k = quotient_{k-m} - factor_k
+            quotient: List[int] = []
+            for k in range(len(factor) - m):
+                quotient.append((quotient[k - m] if k >= m else 0) - factor[k])
+            # quotient * (w - w^m)
+            factor = [x - y for x, y in zip([0] + quotient + [0] * (m - 1), [0] * m + quotient)]
+        for pq, c in e_sum.items():
+            rows[pq] = [x + c * f for x, f in zip(rows.get(pq, zero), factor)]
+    numerator: Dict[Tuple[int, int], int] = {}
+    for (p, q), row in rows.items():
+        for k, c in enumerate(row):
+            if c:
+                numerator[(p + k, q + k)] = numerator.get((p + k, q + k), 0) + c
+    return StringyFunction(BivariatePoly(numerator), common)
 
 
 def stringy_e(d: ResolutionDescriptor) -> StringyFunction:

@@ -33,6 +33,13 @@ def count_calls(monkeypatch):
     return install
 
 
+def cross_multiplied_equal(f, g):
+    """f == g decided by multiplying each numerator by the other's full denominator."""
+    left = f.numerator * g.denominator.expand_poly()
+    right = g.numerator * f.denominator.expand_poly()
+    return left == right
+
+
 def diag(*vals):
     """Diamond supported on the diagonal: diag(1, 2, 1) is h^{p,p} = 1, 2, 1."""
     return HodgeDiamond(len(vals) - 1, {(i, i): v for i, v in enumerate(vals)})

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,6 +21,7 @@ from stringyhodge import (
     stringy_hodge_table,
     threefold_h22_minus_h11,
 )
+from stringyhodge.cli import main
 from conftest import descriptors, diag
 
 Q = quadric_surface()
@@ -65,6 +68,36 @@ class TestLocalDefect:
         )
         with pytest.raises(DescriptorError):
             local_defect(fd)
+
+
+class TestFiberValidatedOnce:
+    def test_defect_validates_each_fiber_once(self, corpus, capsys, count_calls):
+        path = corpus / "fiber_two_quadrics.json"
+        fibers = len(json.loads(path.read_text())["fibers"])
+        calls = count_calls(ExceptionalFiberDescriptor, "validate")
+        assert main(["defect", str(path)]) == 0
+        capsys.readouterr()
+        assert calls["validate"] == fibers
+
+    def test_invalid_fiber_raises_on_every_call(self, count_calls):
+        fd = ExceptionalFiberDescriptor(
+            "x1", (FiberComponent("F1", projective_space(1), 1),), {}
+        )
+        calls = count_calls(ExceptionalFiberDescriptor, "validate")
+        for _ in range(2):
+            with pytest.raises(DescriptorError, match="must be a surface"):
+                local_defect(fd)
+            with pytest.raises(DescriptorError, match="must be a surface"):
+                defect_bound_check(fd)
+        assert calls["validate"] == 4
+
+    def test_pairwise_counts_are_read_only(self):
+        fd = ExceptionalFiberDescriptor(
+            "x1", (FiberComponent("F1", Q, 1), FiberComponent("F2", Q, 1)), {("F2", "F1"): 1}
+        )
+        with pytest.raises(TypeError):
+            fd.pairwise_counts[("F1", "F2")] = 5
+        assert fd.pairwise_counts == {("F1", "F2"): 1}
 
 
 class TestDefectBound:

@@ -32,9 +32,11 @@ from stringyhodge import (
     stringy_hodge_table,
     threefold_h22_minus_h11,
 )
+from stringyhodge import hodge
 from stringyhodge.cli import main
+from stringyhodge.polyalg import w_mul
 from stringyhodge.stringy import first_coefficient_difference
-from conftest import descriptors, diag
+from conftest import cross_multiplied_equal, descriptors, diag
 
 
 def reference_assemble(d):
@@ -56,6 +58,31 @@ def reference_assemble(d):
             term = term * factor
         numerator = numerator + term
     return StringyFunction(numerator, denom)
+
+
+def grouped_reference_assemble(d):
+    """The grouped assembly before the single denominator expansion, verbatim:
+    each group's cofactor is expanded anew and multiplied as a
+    BivariatePoly.  The new assembly must give the same terms and factors."""
+    discrepancies = dict(d.components)
+    groups = {}
+    for subset, diamond in d.strata.items():
+        a = [discrepancies[cid] for cid in subset]
+        if 0 in a:
+            continue
+        signature = tuple(sorted(x + 1 for x in a if x >= 1))
+        term = hodge.e_polynomial(diamond, check=False)
+        groups[signature] = groups[signature] + term if signature in groups else term
+    common = DenominatorSpec()
+    for signature in groups:
+        common = common.union(DenominatorSpec(signature))
+    numerator = BivariatePoly.zero()
+    for signature, e_sum in groups.items():
+        factor = common.cofactor(DenominatorSpec(signature)).expand_w()
+        for m in signature:
+            factor = w_mul(factor, {1: 1, m: -1})  # w - w^m
+        numerator = numerator + e_sum * BivariatePoly.from_w(factor)
+    return StringyFunction(numerator, common)
 
 
 def reference_pd_verdict(d, f):
@@ -88,7 +115,11 @@ def negative_controls(draw):
 
 def assert_agrees_with_reference(d):
     new = stringy._assemble(d)
+    grouped = grouped_reference_assemble(d)
+    assert new.numerator.terms == grouped.numerator.terms
+    assert new.denominator.factors == grouped.denominator.factors
     ref = reference_assemble(d)
+    assert cross_multiplied_equal(new, ref)
     assert new.equals(ref)
     bound = 2 * d.n + 2
     assert new.series_coefficients(bound) == ref.series_coefficients(bound)

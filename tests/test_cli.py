@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from stringyhodge import cli
 from stringyhodge.cli import main
 
 
@@ -196,6 +197,26 @@ class TestDefectFlags:
             main(["defect", str(corpus / "fiber_node.json"), "--max-degree", "3"])
         assert exc.value.code == 2
         assert "--max-degree" in capsys.readouterr().err
+
+
+class TestParserBuiltOnce:
+    def test_reused_across_calls_and_after_bad_argv(self, corpus, capsys, monkeypatch,
+                                                     count_calls):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        builds = count_calls(cli, "build_parser")
+        computes = count_calls(cli, "cmd_compute")  # rebound after the parser exists
+        path = str(corpus / "smooth_p3.json")
+        assert main(["compute", path]) == 0
+        assert main(["check", path]) == 0
+        assert builds["build_parser"] == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["compute"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "compute", path, "--format", "machine")
+        assert code == 0 and json.loads(out)["dim"] == 3
+        assert builds["build_parser"] == 1
+        assert computes["cmd_compute"] == 2
 
 
 WRONG_CLOSED_FORM = """

@@ -198,9 +198,13 @@ def _snc_doc(snc):
          'keys must look like "k,p,q"'),
         ({"levels": {"1": [{"subset": ["A"], "diamond": {"²,0": 1}}]}},
          ".snc.levels['1'][0].diamond['²,0']", 'sparse keys must look like "p,q"'),
+        # level r = dim + 1 would have dimension -1; an empty [] passes the row count
+        ({"levels": {"3": [{"subset": ["A"], "diamond": []}]}},
+         ".snc.levels['3'][0].diamond", "dimension would be -1; an empty stratum has no diamond"),
     ],
     ids=["levels list", "user_maps list", "no diamond", "user map outside its degree",
-         "superscript level key", "superscript user map key", "superscript diamond key"],
+         "superscript level key", "superscript user map key", "superscript diamond key",
+         "empty diamond at dimension -1"],
 )
 def test_snc_block_errors_exit_2_with_key_path(snc, location, message, tmp_path, capsys):
     from stringyhodge.cli import main
@@ -209,6 +213,23 @@ def test_snc_block_errors_exit_2_with_key_path(snc, location, message, tmp_path,
     path.write_text(json.dumps(_snc_doc(snc)))
     assert main(["compute", str(path)]) == 2
     assert f"error: {path}{location}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("empty", [[], {}], ids=["dense", "sparse"])
+def test_stratum_of_dimension_minus_one_exits_2_with_key_path(empty, tmp_path, capsys):
+    from stringyhodge.cli import main
+
+    # on a curve, D_A and D_B are points and D_{A,B} would have dimension -1
+    doc = {
+        "dim": 1,
+        "components": [{"id": "A", "discrepancy": 1}, {"id": "B", "discrepancy": 1}],
+        "strata": {"": {"0,0": 1, "1,1": 1}, "A": {"0,0": 1}, "B": {"0,0": 1}, "A,B": empty},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute", str(path)]) == 2
+    assert (f"error: {path}.strata['A,B']: dimension would be -1; "
+            "an empty stratum has no diamond") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

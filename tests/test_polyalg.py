@@ -1,4 +1,4 @@
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stringyhodge.polyalg import (
     BivariatePoly,
@@ -11,6 +11,7 @@ from stringyhodge.polyalg import (
     w_divmod,
     w_mul,
 )
+from conftest import cross_multiplied_equal
 
 
 def P(terms):
@@ -110,6 +111,54 @@ class TestRatfunAdd:
         w2 = P({(2, 2): 1, (0, 0): -1})
         w3 = P({(3, 3): 1, (0, 0): -1})
         assert total.numerator == w2 + w3
+
+
+stringy_functions = st.builds(
+    StringyFunction,
+    polys,
+    st.lists(st.integers(2, 5), max_size=3).map(lambda m: DenominatorSpec(tuple(m))),
+)
+
+ZERO_OVER_W2 = StringyFunction(BivariatePoly.zero(), DenominatorSpec((2,)))
+
+
+def lifted(f, m):
+    """f written over one more factor: numerator and denominator times w^m - 1."""
+    extra = DenominatorSpec((m,))
+    return StringyFunction(
+        f.numerator * extra.expand_poly(), DenominatorSpec(f.denominator.factors + (m,))
+    )
+
+
+class TestEqualsOverUnequalDenominators:
+    """Every simplex compare meets equal denominators; these do not."""
+
+    @example(ZERO_OVER_W2, 2)
+    @example(ZERO_OVER_W2, 3)
+    @given(stringy_functions, st.integers(2, 5))
+    def test_lifted_by_an_extra_factor_is_equal(self, f, m):
+        g = lifted(f, m)
+        assert f.denominator != g.denominator
+        assert f.equals(g) and g.equals(f)
+        assert cross_multiplied_equal(f, g)
+
+    @example(ZERO_OVER_W2, 3, (0, 0), 1)
+    @given(
+        stringy_functions,
+        st.integers(2, 5),
+        st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        st.sampled_from([-2, -1, 1, 2]),
+    )
+    def test_one_perturbed_coefficient_is_unequal(self, f, m, pq, delta):
+        g = lifted(f, m)
+        g = StringyFunction(g.numerator + P({pq: delta}), g.denominator)
+        assert not f.equals(g) and not g.equals(f)
+        assert not cross_multiplied_equal(f, g)
+
+    @example(ZERO_OVER_W2, StringyFunction(BivariatePoly.zero(), DenominatorSpec((3, 3))))
+    @given(stringy_functions, stringy_functions)
+    def test_verdict_agrees_with_cross_multiplication(self, f, g):
+        assert f.equals(g) == g.equals(f) == cross_multiplied_equal(f, g)
 
 
 class TestDiagonalDecompose:
