@@ -15,7 +15,6 @@ from stringyhodge import (
     kunneth,
     projective_space,
     quadric_surface,
-    series_expand_factor,
 )
 
 # The E-polynomial of P^1 is 1 + uv; squaring it gives the quadric surface.
@@ -32,8 +31,14 @@ print("\nelliptic curve x P^1 diamond:", product.h)
 
 # The discrepancy factor (w - w^{a+1})/(w^{a+1} - 1) expands at the origin
 # with integer coefficients; discrepancy 0 kills the factor entirely.
+# Terms w^e = u^e v^e up to e = 6 are those with p + q <= 12.
 for a in (0, 1, 2):
-    print(f"factor a={a} expanded to degree 6:", series_expand_factor(a, 6))
+    series = {}
+    if a:
+        m = a + 1
+        factor = StringyFunction(BivariatePoly({(1, 1): 1, (m, m): -1}), DenominatorSpec((m,)))
+        series = {p: c for (p, q), c in sorted(factor.series_coefficients(12).items())}
+    print(f"factor a={a} expanded to degree 6:", series)
 
 # Rational functions stay factored; polynomiality is decided by exact
 # division along diagonals, never by GCDs.

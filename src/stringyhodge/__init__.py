@@ -8,14 +8,11 @@ from .polyalg import (
     DenominatorSpec,
     StringyFunction,
     diagonal_decompose,
-    diagonal_reassemble,
     exact_divide_test,
-    series_expand_factor,
 )
 from .hodge import (
     DiamondError,
     HodgeDiamond,
-    builtin_diamond,
     curve,
     e_polynomial,
     kunneth,

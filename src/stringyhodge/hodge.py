@@ -71,15 +71,11 @@ class HodgeDiamond:
     __rmul__ = __mul__
 
 
-def validate(
-    d: HodgeDiamond,
-    connected_smooth_projective: bool = False,
-    smooth_projective: bool = False,
-) -> List[str]:
-    """List of violated invariants; empty iff valid under the requested flags.
+def validate(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:
+    """List of violated invariants; empty iff valid under the requested flag.
 
     `smooth_projective` enforces Poincare duality for a possibly disconnected
-    variety; `connected_smooth_projective` additionally pins h^{0,0} = 1.
+    variety.
     """
     problems = []
     for (p, q), n in d.h.items():
@@ -90,7 +86,7 @@ def validate(
                 f"conjugation symmetry broken: h^{{{p},{q}}} = {d.hpq(p, q)} "
                 f"but h^{{{q},{p}}} = {d.hpq(q, p)}"
             )
-    if smooth_projective or connected_smooth_projective:
+    if smooth_projective:
         n_dim = d.dim
         for (p, q), _ in d.h.items():
             if d.hpq(p, q) != d.hpq(n_dim - p, n_dim - q):
@@ -100,8 +96,6 @@ def validate(
                 )
         if d.h0() < 1:
             problems.append("h^{0,0} must count at least one component")
-    if connected_smooth_projective and d.h0() != 1:
-        problems.append(f"connected variety must have h^{{0,0}} = 1, got {d.h0()}")
     return sorted(set(problems))
 
 
@@ -142,24 +136,3 @@ def quadric_surface() -> HodgeDiamond:
     """P^1 x P^1."""
     return kunneth(projective_space(1), projective_space(1))
 
-
-_CATALOG = {
-    "point": (point, ()),
-    "projective_space": (projective_space, ("n",)),
-    "curve": (curve, ("genus",)),
-    "quadric_surface": (quadric_surface, ()),
-}
-
-
-def builtin_diamond(name: str, **params) -> HodgeDiamond:
-    """Catalog lookup; `copies` is accepted by every entry for disjoint unions."""
-    copies = params.pop("copies", 1)
-    if name not in _CATALOG:
-        raise DiamondError(
-            f"unknown diamond {name!r}; available: {', '.join(sorted(_CATALOG))}"
-        )
-    fn, argnames = _CATALOG[name]
-    unexpected = set(params) - set(argnames)
-    if unexpected:
-        raise DiamondError(f"unexpected parameters for {name!r}: {sorted(unexpected)}")
-    return fn(**params) * copies

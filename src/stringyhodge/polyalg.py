@@ -1,83 +1,44 @@
-"""Exact sparse arithmetic in two variables u, v.
+"""Exact arithmetic in two variables u, v.
 
 Everything downstream works with Laurent polynomials in u, v with integer
 coefficients, and with rational functions whose denominator is a product
 of cyclotomic-like factors (uv)^m - 1 in the diagonal variable w = uv.
-No floating point appears anywhere; coefficients are Python ints.
+Along each diagonal such a function is a univariate series in w, and one
+recurrence serves expansion, exact division and the assembly's group
+factors: 1/(w^m - 1) = -sum_k w^{km}, i.e. q = p/(w^m - 1) has
+q_k = q_{k-m} - p_k.  No floating point appears anywhere; coefficients are
+Python ints.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-# A univariate polynomial in w is a sparse dict {exponent: coefficient}.
+# A diagonal slice as a sparse dict {exponent of w: coefficient}; the series
+# kernel below works on dense coefficient lists, lowest degree first.
 WPoly = Dict[int, int]
 
 
-def _wclean(p: WPoly) -> WPoly:
-    return {e: c for e, c in p.items() if c != 0}
+def _times(p: List[int], m: int) -> List[int]:
+    """Coefficients of p * (w^m - 1)."""
+    return [x - y for x, y in zip([0] * m + p, p + [0] * m)]
 
 
-def w_mul(a: WPoly, b: WPoly, bound: Optional[int] = None) -> WPoly:
-    """Product of sparse w-polynomials, optionally truncated after w^bound."""
-    out: WPoly = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if bound is not None and e > bound:
-                continue
-            out[e] = out.get(e, 0) + c1 * c2
-    return _wclean(out)
+def _over(p: Sequence[int], factors: Sequence[int], length: int) -> List[int]:
+    """The first `length` series coefficients of p / prod (w^m - 1) at w = 0.
 
-
-def w_divmod(num: WPoly, den: WPoly) -> Tuple[WPoly, WPoly]:
-    """Long division of w-polynomials with nonnegative exponents.
-
-    The divisors used here are monic up to sign in the leading term, so
-    exactness over the integers is preserved whenever the division is exact.
+    Per factor, p = q * (w^m - 1) gives q_k = q_{k-m} - p_k, with q_k = 0
+    for k < 0 (the zeros in front of the working list).
     """
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    dtop = max(den)
-    dlead = den[dtop]
-    rem = dict(num)
-    quo: WPoly = {}
-    while rem:
-        top = max(rem)
-        if top < dtop:
-            break
-        c, r = divmod(rem[top], dlead)
-        if r != 0:
-            # not divisible in Z at this step; leave as remainder
-            break
-        shift = top - dtop
-        quo[shift] = quo.get(shift, 0) + c
-        for e, dc in den.items():
-            rem[e + shift] = rem.get(e + shift, 0) - c * dc
-        rem = _wclean(rem)
-    return _wclean(quo), rem
-
-
-def series_expand_factor(a: int, bound: int) -> WPoly:
-    """Power-series expansion of (w - w^(a+1)) / (w^(a+1) - 1) at w = 0.
-
-    Uses 1/(w^m - 1) = -sum_{k>=0} w^{km}; all coefficients are integers.
-    A discrepancy-0 factor is identically zero.
-    """
-    if a < 0:
-        raise ValueError("discrepancy must be nonnegative")
-    if a == 0:
-        return {}
-    m = a + 1
-    out: WPoly = {}
-    for k in range(0, bound // m + 1):
-        for e, c in ((1, 1), (m, -1)):
-            exp = k * m + e
-            if exp <= bound:
-                out[exp] = out.get(exp, 0) - c
-    return _wclean(out)
+    pad = max(factors, default=0)
+    q = [0] * pad + list(p[:length]) + [0] * (length - len(p))
+    for m in factors:
+        for k in range(pad, pad + length):
+            q[k] = q[k - m] - q[k]
+    return q[pad:]
 
 
 class BivariatePoly:
@@ -105,10 +66,6 @@ class BivariatePoly:
     def w_power(cls, k: int, c: int = 1) -> "BivariatePoly":
         """c * (uv)^k."""
         return cls({(k, k): c})
-
-    @classmethod
-    def from_w(cls, p: WPoly) -> "BivariatePoly":
-        return cls({(e, e): c for e, c in p.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -185,15 +142,13 @@ def diagonal_decompose(p: BivariatePoly) -> Dict[int, WPoly]:
     """Split into diagonals: u^a v^b = u^max(d,0) v^max(-d,0) w^min(a,b), d = a-b.
 
     Returns {d: w-polynomial}; reassembling with diagonal_reassemble is the
-    identity.
+    identity.  Distinct terms land on distinct (d, min(a, b)), so no slice
+    holds a zero coefficient.
     """
     slices: Dict[int, WPoly] = {}
     for (a, b), c in p.terms.items():
-        d = a - b
-        k = min(a, b)
-        sl = slices.setdefault(d, {})
-        sl[k] = sl.get(k, 0) + c
-    return {d: _wclean(sl) for d, sl in slices.items() if _wclean(sl)}
+        slices.setdefault(a - b, {})[min(a, b)] = c
+    return slices
 
 
 def diagonal_reassemble(slices: Mapping[int, WPoly]) -> BivariatePoly:
@@ -234,25 +189,15 @@ class DenominatorSpec:
         counts = Counter(self.factors) - Counter(sub.factors)
         return DenominatorSpec(tuple(counts.elements()))
 
-    def expand_w(self) -> WPoly:
-        out: WPoly = {0: 1}
+    def expand(self) -> List[int]:
+        """Coefficients of prod (w^m - 1), lowest degree first."""
+        out = [1]
         for m in self.factors:
-            out = w_mul(out, {m: 1, 0: -1})
+            out = _times(out, m)
         return out
 
     def expand_poly(self) -> BivariatePoly:
-        return BivariatePoly.from_w(self.expand_w())
-
-    def series_inverse(self, bound: int) -> WPoly:
-        """Expansion of 1/prod(w^{m_j} - 1) at w = 0, truncated after w^bound.
-
-        Per factor, 1/(w^m - 1) = -sum_{k>=0} w^{km}.
-        """
-        out: WPoly = {0: 1}
-        for m in self.factors:
-            geom = {k * m: -1 for k in range(0, bound // m + 1)}
-            out = w_mul(out, geom, bound=bound)
-        return out
+        return BivariatePoly({(e, e): c for e, c in enumerate(self.expand())})
 
     def __str__(self) -> str:
         if not self.factors:
@@ -281,27 +226,35 @@ class StringyFunction:
         common = self.denominator.union(other.denominator)
         return StringyFunction(self._lift(common) + other._lift(common), common)
 
-    def mul_poly(self, p: BivariatePoly) -> "StringyFunction":
-        return StringyFunction(self.numerator * p, self.denominator)
-
     def equals(self, other: "StringyFunction") -> bool:
         common = self.denominator.union(other.denominator)
         return self._lift(common) == other._lift(common)
 
+    @cached_property
+    def _slices(self) -> Dict[int, Tuple[int, List[int]]]:
+        """Diagonal slices of the numerator as (lowest exponent s, dense
+        coefficients of w^s, w^{s+1}, ...); split once per function."""
+        out = {}
+        for d, sl in diagonal_decompose(self.numerator).items():
+            s = min(sl)
+            dense = [0] * (max(sl) - s + 1)
+            for k, c in sl.items():
+                dense[k - s] = c
+            out[d] = (s, dense)
+        return out
+
     def series_coefficients(self, bound: int) -> Dict[Tuple[int, int], int]:
         """Coefficients b_{p,q} of the expansion at the origin, for p+q <= bound.
 
-        Per diagonal slice, multiply by the series inverse of the denominator.
+        On diagonal d the term w^k is u^p v^q with p + q = 2k + |d|, so each
+        slice is expanded up to k = (bound - |d|) // 2.
         """
-        inv = self.denominator.series_inverse(bound)
-        out: Dict[Tuple[int, int], int] = {}
-        for d, sl in diagonal_decompose(self.numerator).items():
-            expanded = w_mul(sl, inv, bound=bound)
-            for k, c in expanded.items():
-                p, q = k + max(d, 0), k + max(-d, 0)
-                if p + q <= bound and c != 0:
-                    out[(p, q)] = c
-        return out
+        slices: Dict[int, WPoly] = {}
+        for d, (s, sl) in self._slices.items():
+            top = (bound - abs(d)) // 2
+            series = _over(sl, self.denominator.factors, max(0, top - s + 1))
+            slices[d] = dict(enumerate(series, s))
+        return diagonal_reassemble(slices).terms
 
     def __str__(self) -> str:
         if self.denominator.is_trivial():
@@ -313,23 +266,20 @@ def exact_divide_test(f: StringyFunction) -> Optional[BivariatePoly]:
     """The polynomial equal to f, if the denominator divides the numerator.
 
     Every denominator factor depends on w = uv alone, so divisibility is
-    checked slice by slice along diagonals, by univariate long division in w.
-    Returns None when f is not a polynomial.
+    checked slice by slice along diagonals.  A slice p of degree N over D of
+    degree M is expanded to N + 1 terms; D divides p iff the top M of them
+    vanish, and the rest is the quotient Q (p - D*Q has degree at most N and
+    equals D times a series starting at w^{N+1}).  Returns None when f is not
+    a polynomial.
     """
     if f.denominator.is_trivial():
         return f.numerator
-    den = f.denominator.expand_w()
+    factors = f.denominator.factors
     quotients: Dict[int, WPoly] = {}
-    for d, sl in diagonal_decompose(f.numerator).items():
-        shift = min(sl)
-        if shift < 0:
-            sl = {e - shift: c for e, c in sl.items()}
-        else:
-            shift = 0
-        quo, rem = w_divmod(sl, den)
-        if rem:
+    for d, (s, sl) in f._slices.items():
+        series = _over(sl, factors, len(sl))
+        cut = max(0, len(sl) - sum(factors))
+        if any(series[cut:]):
             return None
-        if shift:
-            quo = {e + shift: c for e, c in quo.items()}
-        quotients[d] = quo
+        quotients[d] = {s + k: c for k, c in enumerate(series[:cut]) if c}
     return diagonal_reassemble(quotients)

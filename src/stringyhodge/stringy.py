@@ -20,6 +20,8 @@ from .polyalg import (
     BivariatePoly,
     DenominatorSpec,
     StringyFunction,
+    _over,
+    _times,
     exact_divide_test,
 )
 
@@ -159,7 +161,8 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     over J, so the E-polynomials of the strata sharing a signature are summed
     into one table first.  The common denominator holds each w^m - 1 as often
     as the most demanding signature needs it and is expanded once; a group's
-    factor is that expansion divided exactly by w^m - 1 and multiplied by
+    factor is that expansion divided exactly by w^m - 1 (the series
+    recurrence of polyalg, cut at the quotient's length) and multiplied by
     w - w^m for each m of its signature.  Components with a < 1 give no
     denominator factor; a = 0 makes the numerator factor w - w vanish, so
     its strata are skipped.
@@ -176,19 +179,16 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     common = DenominatorSpec()
     for signature in groups:
         common = common.union(DenominatorSpec(signature))
-    expanded = common.expand_w()
-    full = [expanded.get(k, 0) for k in range(sum(common.factors) + 1)]
+    full = common.expand()
     rows: Dict[Tuple[int, int], List[int]] = {}  # (p, q) -> coefficients of w^k
     zero = [0] * len(full)
     for signature, e_sum in groups.items():
-        factor = full
+        # full / prod (w^m - 1) * prod (w - w^m), where w - w^m = -w (w^{m-1} - 1)
+        factor = _over(full, signature, len(full) - sum(signature))
         for m in signature:
-            # factor = quotient * (w^m - 1) gives quotient_k = quotient_{k-m} - factor_k
-            quotient: List[int] = []
-            for k in range(len(factor) - m):
-                quotient.append((quotient[k - m] if k >= m else 0) - factor[k])
-            # quotient * (w - w^m)
-            factor = [x - y for x, y in zip([0] + quotient + [0] * (m - 1), [0] * m + quotient)]
+            factor = _times(factor, m - 1)
+        sign = (-1) ** len(signature)
+        factor = [0] * len(signature) + [sign * x for x in factor]
         for pq, c in e_sum.items():
             rows[pq] = [x + c * f for x, f in zip(rows.get(pq, zero), factor)]
     numerator: Dict[Tuple[int, int], int] = {}

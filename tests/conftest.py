@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from stringyhodge import HodgeDiamond, ResolutionDescriptor
+from stringyhodge import BivariatePoly, HodgeDiamond, ResolutionDescriptor
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -31,6 +31,35 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def _wclean(p):
+    return {e: c for e, c in p.items() if c != 0}
+
+
+def w_mul(a, b, bound=None):
+    """Product of sparse w-polynomials, optionally truncated after w^bound."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            if bound is not None and e > bound:
+                continue
+            out[e] = out.get(e, 0) + c1 * c2
+    return _wclean(out)
+
+
+def expand_w(spec):
+    """prod (w^m - 1) over a DenominatorSpec, as a sparse {exponent: coefficient}."""
+    out = {0: 1}
+    for m in spec.factors:
+        out = w_mul(out, {m: 1, 0: -1})
+    return out
+
+
+def from_w(p):
+    """The sparse w-polynomial p as a BivariatePoly in u and v."""
+    return BivariatePoly({(e, e): c for e, c in p.items()})
 
 
 def cross_multiplied_equal(f, g):

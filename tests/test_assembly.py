@@ -32,11 +32,10 @@ from stringyhodge import (
     stringy_hodge_table,
     threefold_h22_minus_h11,
 )
-from stringyhodge import hodge
+from stringyhodge import hodge, polyalg
 from stringyhodge.cli import main
-from stringyhodge.polyalg import w_mul
 from stringyhodge.stringy import first_coefficient_difference
-from conftest import cross_multiplied_equal, descriptors, diag
+from conftest import cross_multiplied_equal, descriptors, diag, expand_w, from_w, w_mul
 
 
 def reference_assemble(d):
@@ -78,10 +77,10 @@ def grouped_reference_assemble(d):
         common = common.union(DenominatorSpec(signature))
     numerator = BivariatePoly.zero()
     for signature, e_sum in groups.items():
-        factor = common.cofactor(DenominatorSpec(signature)).expand_w()
+        factor = expand_w(common.cofactor(DenominatorSpec(signature)))
         for m in signature:
             factor = w_mul(factor, {1: 1, m: -1})  # w - w^m
-        numerator = numerator + e_sum * BivariatePoly.from_w(factor)
+        numerator = numerator + e_sum * from_w(factor)
     return StringyFunction(numerator, common)
 
 
@@ -194,6 +193,18 @@ class TestOncePerDescriptor:
         assert main(["compute", str(corpus / name), "--format", "machine"]) == 0
         capsys.readouterr()
         assert divisions["exact_divide_test"] == 1
+
+    @pytest.mark.parametrize(
+        "name",
+        ["burkhardt_times_p1.json", "synthetic_negative_fourfold.json", "smooth_p3.json",
+         "chain_snc.json"],
+    )
+    def test_cli_compute_splits_e_st_into_diagonals_once(self, name, corpus, capsys, count_calls):
+        # the series and the exact division share one split of the numerator
+        splits = count_calls(polyalg, "diagonal_decompose")
+        assert main(["compute", str(corpus / name)]) == 0
+        capsys.readouterr()
+        assert splits["diagonal_decompose"] == 1
 
     def test_level_sums_computed_once(self, count_calls):
         d = ResolutionDescriptor(

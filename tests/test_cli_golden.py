@@ -42,13 +42,16 @@ def case_id(command, names, fmt):
     return " ".join((command, *names, fmt))
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run_case(command, names, fmt):
-    """(exit code, stdout digest, stderr digest) of one CLI call."""
+    """Exit code and the digests of stdout and stderr of one CLI call."""
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([command, *(f"corpus/{name}" for name in names), "--format", fmt])
-    digest = lambda s: hashlib.sha256(s.encode()).hexdigest()
-    return {"exit": code, "stdout": digest(out.getvalue()), "stderr": digest(err.getvalue())}
+    return {"exit": code, "stdout": sha256(out.getvalue()), "stderr": sha256(err.getvalue())}
 
 
 @pytest.mark.parametrize("command, names, fmt", CASES, ids=[case_id(*c) for c in CASES])

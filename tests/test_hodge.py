@@ -5,7 +5,6 @@ from stringyhodge import (
     BivariatePoly,
     DiamondError,
     HodgeDiamond,
-    builtin_diamond,
     curve,
     e_polynomial,
     kunneth,
@@ -60,32 +59,24 @@ class TestKunneth:
 
 class TestBuiltinDiamond:
     def test_projective_plane(self):
-        assert builtin_diamond("projective_space", n=2) == diag(1, 1, 1)
+        assert projective_space(2) == diag(1, 1, 1)
 
     def test_burkhardt_exceptional_locus(self):
-        d = builtin_diamond("quadric_surface", copies=45)
+        d = 45 * quadric_surface()
         assert d == 45 * quadric_surface()
         assert d.h0() == 45
 
     def test_genus_zero_curve_is_p1(self):
-        assert builtin_diamond("curve", genus=0) == projective_space(1)
-
-    def test_unknown_key(self):
-        with pytest.raises(DiamondError):
-            builtin_diamond("k3_surface")
+        assert curve(0) == projective_space(1)
 
 
 class TestValidate:
     def test_p1_clean(self):
-        assert validate(projective_space(1), connected_smooth_projective=True) == []
+        assert validate(projective_space(1), smooth_projective=True) == []
 
     def test_symmetry_violation(self):
         bad = HodgeDiamond(1, {(0, 0): 1, (1, 0): 1, (1, 1): 1})
         assert any("symmetry" in p for p in validate(bad))
-
-    def test_component_count_violation(self):
-        two_points = HodgeDiamond(0, {(0, 0): 2})
-        assert any("h^{0,0}" in p for p in validate(two_points, connected_smooth_projective=True))
 
     def test_pd_violation(self):
         bad = HodgeDiamond(2, {(0, 0): 1, (1, 1): 3})

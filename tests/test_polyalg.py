@@ -7,9 +7,6 @@ from stringyhodge.polyalg import (
     diagonal_decompose,
     diagonal_reassemble,
     exact_divide_test,
-    series_expand_factor,
-    w_divmod,
-    w_mul,
 )
 from conftest import cross_multiplied_equal
 
@@ -66,6 +63,21 @@ class TestInvertVars:
         assert p.invert_vars().invert_vars() == p
 
 
+def series_expand_factor(a, bound):
+    """Expansion of (w - w^(a+1)) / (w^(a+1) - 1) to w^bound, as {e: c}: the
+    series of a one-factor StringyFunction, whose w^e is u^e v^e with p+q = 2e."""
+    m = a + 1
+    numerator = P({(1, 1): 1}) - P({(m, m): 1})  # zero for a = 0
+    f = StringyFunction(numerator, DenominatorSpec((m,) if a else ()))
+    return {p: c for (p, q), c in sorted(f.series_coefficients(2 * bound).items())}
+
+
+def w_terms(p, bound):
+    """The diagonal polynomial p as {e: c} for the terms w^e with e <= bound."""
+    assert all(a == b for a, b in p.terms)
+    return {a: c for (a, b), c in p.terms.items() if a <= bound}
+
+
 class TestSeriesExpandFactor:
     def test_a1_geometric(self):
         # (w - w^2)/(w^2 - 1) = -w/(1 + w)
@@ -80,10 +92,10 @@ class TestSeriesExpandFactor:
 
     @given(st.integers(0, 8), st.integers(0, 32))
     def test_recovers_numerator_mod_truncation(self, a, bound):
-        series = series_expand_factor(a, bound)
-        product = w_mul(series, {a + 1: 1, 0: -1})
-        truncated = {e: c for e, c in product.items() if e <= bound}
-        expected = {e: c for e, c in w_mul({1: 1}, {0: 1, a: -1}).items() if e <= bound}
+        series = P({(e, e): c for e, c in series_expand_factor(a, bound).items()})
+        product = series * P({(a + 1, a + 1): 1, (0, 0): -1})
+        truncated = w_terms(product, bound)
+        expected = w_terms(P({(1, 1): 1}) * P({(0, 0): 1, (a, a): -1}), bound)
         if a == 0:
             expected = {}
         assert truncated == expected
@@ -183,9 +195,7 @@ class TestExactDivideTest:
         assert exact_divide_test(f) == BivariatePoly.constant(1)
 
     def test_univariate_long_division_oracle(self):
-        # oracle: w - w^3 = -w * (w^2 - 1) by long division
-        quo, rem = w_divmod({1: 1, 3: -1}, {2: 1, 0: -1})
-        assert (quo, rem) == ({1: -1}, {})
+        # oracle: w - w^3 = -w * (w^2 - 1)
         f = StringyFunction(P({(1, 1): 1, (3, 3): -1}), DenominatorSpec((2,)))
         assert exact_divide_test(f) == P({(1, 1): -1})
 
@@ -199,6 +209,7 @@ class TestExactDivideTest:
         f = StringyFunction(quotient * den.expand_poly(), den)
         assert exact_divide_test(f) == quotient
 
+    @example(P({(0, 0): 1, (2, 2): -2}), [2, 2])  # series 1 + 0w + 0w^2, yet not divisible
     @given(polys, st.lists(st.integers(2, 5), min_size=1, max_size=3))
     def test_none_iff_no_exact_quotient(self, numerator, factors):
         den = DenominatorSpec(tuple(factors))
@@ -216,7 +227,8 @@ class TestDenominatorSpec:
             DenominatorSpec((1,))
 
     def test_series_inverse_cross_check(self):
+        # series(1/D) * D == 1 mod w^11, with BivariatePoly.__mul__ as the oracle
         den = DenominatorSpec((2, 3))
-        inv = den.series_inverse(10)
-        product = w_mul(inv, den.expand_w(), bound=10)
-        assert product == {0: 1}
+        inv = StringyFunction(BivariatePoly.constant(1), den).series_coefficients(20)
+        product = P(inv) * den.expand_poly()
+        assert w_terms(product, 10) == {0: 1}
