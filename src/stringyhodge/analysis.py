@@ -9,7 +9,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import hodge
-from .hodge import HodgeDiamond
+from .hodge import HodgeDiamond, _ValidOnce
 from .stringy import (
     DescriptorError,
     ResolutionDescriptor,
@@ -28,7 +28,7 @@ class FiberComponent:
 
 
 @dataclass(frozen=True)
-class ExceptionalFiberDescriptor:
+class ExceptionalFiberDescriptor(_ValidOnce):
     """Exceptional fiber over one isolated threefold singularity.
 
     Components are the surfaces of the fiber; pairwise_counts gives the
@@ -41,7 +41,7 @@ class ExceptionalFiberDescriptor:
     components: Tuple[FiberComponent, ...]
     pairwise_counts: Mapping[Tuple[str, str], int] = field(default_factory=dict)
 
-    _valid = False  # set by the first validate() that finds no problem
+    _error = DescriptorError
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -70,16 +70,7 @@ class ExceptionalFiberDescriptor:
                 problems.append(f"intersection pair {pair!r} names unknown components")
             if count < 0:
                 problems.append(f"negative intersection count for pair {pair!r}")
-        if not problems:
-            object.__setattr__(self, "_valid", True)
-        return problems
-
-    def check_valid(self) -> None:
-        if self._valid:
-            return
-        problems = self.validate()
-        if problems:
-            raise DescriptorError("; ".join(problems))
+        return self._kept(problems)
 
     def discrepancy_one_count(self) -> int:
         """Number of discrepancy-1 fiber surfaces, each piece of a union counted."""

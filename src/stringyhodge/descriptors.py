@@ -39,49 +39,42 @@ def _expect(cond: bool, location: str, message: str) -> None:
         raise DescriptorFileError(location, message)
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not integers here
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_diamond(obj, dim: int, location: str) -> HodgeDiamond:
+    # each entry is checked once, here, and its key path is spelled out only
+    # to raise; JSON true/false load as bool, a subclass of int, so integers
+    # are tested with `type(value) is int`
     h: Dict[Tuple[int, int], int] = {}
     if isinstance(obj, list):
         _expect(len(obj) == dim + 1, location, f"dense matrix must have {dim + 1} rows")
         for p, row in enumerate(obj):
-            _expect(
-                isinstance(row, list) and len(row) == dim + 1,
-                f"{location}[{p}]",
-                f"dense matrix row must have {dim + 1} entries",
-            )
+            _expect(isinstance(row, list) and len(row) == dim + 1, f"{location}[{p}]",
+                    f"dense matrix row must have {dim + 1} entries")
             for q, value in enumerate(row):
-                _expect(
-                    _is_int(value), f"{location}[{p}][{q}]", "entries must be integers"
-                )
+                if type(value) is not int:
+                    raise DescriptorFileError(f"{location}[{p}][{q}]", "entries must be integers")
                 if value:
                     h[(p, q)] = value
     elif isinstance(obj, dict):
         for key, value in obj.items():
-            parts = key.split(",")
-            _expect(
-                len(parts) == 2 and all(part.strip().isdecimal() for part in parts),
-                f"{location}[{key!r}]",
-                'sparse keys must look like "p,q"',
-            )
-            _expect(_is_int(value), f"{location}[{key!r}]", "entries must be integers")
-            p, q = int(parts[0]), int(parts[1])
-            _expect(
-                0 <= p <= dim and 0 <= q <= dim,
-                f"{location}[{key!r}]",
-                f"(p,q) outside the {dim}-dimensional range",
-            )
-            if value:
-                h[(p, q)] = value
+            left, _, right = key.partition(",")
+            if not (left.strip().isdecimal() and right.strip().isdecimal()):
+                problem = 'sparse keys must look like "p,q"'
+            elif type(value) is not int:
+                problem = "entries must be integers"
+            elif (p := int(left)) > dim or (q := int(right)) > dim:
+                problem = f"(p,q) outside the {dim}-dimensional range"
+            else:
+                if value:
+                    h[(p, q)] = value
+                continue
+            raise DescriptorFileError(f"{location}[{key!r}]", problem)
     else:
         raise DescriptorFileError(location, "diamond must be a dense matrix or a sparse map")
     # only an empty [] or {} gets here with dim < 0: the stratum itself must be empty
     _expect(dim >= 0, location, f"dimension would be {dim}; an empty stratum has no diamond")
-    return HodgeDiamond(dim, h)
+    diamond = HodgeDiamond(dim)
+    diamond.h = h  # in range and free of zeros already
+    return diamond
 
 
 def _diamond_to_json(d: HodgeDiamond) -> Dict[str, int]:
@@ -90,7 +83,7 @@ def _diamond_to_json(d: HodgeDiamond) -> Dict[str, int]:
 
 def _parse_fraction(obj, location: str, rationals: Dict[object, Fraction]) -> Fraction:
     """One rational; `rationals` keeps the value of each integer or string parsed so far."""
-    if not (_is_int(obj) or isinstance(obj, str)):
+    if not (type(obj) is int or isinstance(obj, str)):
         raise DescriptorFileError(location, 'rationals must be integers or "num/den" strings')
     value = rationals.get(obj)
     if value is None:
@@ -139,7 +132,7 @@ def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
                 diamond = _parse_diamond(comp["diamond"], dim - r, f"{loc}.diamond")
             faces = comp.get("faces", [])
             _expect(
-                isinstance(faces, list) and all(_is_int(f) for f in faces), f"{loc}.faces",
+                isinstance(faces, list) and all(type(f) is int for f in faces), f"{loc}.faces",
                 "faces must be a list of integer indices",
             )
             parsed.append(
@@ -177,7 +170,7 @@ def _parse_fiber(obj, location: str) -> ExceptionalFiberDescriptor:
         loc = f"{location}.components[{i}]"
         _expect(isinstance(comp, dict), loc, "component must be an object")
         _expect(isinstance(comp.get("id"), str), f"{loc}.id", "id must be a string")
-        _expect(_is_int(comp.get("discrepancy")), f"{loc}.discrepancy",
+        _expect(type(comp.get("discrepancy")) is int, f"{loc}.discrepancy",
                 "discrepancy must be an integer")
         diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond")
         parsed.append(FiberComponent(comp["id"], diamond, comp["discrepancy"]))
@@ -189,7 +182,7 @@ def _parse_fiber(obj, location: str) -> ExceptionalFiberDescriptor:
         loc = f"{location}.pairwise_counts[{key!r}]"
         pair = tuple(key.split(","))
         _expect(len(pair) == 2, loc, 'keys must look like "id1,id2"')
-        _expect(_is_int(value) and value >= 0, loc, "counts must be nonnegative integers")
+        _expect(type(value) is int and value >= 0, loc, "counts must be nonnegative integers")
         counts[pair] = value
     fd = ExceptionalFiberDescriptor(point=point, components=tuple(parsed), pairwise_counts=counts)
     problems = fd.validate()
@@ -200,7 +193,7 @@ def _parse_fiber(obj, location: str) -> ExceptionalFiberDescriptor:
 def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     _expect(isinstance(doc, dict), location, "top level must be a JSON object")
     dim = doc.get("dim")
-    _expect(_is_int(dim) and dim >= 0, f"{location}.dim",
+    _expect(type(dim) is int and dim >= 0, f"{location}.dim",
             "dim must be a nonnegative integer")
     label = doc.get("label", "")
     _expect(isinstance(label, str), f"{location}.label", "label must be a string")
@@ -211,7 +204,7 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
         loc = f"{location}.components[{i}]"
         _expect(isinstance(comp, dict), loc, "component must be an object")
         _expect(isinstance(comp.get("id"), str), f"{loc}.id", "id must be a string")
-        _expect(_is_int(comp.get("discrepancy")), f"{loc}.discrepancy",
+        _expect(type(comp.get("discrepancy")) is int, f"{loc}.discrepancy",
                 "discrepancy must be an integer")
         components.append((comp["id"], comp["discrepancy"]))
     strata_doc = doc.get("strata")

@@ -15,6 +15,29 @@ class DiamondError(ValueError):
     """Raised when an operation receives an invalid Hodge diamond."""
 
 
+class _ValidOnce:
+    """Immutable data that keeps a successful validation, never a failure.
+
+    `validate()` returns its problems through `_kept`; `check_valid()` raises
+    the class's `_error` with them joined, until one validation finds none.
+    """
+
+    _valid = False
+    _error = ValueError
+
+    def _kept(self, problems: List[str]) -> List[str]:
+        if not problems:
+            object.__setattr__(self, "_valid", True)
+        return problems
+
+    def check_valid(self) -> None:
+        if self._valid:
+            return
+        problems = self.validate()
+        if problems:
+            raise self._error("; ".join(problems))
+
+
 class HodgeDiamond:
     """Table h^{p,q}, 0 <= p, q <= dim, for a smooth projective variety."""
 
@@ -78,25 +101,32 @@ def validate(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:
     variety.
     """
     problems = []
-    for (p, q), n in d.h.items():
+    h = d.h
+    for (p, q), n in h.items():
         if n < 0:
             problems.append(f"negative entry h^{{{p},{q}}} = {n}")
-        if d.hpq(p, q) != d.hpq(q, p):
+        if n != h.get((q, p), 0):
             problems.append(
-                f"conjugation symmetry broken: h^{{{p},{q}}} = {d.hpq(p, q)} "
-                f"but h^{{{q},{p}}} = {d.hpq(q, p)}"
+                f"conjugation symmetry broken: h^{{{p},{q}}} = {n} "
+                f"but h^{{{q},{p}}} = {h.get((q, p), 0)}"
             )
     if smooth_projective:
-        n_dim = d.dim
-        for (p, q), _ in d.h.items():
-            if d.hpq(p, q) != d.hpq(n_dim - p, n_dim - q):
-                problems.append(
-                    f"Poincare duality broken: h^{{{p},{q}}} = {d.hpq(p, q)} "
-                    f"but h^{{{n_dim - p},{n_dim - q}}} = {d.hpq(n_dim - p, n_dim - q)}"
-                )
-        if d.h0() < 1:
-            problems.append("h^{0,0} must count at least one component")
+        problems += _duality_problems(d)
     return sorted(set(problems))
+
+
+def _duality_problems(d: HodgeDiamond) -> List[str]:
+    """What `validate` adds for a smooth projective variety: duality and h^{0,0} >= 1."""
+    n_dim, h = d.dim, d.h
+    problems = [
+        f"Poincare duality broken: h^{{{p},{q}}} = {n} "
+        f"but h^{{{n_dim - p},{n_dim - q}}} = {h.get((n_dim - p, n_dim - q), 0)}"
+        for (p, q), n in h.items()
+        if n != h.get((n_dim - p, n_dim - q), 0)
+    ]
+    if h.get((0, 0), 0) < 1:
+        problems.append("h^{0,0} must count at least one component")
+    return problems
 
 
 def e_polynomial(d: HodgeDiamond, check: bool = True) -> BivariatePoly:

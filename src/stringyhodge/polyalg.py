@@ -55,20 +55,9 @@ class BivariatePoly:
         )
 
     @classmethod
-    def zero(cls) -> "BivariatePoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: int) -> "BivariatePoly":
-        return cls({(0, 0): c})
-
-    @classmethod
     def w_power(cls, k: int, c: int = 1) -> "BivariatePoly":
         """c * (uv)^k."""
         return cls({(k, k): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coeff(self, p: int, q: int) -> int:
         return self.terms.get((p, q), 0)
@@ -196,9 +185,6 @@ class DenominatorSpec:
             out = _times(out, m)
         return out
 
-    def expand_poly(self) -> BivariatePoly:
-        return BivariatePoly({(e, e): c for e, c in enumerate(self.expand())})
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
@@ -220,7 +206,9 @@ class StringyFunction:
     def _lift(self, common: DenominatorSpec) -> BivariatePoly:
         """The numerator over common, a denominator that self's divides."""
         cofactor = common.cofactor(self.denominator)
-        return self.numerator if cofactor.is_trivial() else self.numerator * cofactor.expand_poly()
+        if cofactor.is_trivial():
+            return self.numerator
+        return self.numerator * BivariatePoly({(e, e): c for e, c in enumerate(cofactor.expand())})
 
     def __add__(self, other: "StringyFunction") -> "StringyFunction":
         common = self.denominator.union(other.denominator)

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .hodge import HodgeDiamond
+from .hodge import HodgeDiamond, _ValidOnce
 
 Matrix = List[List[Fraction]]  # rows x cols
 
@@ -121,7 +121,7 @@ class SncComponent:
 
 
 @dataclass(frozen=True)
-class SncComplexData:
+class SncComplexData(_ValidOnce):
     """Components of each D(r), r >= 1, plus optional restriction matrices.
 
     user_maps[(k, p, q)] is the list [delta_1, delta_2, ...] of matrices of
@@ -138,7 +138,7 @@ class SncComplexData:
         default_factory=dict
     )
 
-    _valid = False  # set by the first validate() that finds no problem
+    _error = SncDataError
 
     def __post_init__(self):
         object.__setattr__(
@@ -213,16 +213,7 @@ class SncComplexData:
                     problems.append(
                         f"user map ({k},{p},{q}): delta_{i + 2} . delta_{i + 1} != 0"
                     )
-        if not problems:
-            object.__setattr__(self, "_valid", True)
-        return problems
-
-    def check_valid(self) -> None:
-        if self._valid:
-            return
-        problems = self.validate()
-        if problems:
-            raise SncDataError("; ".join(problems))
+        return self._kept(problems)
 
     @cached_property
     def _h0_chain(self) -> Tuple[Matrix, ...]:

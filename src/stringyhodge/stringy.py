@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import hodge
-from .hodge import HodgeDiamond
+from .hodge import HodgeDiamond, _ValidOnce
 from .polyalg import (
     BivariatePoly,
     DenominatorSpec,
@@ -33,7 +33,7 @@ class DescriptorError(ValueError):
 
 
 @dataclass(frozen=True)
-class ResolutionDescriptor:
+class ResolutionDescriptor(_ValidOnce):
     """Combinatorial data of a log-resolution.
 
     strata maps sorted id-tuples J to the diamond of the closed stratum D_J;
@@ -44,7 +44,8 @@ class ResolutionDescriptor:
 
     The fields never change after construction (strata is a read-only
     mapping), so derived data is computed once per instance and kept: the
-    outcome of a successful validation, the level sums and E_st.
+    outcome of a successful validation, the first stratum that fails
+    Poincare duality, the level sums and E_st.
     """
 
     n: int
@@ -52,7 +53,7 @@ class ResolutionDescriptor:
     strata: Mapping[Subset, HodgeDiamond]
     label: str = ""
 
-    _valid = False  # set by the first validate() that finds no problem
+    _error = DescriptorError
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -73,6 +74,7 @@ class ResolutionDescriptor:
         if () not in self.strata:
             problems.append("missing Y stratum (empty subset)")
         known = set(ids)
+        pd_failure = None
         for subset, diamond in self.strata.items():
             if tuple(sorted(subset)) != subset:
                 problems.append(f"stratum key {subset!r} is not sorted")
@@ -86,25 +88,18 @@ class ResolutionDescriptor:
                 problems.append(
                     f"stratum {subset!r} has dimension {diamond.dim}, expected {expected}"
                 )
-            problems.extend(
-                f"stratum {subset!r}: {msg}" for msg in hodge.validate(diamond)
-            )
+            found = hodge.validate(diamond)
+            problems.extend(f"stratum {subset!r}: {msg}" for msg in found)
+            if pd_failure is None and (found or hodge._duality_problems(diamond)):
+                pd_failure = subset
             if subset:
                 for sub in combinations(subset, len(subset) - 1):
-                    if tuple(sub) not in self.strata:
+                    if sub not in self.strata:
                         problems.append(
                             f"downward closure broken: {subset!r} present but {sub!r} missing"
                         )
-        if not problems:
-            object.__setattr__(self, "_valid", True)
-        return problems
-
-    def check_valid(self) -> None:
-        if self._valid:
-            return
-        problems = self.validate()
-        if problems:
-            raise DescriptorError("; ".join(problems))
+        object.__setattr__(self, "_pd_failure", pd_failure)
+        return self._kept(problems)
 
     def ambient(self) -> HodgeDiamond:
         return self.strata[()]
@@ -128,10 +123,14 @@ class ResolutionDescriptor:
         return lvl.hpq(p, q) if lvl is not None else 0
 
     def strata_pd_consistent(self) -> bool:
-        """Whether every stratum satisfies Poincare duality (summed form)."""
-        return all(
-            not hodge.validate(d, smooth_projective=True) for d in self.strata.values()
-        )
+        """Whether every stratum passes `hodge.validate(d, smooth_projective=True)`.
+
+        Reads the first failing stratum (or None) that validate() keeps from
+        its one loop over the strata, validating first if nothing did yet.
+        """
+        if "_pd_failure" not in vars(self):
+            self.validate()
+        return self._pd_failure is None
 
     def discrepancy_one_count(self) -> int:
         """Number of discrepancy-1 divisors, each piece of a union counted."""
@@ -158,38 +157,44 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     """Sum E(D_J) * prod_{j in J} (w - w^m_j)/(w^m_j - 1), m_j = a_j + 1, by signature.
 
     The factor of a stratum depends only on its signature, the sorted m_j
-    over J, so the E-polynomials of the strata sharing a signature are summed
-    into one table first.  The common denominator holds each w^m - 1 as often
-    as the most demanding signature needs it and is expanded once; a group's
-    factor is that expansion divided exactly by w^m - 1 (the series
+    over J, so the raw h^{p,q} of the strata sharing a signature are summed
+    into one table first, and `hodge.e_polynomial`, the one home of the sign
+    (-1)^{p+q}, turns each group's table into its E-polynomial once.  The
+    sign reads only (p, q), so a group may mix dimensions, as unvalidated
+    controls with a = -1 do.  The common denominator holds each w^m - 1 as
+    often as the most demanding signature needs it and is expanded once; a
+    group's factor is that expansion divided exactly by w^m - 1 (the series
     recurrence of polyalg, cut at the quotient's length) and multiplied by
     w - w^m for each m of its signature.  Components with a < 1 give no
     denominator factor; a = 0 makes the numerator factor w - w vanish, so
     its strata are skipped.
     """
     discrepancies = dict(d.components)
-    groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
+    groups: Dict[Tuple[int, ...], HodgeDiamond] = {}
     for subset, diamond in d.strata.items():
         a = [discrepancies[cid] for cid in subset]
         if 0 in a:
             continue
-        e_sum = groups.setdefault(tuple(sorted(x + 1 for x in a if x >= 1)), {})
-        for pq, c in hodge.e_polynomial(diamond, check=False).terms.items():
-            e_sum[pq] = e_sum.get(pq, 0) + c
+        signature = tuple(sorted(x + 1 for x in a if x >= 1))
+        if signature not in groups:
+            groups[signature] = HodgeDiamond(diamond.dim)
+        h_sum = groups[signature].h
+        for pq, c in diamond.h.items():
+            h_sum[pq] = h_sum.get(pq, 0) + c
     common = DenominatorSpec()
     for signature in groups:
         common = common.union(DenominatorSpec(signature))
     full = common.expand()
     rows: Dict[Tuple[int, int], List[int]] = {}  # (p, q) -> coefficients of w^k
     zero = [0] * len(full)
-    for signature, e_sum in groups.items():
+    for signature, h_sum in groups.items():
         # full / prod (w^m - 1) * prod (w - w^m), where w - w^m = -w (w^{m-1} - 1)
         factor = _over(full, signature, len(full) - sum(signature))
         for m in signature:
             factor = _times(factor, m - 1)
         sign = (-1) ** len(signature)
         factor = [0] * len(signature) + [sign * x for x in factor]
-        for pq, c in e_sum.items():
+        for pq, c in hodge.e_polynomial(h_sum, check=False).terms.items():
             rows[pq] = [x + c * f for x, f in zip(rows.get(pq, zero), factor)]
     numerator: Dict[Tuple[int, int], int] = {}
     for (p, q), row in rows.items():

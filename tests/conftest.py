@@ -64,8 +64,8 @@ def from_w(p):
 
 def cross_multiplied_equal(f, g):
     """f == g decided by multiplying each numerator by the other's full denominator."""
-    left = f.numerator * g.denominator.expand_poly()
-    right = g.numerator * f.denominator.expand_poly()
+    left = f.numerator * from_w(expand_w(g.denominator))
+    right = g.numerator * from_w(expand_w(f.denominator))
     return left == right
 
 

@@ -1,6 +1,7 @@
 """The grouped E_st assembly against an independent per-stratum reference,
 and the once-per-descriptor contract of validation and assembly."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -35,14 +36,16 @@ from stringyhodge import (
 from stringyhodge import hodge, polyalg
 from stringyhodge.cli import main
 from stringyhodge.stringy import first_coefficient_difference
-from conftest import cross_multiplied_equal, descriptors, diag, expand_w, from_w, w_mul
+from conftest import (
+    CORPUS, cross_multiplied_equal, descriptors, diag, expand_w, from_w, w_mul,
+)
 
 
 def reference_assemble(d):
     """E_st one stratum at a time, over the product of all k denominators."""
     positive = [(cid, a) for cid, a in d.components if a >= 1]
     denom = DenominatorSpec(tuple(a + 1 for _, a in positive))
-    numerator = BivariatePoly.zero()
+    numerator = BivariatePoly()
     discrepancies = dict(d.components)
     for subset, diamond in d.strata.items():
         if any(discrepancies[cid] == 0 for cid in subset):
@@ -75,7 +78,7 @@ def grouped_reference_assemble(d):
     common = DenominatorSpec()
     for signature in groups:
         common = common.union(DenominatorSpec(signature))
-    numerator = BivariatePoly.zero()
+    numerator = BivariatePoly()
     for signature, e_sum in groups.items():
         factor = expand_w(common.cofactor(DenominatorSpec(signature)))
         for m in signature:
@@ -224,6 +227,55 @@ class TestOncePerDescriptor:
         with pytest.raises(TypeError):
             d.strata[()] = diag(1, 2, 1)
         assert d.strata == {(): diag(1, 1, 1)}
+
+
+@st.composite
+def duality_breaks(draw):
+    """A descriptor with at most one stratum broken, and whether to validate it
+    before asking: a negative entry, broken conjugation, broken duality (the
+    same entry added on both sides of the diagonal) or h^{0,0} = 0."""
+    d = draw(st.one_of(descriptors(), negative_controls()))
+    strata = dict(d.strata)
+    J = draw(st.sampled_from(sorted(strata)))
+    dim = strata[J].dim
+    h = dict(strata[J].h)
+    p, q = draw(st.integers(0, dim)), draw(st.integers(0, dim))
+    kind = draw(st.sampled_from(["none", "negative", "conjugation", "duality", "h00"]))
+    if kind == "negative":
+        h[(p, q)] = -draw(st.integers(1, 3))
+    elif kind == "conjugation":
+        h[(p, q)] = h.get((p, q), 0) + 1
+    elif kind == "duality":
+        h[(p, q)] = h.get((p, q), 0) + 1
+        h[(q, p)] = h.get((q, p), 0) + (p != q)
+    elif kind == "h00":
+        h.pop((0, 0), None)
+    strata[J] = HodgeDiamond(dim, h)
+    return ResolutionDescriptor(d.n, d.components, strata, kind), draw(st.booleans())
+
+
+class TestDualityRecord:
+    @settings(max_examples=150)
+    @given(duality_breaks())
+    def test_strata_pd_consistent_matches_per_stratum_validate(self, case):
+        d, validated = case
+        if validated:
+            d.validate()
+        failing = [J for J, s in d.strata.items() if hodge.validate(s, smooth_projective=True)]
+        assert d.strata_pd_consistent() == all(
+            not hodge.validate(s, smooth_projective=True) for s in d.strata.values()
+        )
+        # the record is the first failing stratum itself, for a verdict to name
+        assert d._pd_failure == (failing[0] if failing else None)
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
+    def test_cli_compute_validates_each_diamond_once(self, path, capsys, count_calls):
+        doc = json.loads(path.read_text())
+        diamonds = len(doc["strata"]) + sum(len(f["components"]) for f in doc.get("fibers", []))
+        calls = count_calls(hodge, "validate")
+        assert main(["compute", str(path)]) == 0
+        capsys.readouterr()
+        assert calls["validate"] == diamonds
 
 
 BROKEN = ResolutionDescriptor(

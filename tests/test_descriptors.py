@@ -67,6 +67,50 @@ def test_bad_sparse_key():
         parse_bundle(doc)
 
 
+def _surface_doc(diamond):
+    """A surface with no exceptional components whose Y diamond is `diamond`."""
+    return {"dim": 2, "components": [], "strata": {"": diamond}}
+
+
+Y = "<document>.strata['']"
+BAD_KEY = 'sparse keys must look like "p,q"'
+NOT_INT = "entries must be integers"
+
+
+@pytest.mark.parametrize(
+    "diamond, message",
+    [
+        *(({key: 1}, f"{Y}[{key!r}]: {BAD_KEY}")
+          for key in ("1,2,3", "", "1,", ",1", "-1,0", "²,0", "x,y")),
+        ({"3,0": 1}, f"{Y}['3,0']: (p,q) outside the 2-dimensional range"),
+        ({"0,3": 1}, f"{Y}['0,3']: (p,q) outside the 2-dimensional range"),
+        *(({"0,0": value}, f"{Y}['0,0']: {NOT_INT}") for value in (True, 1.0, "1")),
+        # the key is checked before the value, the value before the range
+        ({"x,y": True}, f"{Y}['x,y']: {BAD_KEY}"),
+        ({"3,0": True}, f"{Y}['3,0']: {NOT_INT}"),
+        ([[1, 0, 0], [0, True, 0], [0, 0, 1]], f"{Y}[1][1]: {NOT_INT}"),
+        ([[1, 0, 0], [0, 1], [0, 0, 1]], f"{Y}[1]: dense matrix row must have 3 entries"),
+        ([[1, 0, 0], {"0": 1}, [0, 0, 1]], f"{Y}[1]: dense matrix row must have 3 entries"),
+        ([[1, 0, 0], [0, 1, 0]], f"{Y}: dense matrix must have 3 rows"),
+        (7, f"{Y}: diamond must be a dense matrix or a sparse map"),
+    ],
+)
+def test_loader_messages_are_pinned(diamond, message):
+    with pytest.raises(DescriptorFileError) as err:
+        parse_bundle(_surface_doc(diamond))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "keys", [(" 1 , 2 ", "2,1"), ("１,２", "２,１")], ids=["spaces", "full-width digits"]
+)
+def test_sparse_keys_with_spaces_or_full_width_digits_load(keys):
+    upper, lower = keys
+    diamond = {"0,0": 1, "1,1": 1, "2,2": 1, upper: 4, lower: 4}
+    h = parse_bundle(_surface_doc(diamond)).descriptor.strata[()].h
+    assert h == {(0, 0): 1, (1, 1): 1, (2, 2): 1, (1, 2): 4, (2, 1): 4}
+
+
 def test_bad_rational_in_user_maps():
     doc = {
         "dim": 2,

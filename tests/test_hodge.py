@@ -21,7 +21,7 @@ class TestEPolynomial:
         assert e_polynomial(projective_space(1)) == BivariatePoly({(0, 0): 1, (1, 1): 1})
 
     def test_point(self):
-        assert e_polynomial(point()) == BivariatePoly.constant(1)
+        assert e_polynomial(point()) == BivariatePoly({(0, 0): 1})
 
     def test_genus_g_curve(self):
         g = 3

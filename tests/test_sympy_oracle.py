@@ -24,7 +24,7 @@ from stringyhodge import (
     load_bundle,
     stringy_e,
 )
-from conftest import random_descriptor
+from conftest import expand_w, from_w, random_descriptor
 
 u, v, t = sp.symbols("u v t")
 w = u * v
@@ -134,6 +134,6 @@ def test_stringy_function_against_sympy(numerator, denominator, bound):
 @settings(max_examples=20, deadline=None)
 @given(laurent_numerators, denominators.filter(lambda d: not d.is_trivial()))
 def test_exact_multiples_divide_in_sympy_too(quotient, denominator):
-    f = StringyFunction(quotient * denominator.expand_poly(), denominator)
+    f = StringyFunction(quotient * from_w(expand_w(denominator)), denominator)
     numerator, denominator = sympy_function(f)
     assert exact_divide_test(f) == sympy_quotient(numerator / denominator) == quotient
