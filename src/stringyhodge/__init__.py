@@ -59,7 +59,6 @@ from .descriptors import (
     DescriptorBundle,
     DescriptorFileError,
     load_bundle,
-    save_bundle,
 )
 
 __version__ = "0.1.0"

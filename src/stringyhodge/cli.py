@@ -28,8 +28,7 @@ EXPANSION_NOTE = "series expansion taken at the origin (u = v = 0)"
 
 def _emit(doc: Dict[str, object], fmt: str, text_renderer) -> None:
     if fmt == "machine":
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         text_renderer(doc)
 

@@ -1,4 +1,4 @@
-"""JSON descriptor files: parsing, validation, and serialization.
+"""JSON descriptor files: loading and validation.
 
 One file describes one variety: ambient dimension, exceptional components
 with discrepancies, stratum Hodge diamonds, and optional SNC incidence and
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .analysis import ExceptionalFiberDescriptor, FiberComponent
 from .hodge import HodgeDiamond
@@ -77,8 +77,13 @@ def _parse_diamond(obj, dim: int, location: str) -> HodgeDiamond:
     return diamond
 
 
-def _diamond_to_json(d: HodgeDiamond) -> Dict[str, int]:
-    return {f"{p},{q}": n for (p, q), n in sorted(d.h.items())}
+def _parse_component(comp, loc: str) -> Tuple[str, int]:
+    """The id and discrepancy of one component object."""
+    _expect(isinstance(comp, dict), loc, "component must be an object")
+    _expect(isinstance(comp.get("id"), str), f"{loc}.id", "id must be a string")
+    _expect(type(comp.get("discrepancy")) is int, f"{loc}.discrepancy",
+            "discrepancy must be an integer")
+    return comp["id"], comp["discrepancy"]
 
 
 def _parse_fraction(obj, location: str, rationals: Dict[object, Fraction]) -> Fraction:
@@ -168,12 +173,9 @@ def _parse_fiber(obj, location: str) -> ExceptionalFiberDescriptor:
     parsed = []
     for i, comp in enumerate(comps):
         loc = f"{location}.components[{i}]"
-        _expect(isinstance(comp, dict), loc, "component must be an object")
-        _expect(isinstance(comp.get("id"), str), f"{loc}.id", "id must be a string")
-        _expect(type(comp.get("discrepancy")) is int, f"{loc}.discrepancy",
-                "discrepancy must be an integer")
+        cid, a = _parse_component(comp, loc)
         diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond")
-        parsed.append(FiberComponent(comp["id"], diamond, comp["discrepancy"]))
+        parsed.append(FiberComponent(cid, diamond, a))
     counts_doc = obj.get("pairwise_counts", {})
     _expect(isinstance(counts_doc, dict), f"{location}.pairwise_counts",
             "pairwise_counts must be an object")
@@ -199,14 +201,9 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     _expect(isinstance(label, str), f"{location}.label", "label must be a string")
     comps_doc = doc.get("components", [])
     _expect(isinstance(comps_doc, list), f"{location}.components", "must be a list")
-    components: List[Tuple[str, int]] = []
-    for i, comp in enumerate(comps_doc):
-        loc = f"{location}.components[{i}]"
-        _expect(isinstance(comp, dict), loc, "component must be an object")
-        _expect(isinstance(comp.get("id"), str), f"{loc}.id", "id must be a string")
-        _expect(type(comp.get("discrepancy")) is int, f"{loc}.discrepancy",
-                "discrepancy must be an integer")
-        components.append((comp["id"], comp["discrepancy"]))
+    components = tuple(
+        _parse_component(comp, f"{location}.components[{i}]") for i, comp in enumerate(comps_doc)
+    )
     strata_doc = doc.get("strata")
     _expect(isinstance(strata_doc, dict) and strata_doc, f"{location}.strata",
             "missing Y stratum: strata must contain at least the empty key")
@@ -217,7 +214,7 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
             value, dim - len(subset), f"{location}.strata[{key!r}]"
         )
     descriptor = ResolutionDescriptor(
-        n=dim, components=tuple(components), strata=strata, label=label
+        n=dim, components=components, strata=strata, label=label
     )
     problems = descriptor.validate()
     _expect(not problems, location, "; ".join(problems))
@@ -243,60 +240,3 @@ def load_bundle(path: str) -> DescriptorBundle:
     except json.JSONDecodeError as exc:
         raise DescriptorFileError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg)
     return parse_bundle(doc, location=path)
-
-
-def bundle_to_json(bundle: DescriptorBundle) -> Dict[str, object]:
-    d = bundle.descriptor
-    doc: Dict[str, object] = {
-        "dim": d.n,
-        "label": d.label,
-        "components": [{"id": cid, "discrepancy": a} for cid, a in d.components],
-        "strata": {
-            ",".join(subset): _diamond_to_json(diamond)
-            for subset, diamond in sorted(d.strata.items())
-        },
-    }
-    if bundle.snc is not None:
-        levels = {}
-        for r, comps in sorted(bundle.snc.levels.items()):
-            levels[str(r)] = [
-                {
-                    "subset": list(c.subset),
-                    **({"diamond": _diamond_to_json(c.diamond)} if c.diamond else {}),
-                    **({"faces": list(c.faces)} if c.faces else {}),
-                }
-                for c in comps
-            ]
-        user_maps = {
-            f"{k},{p},{q}": [[[str(x) for x in row] for row in mat] for mat in mats]
-            for (k, p, q), mats in sorted(bundle.snc.user_maps.items())
-        }
-        snc_doc: Dict[str, object] = {"levels": levels}
-        if user_maps:
-            snc_doc["user_maps"] = user_maps
-        doc["snc"] = snc_doc
-    if bundle.fibers:
-        doc["fibers"] = [
-            {
-                "point": fd.point,
-                "components": [
-                    {
-                        "id": c.comp_id,
-                        "discrepancy": c.discrepancy,
-                        "diamond": _diamond_to_json(c.diamond),
-                    }
-                    for c in fd.components
-                ],
-                "pairwise_counts": {
-                    ",".join(pair): n for pair, n in sorted(fd.pairwise_counts.items())
-                },
-            }
-            for fd in bundle.fibers
-        ]
-    return doc
-
-
-def save_bundle(bundle: DescriptorBundle, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(bundle_to_json(bundle), fh, indent=2, sort_keys=True)
-        fh.write("\n")

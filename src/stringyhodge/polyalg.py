@@ -54,11 +54,6 @@ class BivariatePoly:
             {k: c for k, c in terms.items() if c != 0} if terms else {}
         )
 
-    @classmethod
-    def w_power(cls, k: int, c: int = 1) -> "BivariatePoly":
-        """c * (uv)^k."""
-        return cls({(k, k): c})
-
     def coeff(self, p: int, q: int) -> int:
         return self.terms.get((p, q), 0)
 
@@ -195,7 +190,7 @@ class DenominatorSpec:
 class StringyFunction:
     """numerator / prod_j ((uv)^{m_j} - 1), kept unreduced.
 
-    Sums and equality bring both sides to the union of the two denominators,
+    Equality brings both sides to the union of the two denominators,
     each numerator multiplied by its own cofactor only; no GCDs are taken.
     Equal denominators are compared numerator to numerator.
     """
@@ -209,10 +204,6 @@ class StringyFunction:
         if cofactor.is_trivial():
             return self.numerator
         return self.numerator * BivariatePoly({(e, e): c for e, c in enumerate(cofactor.expand())})
-
-    def __add__(self, other: "StringyFunction") -> "StringyFunction":
-        common = self.denominator.union(other.denominator)
-        return StringyFunction(self._lift(common) + other._lift(common), common)
 
     def equals(self, other: "StringyFunction") -> bool:
         common = self.denominator.union(other.denominator)

@@ -101,9 +101,6 @@ class ResolutionDescriptor(_ValidOnce):
         object.__setattr__(self, "_pd_failure", pd_failure)
         return self._kept(problems)
 
-    def ambient(self) -> HodgeDiamond:
-        return self.strata[()]
-
     @cached_property
     def _levels(self) -> Dict[int, HodgeDiamond]:
         out: Dict[int, HodgeDiamond] = {}
@@ -132,13 +129,17 @@ class ResolutionDescriptor(_ValidOnce):
             self.validate()
         return self._pd_failure is None
 
-    def discrepancy_one_count(self) -> int:
-        """Number of discrepancy-1 divisors, each piece of a union counted."""
+    def discrepancy_one_sum(self, p: int) -> int:
+        """Sum of h^{p-2,0}(D_j) over the discrepancy-1 components D_j."""
         return sum(
-            self.strata[(cid,)].h0()
+            self.strata[(cid,)].hpq(p - 2, 0)
             for cid, a in self.components
             if a == 1 and (cid,) in self.strata
         )
+
+    def discrepancy_one_count(self) -> int:
+        """Number of discrepancy-1 divisors, each piece of a union counted."""
+        return self.discrepancy_one_sum(2)
 
     @cached_property
     def _e_st(self) -> StringyFunction:
@@ -256,10 +257,10 @@ def check_pd_identity(d: ResolutionDescriptor) -> Optional[bool]:
     if not d.strata_pd_consistent():
         return None
     f = d._e_st
-    r = len(f.denominator.factors)
+    sign = (-1) ** len(f.denominator.factors)
     shift = d.n + sum(f.denominator.factors)
-    transformed = f.numerator.invert_vars() * BivariatePoly.w_power(shift, (-1) ** r)
-    return f.numerator == transformed
+    terms = f.numerator.terms
+    return terms == {(shift - p, shift - q): sign * c for (p, q), c in terms.items()}
 
 
 def stringy_hodge_table(d: ResolutionDescriptor, bound: Optional[int] = None) -> StringyReport:
@@ -331,36 +332,24 @@ def _require_terminal(d: ResolutionDescriptor, n: Optional[int] = None, kind: st
 def closed_form_h(d: ResolutionDescriptor, p: int, q: int) -> int:
     """Closed forms for h^{p,q}_st with q <= 2 (terminal input for q >= 1).
 
-    q = 0: h^{p,0}(Y).
-    q = 1: h^{p,1}(Y) - h^{p-1,0}(D(1)).
-    q = 2: h^{p,2}(Y) - h^{p-1,1}(D(1)) + h^{p-2,0}(D(2))
-           + sum over discrepancy-1 components of h^{p-2,0}(D_j).
+    One rule: a_{p,q} plus, for q = 2, the sum of h^{p-2,0}(D_j) over the
+    discrepancy-1 components.  Spelled out, q = 0 gives h^{p,0}(Y), q = 1
+    gives h^{p,1}(Y) - h^{p-1,0}(D(1)) and q = 2 gives
+    h^{p,2}(Y) - h^{p-1,1}(D(1)) + h^{p-2,0}(D(2)) + that sum.
     """
     d.check_valid()
     if q not in (0, 1, 2):
         raise ValueError("closed forms are only available for q in {0, 1, 2}")
-    if q == 0:
-        return d.level_hpq(0, p, 0)
-    _require_terminal(d)
-    if q == 1:
-        return d.level_hpq(0, p, 1) - d.level_hpq(1, p - 1, 0)
-    extra = sum(
-        d.strata[(cid,)].hpq(p - 2, 0)
-        for cid, a in d.components
-        if a == 1 and (cid,) in d.strata
-    )
-    return (
-        d.level_hpq(0, p, 2)
-        - d.level_hpq(1, p - 1, 1)
-        + d.level_hpq(2, p - 2, 0)
-        + extra
-    )
+    if q:
+        _require_terminal(d)
+    return a_pq(d, p, q) + (d.discrepancy_one_sum(p) if q == 2 else 0)
 
 
 def h22st_fourfold(d: ResolutionDescriptor) -> int:
-    """h^{2,2}_st of a terminal fourfold: a_{2,2} plus the discrepancy-1 count."""
+    """h^{2,2}_st of a terminal fourfold: the p = q = 2 closed form,
+    a_{2,2} plus the discrepancy-1 count."""
     _require_terminal(d, 4, "fourfold")
-    return a_pq(d, 2, 2) + d.discrepancy_one_count()
+    return closed_form_h(d, 2, 2)
 
 
 def crepant_compare(d1: ResolutionDescriptor, d2: ResolutionDescriptor) -> bool:

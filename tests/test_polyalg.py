@@ -101,30 +101,6 @@ class TestSeriesExpandFactor:
         assert truncated == expected
 
 
-class TestRatfunAdd:
-    def test_identity(self):
-        f = StringyFunction(P({(1, 1): 3}), DenominatorSpec((2,)))
-        zero = StringyFunction(BivariatePoly(), DenominatorSpec((2,)))
-        assert (f + zero).equals(f)
-
-    def test_common_denominator(self):
-        p = StringyFunction(P({(1, 0): 1}), DenominatorSpec((2,)))
-        q = StringyFunction(P({(0, 1): 1}), DenominatorSpec((2,)))
-        total = p + q
-        assert total.denominator == DenominatorSpec((2,))
-        assert total.numerator == P({(1, 0): 1, (0, 1): 1})
-
-    def test_cross_multiplication(self):
-        one = BivariatePoly({(0, 0): 1})
-        f = StringyFunction(one, DenominatorSpec((2,)))
-        g = StringyFunction(one, DenominatorSpec((3,)))
-        total = f + g
-        assert total.denominator == DenominatorSpec((2, 3))
-        w2 = P({(2, 2): 1, (0, 0): -1})
-        w3 = P({(3, 3): 1, (0, 0): -1})
-        assert total.numerator == w2 + w3
-
-
 stringy_functions = st.builds(
     StringyFunction,
     polys,

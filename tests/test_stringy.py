@@ -272,6 +272,42 @@ class TestClosedFormExpansionEquivalence:
             assert report.h_st(p, 2) == closed_form_h(d, p, 2)
 
 
+def _level_h(d, k, p, q):
+    return sum(s.hpq(p, q) for J, s in d.strata.items() if len(J) == k)
+
+
+def explicit_closed_form(d, p, q):
+    """The q <= 2 closed forms written out term by term."""
+    if q == 0:
+        return _level_h(d, 0, p, 0)
+    if q == 1:
+        return _level_h(d, 0, p, 1) - _level_h(d, 1, p - 1, 0)
+    return (
+        _level_h(d, 0, p, 2)
+        - _level_h(d, 1, p - 1, 1)
+        + _level_h(d, 2, p - 2, 0)
+        + sum(d.strata[(cid,)].hpq(p - 2, 0)
+              for cid, a in d.components if a == 1 and (cid,) in d.strata)
+    )
+
+
+class TestOneRuleClosedForms:
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @settings(max_examples=60)
+    @given(d=descriptors(min_discrepancy=1))
+    def test_matches_explicit_formula(self, q, d):
+        for p in range(-1, 2 * d.n + 3):
+            assert closed_form_h(d, p, q) == explicit_closed_form(d, p, q)
+
+    @settings(max_examples=40)
+    @given(descriptors(min_discrepancy=1).filter(lambda d: d.n == 4))
+    def test_fourfold_h22_is_the_p2_case(self, d):
+        from stringyhodge import h22st_fourfold
+
+        assert h22st_fourfold(d) == a_pq(d, 2, 2) + d.discrepancy_one_count()
+        assert h22st_fourfold(d) == explicit_closed_form(d, 2, 2)
+
+
 class TestAdditivity:
     @settings(max_examples=40)
     @given(descriptors())
@@ -281,4 +317,4 @@ class TestAdditivity:
             d.n, d.components, {J: s + s for J, s in d.strata.items()}, "doubled"
         )
         f = stringy_e(d)
-        assert stringy_e(doubled).equals(f + f)
+        assert stringy_e(doubled).equals(StringyFunction(f.numerator + f.numerator, f.denominator))
