@@ -7,7 +7,6 @@ from .polyalg import (
     BivariatePoly,
     DenominatorSpec,
     StringyFunction,
-    diagonal_decompose,
     exact_divide_test,
 )
 from .hodge import (

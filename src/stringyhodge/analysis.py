@@ -107,19 +107,15 @@ def defect_bound_check(fd: ExceptionalFiberDescriptor) -> bool:
 
 
 def threefold_h22_minus_h11(d: ResolutionDescriptor) -> int:
-    """h^{2,2}_st - h^{1,1}_st of a terminal threefold, in closed form.
+    """h^{2,2}_st - h^{1,1}_st of a terminal threefold: the difference of the
+    two closed forms.
 
-    Equals -h^{1,1}(D(1)) + h^0(D(2)) + h^0(D(1)) + the discrepancy-1
-    component count; nonnegative for geometric input, and zero whenever the
-    stringy E-function is a polynomial.
+    For h^{2,2}(Y) = h^{1,1}(Y) it is -h^{1,1}(D(1)) + h^0(D(2)) + h^0(D(1))
+    + the discrepancy-1 component count; nonnegative for geometric input,
+    and zero whenever the stringy E-function is a polynomial.
     """
     _require_terminal(d, 3, "threefold")
-    return (
-        -d.level_hpq(1, 1, 1)
-        + d.level_hpq(2, 0, 0)
-        + d.level_hpq(1, 0, 0)
-        + d.discrepancy_one_count()
-    )
+    return closed_form_h(d, 2, 2) - closed_form_h(d, 1, 1)
 
 
 def product_stringy(d: ResolutionDescriptor, z: HodgeDiamond) -> ResolutionDescriptor:

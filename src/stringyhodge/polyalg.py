@@ -3,11 +3,13 @@
 Everything downstream works with Laurent polynomials in u, v with integer
 coefficients, and with rational functions whose denominator is a product
 of cyclotomic-like factors (uv)^m - 1 in the diagonal variable w = uv.
-Along each diagonal such a function is a univariate series in w, and one
-recurrence serves expansion, exact division and the assembly's group
-factors: 1/(w^m - 1) = -sum_k w^{km}, i.e. q = p/(w^m - 1) has
-q_k = q_{k-m} - p_k.  No floating point appears anywhere; coefficients are
-Python ints.
+Along each diagonal such a function is a univariate series in w, written
+in one form: a row, the dense list of w-coefficients keyed by its lowest
+monomial (p, q), whose entry k is the coefficient of u^{p+k} v^{q+k}.
+One recurrence on rows serves expansion, exact division and the
+assembly's group factors: 1/(w^m - 1) = -sum_k w^{km}, i.e.
+q = p/(w^m - 1) has q_k = q_{k-m} - p_k.  No floating point appears
+anywhere; coefficients are Python ints.
 """
 
 from __future__ import annotations
@@ -16,11 +18,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-# A diagonal slice as a sparse dict {exponent of w: coefficient}; the series
-# kernel below works on dense coefficient lists, lowest degree first.
-WPoly = Dict[int, int]
-
 
 def _times(p: List[int], m: int) -> List[int]:
     """Coefficients of p * (w^m - 1)."""
@@ -39,6 +36,17 @@ def _over(p: Sequence[int], factors: Sequence[int], length: int) -> List[int]:
         for k in range(pad, pad + length):
             q[k] = q[k - m] - q[k]
     return q[pad:]
+
+
+def _spread(rows: Mapping[Tuple[int, int], Sequence[int]]) -> BivariatePoly:
+    """The polynomial whose diagonals are the rows: entry k of row (p, q) is
+    the coefficient of u^{p+k} v^{q+k}, summed where rows overlap."""
+    terms: Dict[Tuple[int, int], int] = {}
+    for (p, q), row in rows.items():
+        for k, c in enumerate(row):
+            if c:
+                terms[p + k, q + k] = terms.get((p + k, q + k), 0) + c
+    return BivariatePoly(terms)
 
 
 class BivariatePoly:
@@ -122,28 +130,6 @@ class BivariatePoly:
         return s.replace("+ -", "- ")
 
 
-def diagonal_decompose(p: BivariatePoly) -> Dict[int, WPoly]:
-    """Split into diagonals: u^a v^b = u^max(d,0) v^max(-d,0) w^min(a,b), d = a-b.
-
-    Returns {d: w-polynomial}; reassembling with diagonal_reassemble is the
-    identity.  Distinct terms land on distinct (d, min(a, b)), so no slice
-    holds a zero coefficient.
-    """
-    slices: Dict[int, WPoly] = {}
-    for (a, b), c in p.terms.items():
-        slices.setdefault(a - b, {})[min(a, b)] = c
-    return slices
-
-
-def diagonal_reassemble(slices: Mapping[int, WPoly]) -> BivariatePoly:
-    terms: Dict[Tuple[int, int], int] = {}
-    for d, sl in slices.items():
-        for k, c in sl.items():
-            key = (k + max(d, 0), k + max(-d, 0))
-            terms[key] = terms.get(key, 0) + c
-    return BivariatePoly(terms)
-
-
 @dataclass(frozen=True)
 class DenominatorSpec:
     """Multiset of exponents m_j, denoting the product of (uv)^{m_j} - 1.
@@ -203,37 +189,34 @@ class StringyFunction:
         cofactor = common.cofactor(self.denominator)
         if cofactor.is_trivial():
             return self.numerator
-        return self.numerator * BivariatePoly({(e, e): c for e, c in enumerate(cofactor.expand())})
+        return self.numerator * _spread({(0, 0): cofactor.expand()})
 
     def equals(self, other: "StringyFunction") -> bool:
         common = self.denominator.union(other.denominator)
         return self._lift(common) == other._lift(common)
 
     @cached_property
-    def _slices(self) -> Dict[int, Tuple[int, List[int]]]:
-        """Diagonal slices of the numerator as (lowest exponent s, dense
-        coefficients of w^s, w^{s+1}, ...); split once per function."""
-        out = {}
-        for d, sl in diagonal_decompose(self.numerator).items():
-            s = min(sl)
-            dense = [0] * (max(sl) - s + 1)
-            for k, c in sl.items():
-                dense[k - s] = c
-            out[d] = (s, dense)
-        return out
+    def _slices(self) -> Dict[Tuple[int, int], List[int]]:
+        """The numerator as one row per diagonal, keyed by its lowest monomial,
+        with nonzero first and last entries; split once per function."""
+        rows: Dict[int, Tuple[Tuple[int, int], List[int]]] = {}
+        for (a, b), c in sorted(self.numerator.terms.items()):
+            (p, _), row = rows.setdefault(a - b, ((a, b), []))
+            row.extend([0] * (a - p - len(row)))
+            row.append(c)
+        return dict(rows.values())
 
     def series_coefficients(self, bound: int) -> Dict[Tuple[int, int], int]:
         """Coefficients b_{p,q} of the expansion at the origin, for p+q <= bound.
 
-        On diagonal d the term w^k is u^p v^q with p + q = 2k + |d|, so each
-        slice is expanded up to k = (bound - |d|) // 2.
+        Entry k of row (p, q) sits at total degree p + q + 2k, so each row is
+        expanded to (bound - p - q) // 2 + 1 terms (none when that is below 1).
         """
-        slices: Dict[int, WPoly] = {}
-        for d, (s, sl) in self._slices.items():
-            top = (bound - abs(d)) // 2
-            series = _over(sl, self.denominator.factors, max(0, top - s + 1))
-            slices[d] = dict(enumerate(series, s))
-        return diagonal_reassemble(slices).terms
+        factors = self.denominator.factors
+        return _spread({
+            (p, q): _over(row, factors, max(0, (bound - p - q) // 2 + 1))
+            for (p, q), row in self._slices.items()
+        }).terms
 
     def __str__(self) -> str:
         if self.denominator.is_trivial():
@@ -245,20 +228,20 @@ def exact_divide_test(f: StringyFunction) -> Optional[BivariatePoly]:
     """The polynomial equal to f, if the denominator divides the numerator.
 
     Every denominator factor depends on w = uv alone, so divisibility is
-    checked slice by slice along diagonals.  A slice p of degree N over D of
-    degree M is expanded to N + 1 terms; D divides p iff the top M of them
-    vanish, and the rest is the quotient Q (p - D*Q has degree at most N and
-    equals D times a series starting at w^{N+1}).  Returns None when f is not
-    a polynomial.
+    checked row by row.  A row p of degree N over D of degree M is expanded
+    to N + 1 terms; D divides p iff the top M of them vanish, and the rest
+    is the quotient row Q, keyed like p (p - D*Q has degree at most N and
+    equals D times a series starting at w^{N+1}).  Returns None when f is
+    not a polynomial.
     """
     if f.denominator.is_trivial():
         return f.numerator
     factors = f.denominator.factors
-    quotients: Dict[int, WPoly] = {}
-    for d, (s, sl) in f._slices.items():
-        series = _over(sl, factors, len(sl))
-        cut = max(0, len(sl) - sum(factors))
+    quotients: Dict[Tuple[int, int], List[int]] = {}
+    for pq, row in f._slices.items():
+        series = _over(row, factors, len(row))
+        cut = max(0, len(row) - sum(factors))
         if any(series[cut:]):
             return None
-        quotients[d] = {s + k: c for k, c in enumerate(series[:cut]) if c}
-    return diagonal_reassemble(quotients)
+        quotients[pq] = series[:cut]
+    return _spread(quotients)

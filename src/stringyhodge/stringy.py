@@ -21,6 +21,7 @@ from .polyalg import (
     DenominatorSpec,
     StringyFunction,
     _over,
+    _spread,
     _times,
     exact_divide_test,
 )
@@ -60,7 +61,7 @@ class ResolutionDescriptor(_ValidOnce):
         object.__setattr__(
             self,
             "strata",
-            MappingProxyType({tuple(k): v for k, v in dict(self.strata).items()}),
+            MappingProxyType({tuple(k): v for k, v in self.strata.items()}),
         )
 
     def validate(self) -> List[str]:
@@ -186,7 +187,7 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     for signature in groups:
         common = common.union(DenominatorSpec(signature))
     full = common.expand()
-    rows: Dict[Tuple[int, int], List[int]] = {}  # (p, q) -> coefficients of w^k
+    rows: Dict[Tuple[int, int], List[int]] = {}  # (p, q) -> coefficients of u^{p+k} v^{q+k}
     zero = [0] * len(full)
     for signature, h_sum in groups.items():
         # full / prod (w^m - 1) * prod (w - w^m), where w - w^m = -w (w^{m-1} - 1)
@@ -197,12 +198,7 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
         factor = [0] * len(signature) + [sign * x for x in factor]
         for pq, c in hodge.e_polynomial(h_sum, check=False).terms.items():
             rows[pq] = [x + c * f for x, f in zip(rows.get(pq, zero), factor)]
-    numerator: Dict[Tuple[int, int], int] = {}
-    for (p, q), row in rows.items():
-        for k, c in enumerate(row):
-            if c:
-                numerator[(p + k, q + k)] = numerator.get((p + k, q + k), 0) + c
-    return StringyFunction(BivariatePoly(numerator), common)
+    return StringyFunction(_spread(rows), common)
 
 
 def stringy_e(d: ResolutionDescriptor) -> StringyFunction:
@@ -368,6 +364,8 @@ def first_coefficient_difference(
     """
     if bound is None:
         bound = 2 * max(d1.n, d2.n) + 2
+    if bound < 0:
+        raise ValueError("expansion bound must be nonnegative")
     c1 = stringy_e(d1).series_coefficients(bound)
     c2 = stringy_e(d2).series_coefficients(bound)
     keys = sorted(set(c1) | set(c2), key=lambda t: (t[0] + t[1], t))

@@ -132,6 +132,13 @@ class TestThreefoldDifference:
         with pytest.raises(DescriptorError):
             threefold_h22_minus_h11(d)
 
+    def test_reads_h22_and_h11_of_y(self):
+        # Y with h^{2,2} = 1 != h^{1,1} = 3: the difference still follows the series
+        d = ResolutionDescriptor(3, (("E", 1),), {(): diag(1, 3, 1, 1), ("E",): Q}, "Y")
+        report = stringy_hodge_table(d, bound=6)
+        assert threefold_h22_minus_h11(d) == report.h_st(2, 2) - report.h_st(1, 1) == -2
+        assert conjecture_report(d).threefold_inequality is False
+
     @settings(max_examples=60)
     @given(descriptors(min_discrepancy=1, max_dim=3))
     def test_matches_series_expansion(self, d):

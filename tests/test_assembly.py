@@ -203,11 +203,12 @@ class TestOncePerDescriptor:
          "chain_snc.json"],
     )
     def test_cli_compute_splits_e_st_into_diagonals_once(self, name, corpus, capsys, count_calls):
-        # the series and the exact division share one split of the numerator
-        splits = count_calls(polyalg, "diagonal_decompose")
+        # the series and the exact division share one split of the numerator:
+        # count the computations behind the cached _slices
+        splits = count_calls(polyalg.StringyFunction.__dict__["_slices"], "func")
         assert main(["compute", str(corpus / name)]) == 0
         capsys.readouterr()
-        assert splits["diagonal_decompose"] == 1
+        assert splits["func"] == 1
 
     def test_level_sums_computed_once(self, count_calls):
         d = ResolutionDescriptor(

@@ -190,6 +190,16 @@ class TestCompare:
         diff = json.loads(out)["first_difference"]
         assert (diff["p"], diff["q"]) == (2, 2)
 
+    def test_negative_max_degree_is_input_error(self, corpus, capsys):
+        # like compute and check; equal E-functions never read the bound
+        differing = (str(corpus / "node3fold_wrong_discrepancy.json"),
+                     str(corpus / "node3fold_small.json"))
+        code, out, err = run(capsys, "compare", *differing, "--max-degree", "-1")
+        assert code == 2 and not out
+        assert "expansion bound must be nonnegative" in err
+        equal = (str(corpus / "node3fold_blowup.json"), str(corpus / "node3fold_small.json"))
+        assert run(capsys, "compare", *equal, "--max-degree", "-1")[0] == 0
+
 
 class TestDefectFlags:
     def test_max_degree_not_accepted(self, corpus, capsys):

@@ -4,8 +4,7 @@ from stringyhodge.polyalg import (
     BivariatePoly,
     DenominatorSpec,
     StringyFunction,
-    diagonal_decompose,
-    diagonal_reassemble,
+    _spread,
     exact_divide_test,
 )
 from conftest import cross_multiplied_equal, expand_w, from_w
@@ -149,20 +148,25 @@ class TestEqualsOverUnequalDenominators:
         assert f.equals(g) == g.equals(f) == cross_multiplied_equal(f, g)
 
 
-class TestDiagonalDecompose:
+class TestSlices:
     def test_diagonal_polynomial(self):
         p = P({(0, 0): 1, (1, 1): 2, (2, 2): 1})
-        assert diagonal_decompose(p) == {0: {0: 1, 1: 2, 2: 1}}
+        assert StringyFunction(p)._slices == {(0, 0): [1, 2, 1]}
 
     def test_off_diagonal_split(self):
-        assert diagonal_decompose(P({(1, 0): 1, (0, 1): 1})) == {1: {0: 1}, -1: {0: 1}}
+        p = P({(1, 0): 1, (0, 1): 1})
+        assert StringyFunction(p)._slices == {(1, 0): [1], (0, 1): [1]}
 
     def test_single_monomial(self):
-        assert diagonal_decompose(P({(2, 1): 1})) == {1: {1: 1}}
+        assert StringyFunction(P({(2, 1): 1}))._slices == {(2, 1): [1]}
 
     @given(laurent_polys)
     def test_round_trip(self, p):
-        assert diagonal_reassemble(diagonal_decompose(p)) == p
+        rows = StringyFunction(p)._slices
+        assert _spread(rows) == p
+        # one row per diagonal, trimmed at both ends
+        assert len(rows) == len({a - b for a, b in p.terms})
+        assert all(row[0] and row[-1] for row in rows.values())
 
 
 class TestExactDivideTest:
