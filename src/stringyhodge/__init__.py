@@ -15,7 +15,6 @@ from .hodge import (
     curve,
     e_polynomial,
     kunneth,
-    point,
     projective_space,
     quadric_surface,
     validate,

@@ -74,7 +74,7 @@ class ExceptionalFiberDescriptor(_ValidOnce):
 
     def discrepancy_one_count(self) -> int:
         """Number of discrepancy-1 fiber surfaces, each piece of a union counted."""
-        return sum(c.diamond.h0() for c in self.components if c.discrepancy == 1)
+        return sum(c.diamond.hpq(0, 0) for c in self.components if c.discrepancy == 1)
 
 
 class CrossCheckError(Exception):
@@ -92,7 +92,7 @@ def local_defect(fd: ExceptionalFiberDescriptor) -> int:
     """
     fd.check_valid()
     h11 = sum(c.diamond.hpq(1, 1) for c in fd.components)
-    h0_1 = sum(c.diamond.h0() for c in fd.components)
+    h0_1 = sum(c.diamond.hpq(0, 0) for c in fd.components)
     h0_2 = sum(fd.pairwise_counts.values())
     return h11 - h0_2 - h0_1
 
@@ -161,9 +161,8 @@ def conjecture_report(
 
     Values come from the origin expansion; for q <= 2 on terminal input the
     closed forms are cross-checked against them, and CrossCheckError is
-    raised on a disagreement.  Negative entries are reported with their
-    contributing terms (the discrepancy-free part and the discrepancy-1
-    correction).
+    raised on a disagreement.  Each negative entry is reported with a_{p,q}
+    and the number of discrepancy-1 divisors; the two need not add up to it.
     """
     report = stringy_hodge_table(d, bound)
     terminal = all(a >= 1 for _, a in d.components)
@@ -190,7 +189,7 @@ def conjecture_report(
                 negative_details[(p, q)] = {
                     "h_st": value,
                     "a_pq": a_pq(d, p, q),
-                    "discrepancy_one_count": d.discrepancy_one_count(),
+                    "discrepancy_one_count": d.discrepancy_one_sum(2),
                 }
     ineq = None
     if d.n == 3 and terminal:

@@ -17,7 +17,9 @@ from .analysis import CrossCheckError, conjecture_report, defect_bound_check, lo
 from .descriptors import DescriptorFileError, load_bundle
 from .sncweights import weight_graded_dims
 from .stringy import (
+    check_pd_identity,
     check_polynomial_consequences,
+    check_symmetry,
     crepant_compare,
     first_coefficient_difference,
     stringy_hodge_table,
@@ -53,8 +55,8 @@ def cmd_compute(args) -> int:
         "b_coefficients": _pq_map(report.coefficients),
         "stringy_hodge_numbers": _pq_map(report.h_st_table()),
         "checks": {
-            "symmetry": report.symmetry,
-            "poincare_duality": report.pd_identity,
+            "symmetry": check_symmetry(bundle.descriptor),
+            "poincare_duality": check_pd_identity(bundle.descriptor),
             "polynomial_consequences": check_polynomial_consequences(bundle.descriptor),
         },
         "negative_at": [f"{p},{q}" for p, q in report.negative],

@@ -60,19 +60,12 @@ class HodgeDiamond:
         """h^{p,q}, with 0 outside the stored range."""
         return self.h.get((p, q), 0)
 
-    def h0(self) -> int:
-        """Number of connected components, read off as h^{0,0}."""
-        return self.hpq(0, 0)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, HodgeDiamond)
             and self.dim == other.dim
             and self.h == other.h
         )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.h.items())))
 
     def __repr__(self) -> str:
         return f"HodgeDiamond(dim={self.dim}, h={self.h!r})"
@@ -140,16 +133,7 @@ def e_polynomial(d: HodgeDiamond, check: bool = True) -> BivariatePoly:
 
 def kunneth(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     """Diamond of a product variety: convolution of the factors' tables."""
-    out: Dict[Tuple[int, int], int] = {}
-    for (p1, q1), n1 in a.h.items():
-        for (p2, q2), n2 in b.h.items():
-            k = (p1 + p2, q1 + q2)
-            out[k] = out.get(k, 0) + n1 * n2
-    return HodgeDiamond(a.dim + b.dim, out)
-
-
-def point() -> HodgeDiamond:
-    return HodgeDiamond(0, {(0, 0): 1})
+    return HodgeDiamond(a.dim + b.dim, (BivariatePoly(a.h) * BivariatePoly(b.h)).terms)
 
 
 def projective_space(n: int) -> HodgeDiamond:

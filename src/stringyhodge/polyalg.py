@@ -71,12 +71,6 @@ class BivariatePoly:
             out[k] = out.get(k, 0) + c
         return BivariatePoly(out)
 
-    def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self + (-other)
-
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
         out: Dict[Tuple[int, int], int] = {}
         for (p1, q1), c1 in self.terms.items():
@@ -87,13 +81,6 @@ class BivariatePoly:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BivariatePoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def invert_vars(self) -> "BivariatePoly":
-        """Substitute u -> 1/u, v -> 1/v."""
-        return BivariatePoly({(-p, -q): c for (p, q), c in self.terms.items()})
 
     def swap_vars(self) -> "BivariatePoly":
         """Substitute u <-> v."""
@@ -146,9 +133,6 @@ class DenominatorSpec:
             if m < 2:
                 raise ValueError(f"denominator factor w^{m} - 1 is not allowed")
 
-    def is_trivial(self) -> bool:
-        return not self.factors
-
     def union(self, other: "DenominatorSpec") -> "DenominatorSpec":
         """Least common multiset: max multiplicity of each factor."""
         counts = Counter(self.factors) | Counter(other.factors)
@@ -187,7 +171,7 @@ class StringyFunction:
     def _lift(self, common: DenominatorSpec) -> BivariatePoly:
         """The numerator over common, a denominator that self's divides."""
         cofactor = common.cofactor(self.denominator)
-        if cofactor.is_trivial():
+        if not cofactor.factors:
             return self.numerator
         return self.numerator * _spread({(0, 0): cofactor.expand()})
 
@@ -219,7 +203,7 @@ class StringyFunction:
         }).terms
 
     def __str__(self) -> str:
-        if self.denominator.is_trivial():
+        if not self.denominator.factors:
             return str(self.numerator)
         return f"({self.numerator}) / ({self.denominator})"
 
@@ -234,7 +218,7 @@ def exact_divide_test(f: StringyFunction) -> Optional[BivariatePoly]:
     equals D times a series starting at w^{N+1}).  Returns None when f is
     not a polynomial.
     """
-    if f.denominator.is_trivial():
+    if not f.denominator.factors:
         return f.numerator
     factors = f.denominator.factors
     quotients: Dict[Tuple[int, int], List[int]] = {}

@@ -116,10 +116,6 @@ class ResolutionDescriptor(_ValidOnce):
         """
         return self._levels.get(k)
 
-    def level_hpq(self, k: int, p: int, q: int) -> int:
-        lvl = self.level(k)
-        return lvl.hpq(p, q) if lvl is not None else 0
-
     def strata_pd_consistent(self) -> bool:
         """Whether every stratum passes `hodge.validate(d, smooth_projective=True)`.
 
@@ -137,10 +133,6 @@ class ResolutionDescriptor(_ValidOnce):
             for cid, a in self.components
             if a == 1 and (cid,) in self.strata
         )
-
-    def discrepancy_one_count(self) -> int:
-        """Number of discrepancy-1 divisors, each piece of a union counted."""
-        return self.discrepancy_one_sum(2)
 
     @cached_property
     def _e_st(self) -> StringyFunction:
@@ -214,7 +206,7 @@ def stringy_e(d: ResolutionDescriptor) -> StringyFunction:
 
 @dataclass(frozen=True)
 class StringyReport:
-    """Expansion data and identity checks for one descriptor."""
+    """E_st of one descriptor and its expansion at the origin; no identity checks."""
 
     label: str
     n: int
@@ -222,8 +214,6 @@ class StringyReport:
     bound: int
     polynomial: Optional[BivariatePoly]
     coefficients: Mapping[Tuple[int, int], int]  # b_{p,q}, p+q <= bound
-    symmetry: bool
-    pd_identity: Optional[bool]  # None = inconclusive (strata not PD)
 
     def h_st(self, p: int, q: int) -> int:
         return (-1) ** (p + q) * self.coefficients.get((p, q), 0)
@@ -264,6 +254,7 @@ def stringy_hodge_table(d: ResolutionDescriptor, bound: Optional[int] = None) ->
 
     The b_{p,q} come from the series expansion at the origin; when the
     E-function is a polynomial the expansion terminates and agrees with it.
+    Callers that report the identity checks run them themselves.
     """
     f = stringy_e(d)
     if bound is None:
@@ -277,8 +268,6 @@ def stringy_hodge_table(d: ResolutionDescriptor, bound: Optional[int] = None) ->
         bound=bound,
         polynomial=d._e_st_polynomial,
         coefficients=f.series_coefficients(bound),
-        symmetry=check_symmetry(d),
-        pd_identity=check_pd_identity(d),
     )
 
 
@@ -309,7 +298,9 @@ def a_pq(d: ResolutionDescriptor, p: int, q: int) -> int:
     d.check_valid()
     total = 0
     for k in range(0, min(p, q, len(d.components)) + 1):
-        total += (-1) ** k * d.level_hpq(k, p - k, q - k)
+        lvl = d.level(k)
+        if lvl is not None:
+            total += (-1) ** k * lvl.hpq(p - k, q - k)
     return total
 
 

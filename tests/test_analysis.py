@@ -159,10 +159,8 @@ class TestThreefoldDifference:
 
 class TestProductStringy:
     def test_product_with_point(self):
-        from stringyhodge import point
-
         d = ResolutionDescriptor(3, (("E", 1),), {(): diag(1, 3, 3, 1), ("E",): Q}, "node")
-        prod = product_stringy(d, point())
+        prod = product_stringy(d, projective_space(0))
         assert prod.n == 3
         assert prod.strata == d.strata
 

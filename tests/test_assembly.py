@@ -25,8 +25,8 @@ from stringyhodge import (
     exact_divide_test,
     h22st_fourfold,
     load_bundle,
-    point,
     product_stringy,
+    projective_space,
     quadric_surface,
     stringy,
     stringy_e,
@@ -92,7 +92,8 @@ def reference_pd_verdict(d, f):
         return None
     r = len(f.denominator.factors)
     shift = d.n + sum(f.denominator.factors)
-    transformed = f.numerator.invert_vars() * BivariatePoly({(shift, shift): (-1) ** r})
+    inverted = BivariatePoly({(-p, -q): c for (p, q), c in f.numerator.terms.items()})
+    transformed = inverted * BivariatePoly({(shift, shift): (-1) ** r})
     return f.numerator == transformed
 
 
@@ -294,7 +295,7 @@ VALIDATING = {
     "a_pq": lambda d: a_pq(d, 1, 1),
     "h22st_fourfold": lambda d: h22st_fourfold(d),
     "threefold_h22_minus_h11": lambda d: threefold_h22_minus_h11(d),
-    "product_stringy": lambda d: product_stringy(d, point()),
+    "product_stringy": lambda d: product_stringy(d, projective_space(0)),
     "conjecture_report": lambda d: conjecture_report(d),
     "crepant_compare": lambda d: crepant_compare(d, d),
     "first_coefficient_difference": lambda d: first_coefficient_difference(d, d),

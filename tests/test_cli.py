@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from stringyhodge import cli
+from stringyhodge import cli, stringy
 from stringyhodge.cli import main
 
 
@@ -89,6 +90,33 @@ class TestCheck:
         assert code == 1
         doc = json.loads(out)
         assert doc["verdicts"]["2,2"] == "negative"
+
+
+class TestIdentityChecksRunOnlyWhereReported:
+    """`compute` prints the symmetry and duality verdicts; `check` prints neither,
+    so it runs neither."""
+
+    @pytest.mark.parametrize("command, expected", [("check", 0), ("compute", 1)])
+    @pytest.mark.parametrize(
+        "path", ["burkhardt_x0.json", "node3fold_blowup.json", "synthetic_negative_fourfold.json"]
+    )
+    def test_calls_per_command(self, command, expected, path, corpus, capsys, monkeypatch):
+        calls = Counter()
+
+        def counting(name, original):
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in ("check_symmetry", "check_pd_identity"):
+            counted = counting(name, getattr(stringy, name))
+            # cli imports the names, so both bindings are replaced
+            monkeypatch.setattr(stringy, name, counted)
+            monkeypatch.setattr(cli, name, counted, raising=False)
+        run(capsys, command, str(corpus / path))
+        assert calls == Counter(check_symmetry=expected, check_pd_identity=expected)
 
 
 class TestDefect:
