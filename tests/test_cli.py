@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -100,23 +99,16 @@ class TestIdentityChecksRunOnlyWhereReported:
     @pytest.mark.parametrize(
         "path", ["burkhardt_x0.json", "node3fold_blowup.json", "synthetic_negative_fourfold.json"]
     )
-    def test_calls_per_command(self, command, expected, path, corpus, capsys, monkeypatch):
-        calls = Counter()
-
-        def counting(name, original):
-            def counted(*args):
-                calls[name] += 1
-                return original(*args)
-
-            return counted
-
-        for name in ("check_symmetry", "check_pd_identity"):
-            counted = counting(name, getattr(stringy, name))
-            # cli imports the names, so both bindings are replaced
-            monkeypatch.setattr(stringy, name, counted)
-            monkeypatch.setattr(cli, name, counted, raising=False)
+    def test_calls_per_command(
+        self, command, expected, path, corpus, capsys, monkeypatch, count_calls
+    ):
+        names = ("check_symmetry", "check_pd_identity")
+        calls = [count_calls(stringy, name) for name in names]
+        for name in names:
+            # cli imports the names, so its bindings get the counted ones too
+            monkeypatch.setattr(cli, name, getattr(stringy, name), raising=False)
         run(capsys, command, str(corpus / path))
-        assert calls == Counter(check_symmetry=expected, check_pd_identity=expected)
+        assert [c[name] for c, name in zip(calls, names)] == [expected, expected]
 
 
 class TestDefect:
