@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .analysis import ExceptionalFiberDescriptor, FiberComponent
 from .hodge import HodgeDiamond
-from .sncweights import Matrix, SncComplexData, SncComponent
+from .sncweights import SncComplexData, SncComponent
 from .stringy import ResolutionDescriptor
 
 
@@ -68,6 +68,11 @@ def _parse_diamond(obj, dim: int, location: str) -> HodgeDiamond:
                     h[(p, q)] = value
                 continue
             raise DescriptorFileError(f"{location}[{key!r}]", problem)
+        if len(h) < len(obj):  # zeros were dropped, or two keys name the same (p,q)
+            pqs = [tuple(map(int, key.split(","))) for key in obj]
+            for i, key in enumerate(obj):
+                _expect(pqs[i] not in pqs[:i], f"{location}[{key!r}]",
+                        f"repeats an earlier (p,q) = {pqs[i]}")
     else:
         raise DescriptorFileError(location, "diamond must be a dense matrix or a sparse map")
     # only an empty [] or {} gets here with dim < 0: the stratum itself must be empty
@@ -100,9 +105,9 @@ def _parse_fraction(obj, location: str, rationals: Dict[object, Fraction]) -> Fr
     return value
 
 
-def _parse_matrix(obj, location: str, rationals: Dict[object, Fraction]) -> Matrix:
+def _parse_matrix(obj, location: str, rationals: Dict[object, Fraction]) -> List[List[Fraction]]:
     _expect(isinstance(obj, list), location, "matrix must be a list of rows")
-    out: Matrix = []
+    out = []
     for i, row in enumerate(obj):
         _expect(isinstance(row, list), f"{location}[{i}]", "matrix row must be a list")
         out.append(
@@ -122,6 +127,7 @@ def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
         _expect(str(key).isdecimal() and int(key) >= 1, f"{location}.levels[{key!r}]",
                 "level keys must be integers >= 1")
         r = int(key)
+        _expect(r not in levels, f"{location}.levels[{key!r}]", "repeats an earlier level")
         parsed = []
         _expect(isinstance(comps, list), f"{location}.levels[{key!r}]", "must be a list")
         for i, comp in enumerate(comps):
@@ -141,12 +147,12 @@ def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
                 "faces must be a list of integer indices",
             )
             parsed.append(
-                SncComponent(subset=tuple(sorted(subset)), diamond=diamond, faces=tuple(faces))
+                SncComponent(subset=tuple(subset), diamond=diamond, faces=tuple(faces))
             )
         levels[r] = tuple(parsed)
     maps_doc = obj.get("user_maps", {})
     _expect(isinstance(maps_doc, dict), f"{location}.user_maps", "user_maps must be an object")
-    user_maps: Dict[Tuple[int, int, int], Tuple[Matrix, ...]] = {}
+    user_maps: Dict[Tuple[int, int, int], Tuple[List[List[Fraction]], ...]] = {}
     rationals: Dict[object, Fraction] = {}  # "1", "-1" and "0" recur in every matrix
     for key, mats in maps_doc.items():
         parts = str(key).split(",")
@@ -156,6 +162,8 @@ def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
         )
         _expect(isinstance(mats, list), f"{location}.user_maps[{key!r}]", "must be a list")
         k, p, q = (int(part) for part in parts)
+        _expect((k, p, q) not in user_maps, f"{location}.user_maps[{key!r}]",
+                "repeats an earlier row")
         user_maps[(k, p, q)] = tuple(
             _parse_matrix(mat, f"{location}.user_maps[{key!r}][{i}]", rationals)
             for i, mat in enumerate(mats)
@@ -210,9 +218,9 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     strata: Dict[Tuple[str, ...], HodgeDiamond] = {}
     for key, value in strata_doc.items():
         subset = tuple(sorted(s for s in key.split(",") if s)) if key else ()
-        strata[subset] = _parse_diamond(
-            value, dim - len(subset), f"{location}.strata[{key!r}]"
-        )
+        loc = f"{location}.strata[{key!r}]"
+        _expect(subset not in strata, loc, "repeats an earlier stratum")
+        strata[subset] = _parse_diamond(value, dim - len(subset), loc)
     descriptor = ResolutionDescriptor(
         n=dim, components=components, strata=strata, label=label
     )

@@ -7,16 +7,16 @@ weight spectral complex is assembled from this incidence data alone; higher
 rows need user-supplied restriction-map matrices, which the source data
 offers no algorithm for.
 
-All ranks are computed exactly over the rationals, by fraction-free
-elimination over the integers on sparse rows (denominators cleared, each row
-divided by its content); products of restriction matrices, which validation
-forms to check that consecutive maps compose to zero, skip zero entries.
+Matrices are integer matrices: a rational restriction map is scaled by the
+lcm of its denominators once, when SncComplexData is built, which changes
+neither its rank nor whether consecutive maps compose to zero.  Ranks come
+from fraction-free elimination on sparse rows, each divided by its content;
+products of maps, formed to check that they compose to zero, skip zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
@@ -24,20 +24,22 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .hodge import HodgeDiamond, _ValidOnce
 
-Matrix = List[List[Fraction]]  # rows x cols
+Matrix = List[List[int]]  # rows x cols
 
 
 class SncDataError(ValueError):
     """Raised when incidence or matrix data is inconsistent."""
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Dict[int, int]], int]:
-    """The rows times the lcm d of all their denominators, as sparse rows
-    {column: int} of their nonzero entries, and d."""
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
-    scale = lcm(*(x.denominator for row in nonzero for _, x in row))
-    rows_int = [{j: x.numerator * (scale // x.denominator) for j, x in row} for row in nonzero]
-    return rows_int, scale
+def _integral(m) -> Matrix:
+    """The rational matrix m times the lcm of the denominators of its entries."""
+    scale = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+
+
+def _sparse(rows: Matrix) -> List[Dict[int, int]]:
+    """Each row as {column: entry} of its nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def _primitive(row: Dict[int, int]) -> Dict[int, int]:
@@ -48,11 +50,10 @@ def _primitive(row: Dict[int, int]) -> Dict[int, int]:
     return {j: v // content for j, v in row.items()}
 
 
-def exact_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
-    """Rank over Q by fraction-free elimination over Z on sparse rows.
+def exact_rank(rows: Matrix, ncols: int) -> int:
+    """Rank of an integer matrix by fraction-free elimination on sparse rows.
 
-    Entries are ints or Fractions.  The matrix is cleared of denominators and
-    each row is kept as its nonzero entries {column: int}, divided by its
+    Each row is kept as its nonzero entries {column: int}, divided by its
     content.  A pivot row p is taken out, with its entry of least absolute
     value in column c, and every row r with an entry in column c becomes
     p[c]*r - r[c]*p, divided by its content; rows with no entry in column c
@@ -60,7 +61,7 @@ def exact_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
     """
     if any(len(row) != ncols for row in rows):
         raise SncDataError("ragged matrix")
-    pending = [_primitive(row) for row in _integer_rows(rows)[0] if row]
+    pending = [_primitive(row) for row in _sparse(rows) if row]
     rank = 0
     while pending:
         pivot = pending.pop()
@@ -79,26 +80,22 @@ def exact_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
 
 
 def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The exact product a.b.
+    """The product a.b of two integer matrices.
 
-    Both factors are cleared of denominators.  Each row of the integer
-    product sums x*y over the nonzero entries x of a row of a and the nonzero
-    entries y of the matching row of b only, and is divided by the two scales.
+    Each row of the product sums x*y over the nonzero entries x of a row of a
+    and the nonzero entries y of the matching row of b only.
     """
     if any(len(row) != len(b) for row in a):
         raise SncDataError("matrix shapes do not compose")
     cols = len(b[0]) if b else 0
-    a_rows, a_scale = _integer_rows(a)
-    b_rows, b_scale = _integer_rows(b)
-    scale = a_scale * b_scale
-    zero = Fraction(0)
+    b_rows = _sparse(b)
     out: Matrix = []
-    for a_row in a_rows:
+    for a_row in _sparse(a):
         acc = [0] * cols
         for i, x in a_row.items():
             for j, y in b_rows[i].items():
                 acc[j] += x * y
-        out.append([Fraction(v, scale) if v else zero for v in acc])
+        out.append(acc)
     return out
 
 
@@ -127,6 +124,7 @@ class SncComplexData(_ValidOnce):
     user_maps[(k, p, q)] is the list [delta_1, delta_2, ...] of matrices of
     the coboundary on the (p,q) piece of the H^k row; delta_r has one row per
     basis vector of H^k(D(r+1)) and one column per basis vector of H^k(D(r)).
+    A rational matrix is kept as its integer multiple made by _integral.
 
     Both mappings are read-only, so what is derived from them alone is kept
     on the instance once it succeeds: the validation, the H^0 coboundary chain
@@ -146,7 +144,8 @@ class SncComplexData(_ValidOnce):
             "levels",
             MappingProxyType({r: tuple(cs) for r, cs in dict(self.levels).items()}),
         )
-        object.__setattr__(self, "user_maps", MappingProxyType(dict(self.user_maps)))
+        maps = {key: tuple(map(_integral, mats)) for key, mats in dict(self.user_maps).items()}
+        object.__setattr__(self, "user_maps", MappingProxyType(maps))
         object.__setattr__(self, "_ranked_rows", {})
 
     def max_level(self) -> int:
@@ -197,11 +196,11 @@ class SncComplexData(_ValidOnce):
             except SncDataError as exc:
                 problems.append(f"user map ({k},{p},{q}): {exc}")
                 continue
-            misshapen = [
-                f"user map ({k},{p},{q}) delta_{i + 1}: shape {len(mat)}x{len(mat[0])} "
+            misshapen = [  # a matrix with no rows fits only a zero-dimensional target
+                f"user map ({k},{p},{q}) delta_{i + 1}: shape {len(mat)}x{len(mat and mat[0])} "
                 f"does not match declared dimensions {dims[i + 1]}x{dims[i]}"
                 for i, mat in enumerate(mats)
-                if mat and (len(mat), len(mat[0])) != (dims[i + 1], dims[i])
+                if len(mat) != dims[i + 1] or mat and len(mat[0]) != dims[i]
             ]
             problems += misshapen
             if misshapen:
@@ -263,14 +262,14 @@ def coboundary_h0(data: SncComplexData, r: int) -> Matrix:
     above = data.components(r + 1)
     matrix: Matrix = []
     for comp in above:
-        row = [Fraction(0)] * len(below)
+        row = [0] * len(below)
         for t, fidx in enumerate(comp.faces):
             expected = comp.subset[:t] + comp.subset[t + 1 :]
             if not (0 <= fidx < len(below)) or below[fidx].subset != expected:
                 raise SncDataError(
                     f"inconsistent incidence for component {comp.subset} at face {t}"
                 )
-            row[fidx] += Fraction((-1) ** t)
+            row[fidx] += (-1) ** t
         matrix.append(row)
     return matrix
 

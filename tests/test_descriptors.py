@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -283,8 +282,8 @@ def test_bad_user_map_entry_reports_its_own_key_path(maps, location):
 def test_user_map_rationals_parsed_exactly():
     snc = {"levels": {}, "user_maps": {"1,1,0": [[["1", 1, "-1"]], [["2/4", "-3/6", 0]]]}}
     maps = _parse_snc(snc, 2, "snc").user_maps[(1, 1, 0)]
-    assert maps == ([[1, 1, -1]], [[Fraction(1, 2), Fraction(-1, 2), 0]])
-    assert all(type(x) is Fraction for mat in maps for row in mat for x in row)
+    assert maps == ([[1, 1, -1]], [[1, -1, 0]])
+    assert all(type(x) is int for mat in maps for row in mat for x in row)
 
 
 @pytest.mark.parametrize(
@@ -306,6 +305,54 @@ def test_fiber_block_errors_exit_2_with_key_path(fibers, location, message, tmp_
     path.write_text(json.dumps(doc))
     assert main(["defect", str(path)]) == 2
     assert f"error: {path}{location}: {message}" in capsys.readouterr().err
+
+
+def _exit_2_at(doc, location, tmp_path, capsys):
+    """`stringy compute` on doc exits 2 and names the key path location."""
+    from stringyhodge.cli import main
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute", str(path)]) == 2
+    err, prefix = capsys.readouterr().err, f"error: {path}{location}: "
+    assert err.startswith(prefix), err
+    return err[len(prefix):]
+
+
+P2 = {"0,0": 1, "1,1": 1, "2,2": 1}
+P3 = {**P2, "3,3": 1}
+TWO_PLANES = [{"id": "A", "discrepancy": 1}, {"id": "B", "discrepancy": 1}]
+
+
+@pytest.mark.parametrize(
+    "doc, location",
+    [
+        ({"dim": 3, "components": TWO_PLANES, "strata": {
+            "": P3, "A": P2, "B": P2, "A,B": {"0,0": 1, "1,1": 1}, "B,A": {"0,0": 1, "1,1": 2}}},
+         ".strata['B,A']"),
+        ({"dim": 3, "strata": {"": P3, ",": P3}}, ".strata[',']"),
+        ({"dim": 3, "strata": {"": {**P3, "01,1": 7}}}, ".strata['']['01,1']"),
+        ({"dim": 3, "strata": {"": {**P3, "1,2": 0, "1,02": 1}}}, ".strata['']['1,02']"),
+        ({"dim": 3, "strata": {"": P3}, "snc": {"levels": {"1": [], "01": []}}},
+         ".snc.levels['01']"),
+        ({"dim": 3, "strata": {"": P3}, "snc": {"user_maps": {"2,1,1": [], "2, 1, 1": []}}},
+         ".snc.user_maps['2, 1, 1']"),
+    ],
+    ids=["stratum A,B twice", "Y twice", "h11 twice", "h12 twice, first 0", "level 1 twice",
+         "user map twice"],
+)
+def test_repeated_keys_exit_2_at_the_later_key(doc, location, tmp_path, capsys):
+    message = _exit_2_at(doc, location, tmp_path, capsys)
+    assert message.startswith("repeats an earlier ")
+
+
+@pytest.mark.parametrize("faces", [[1, 0], [0, 1]])
+def test_unsorted_snc_subset_exits_2(faces, tmp_path, capsys):
+    levels = {"1": [{"subset": ["A"]}, {"subset": ["B"]}],
+              "2": [{"subset": ["B", "A"], "faces": faces}]}
+    doc = {"dim": 3, "strata": {"": P3}, "snc": {"levels": levels}}
+    message = _exit_2_at(doc, ".snc", tmp_path, capsys)
+    assert message.startswith("level 2 component 0: subset not sorted")
 
 
 MUTANTS = ([], {}, 5, "x", True, None)
