@@ -91,28 +91,30 @@ def _parse_component(comp, loc: str) -> Tuple[str, int]:
     return comp["id"], comp["discrepancy"]
 
 
-def _parse_fraction(obj, location: str, rationals: Dict[object, Fraction]) -> Fraction:
-    """One rational; `rationals` keeps the value of each integer or string parsed so far."""
+def _parse_fraction(obj, location: str) -> Fraction:
+    """One rational, written as an integer or a "num/den" string."""
     if not (type(obj) is int or isinstance(obj, str)):
         raise DescriptorFileError(location, 'rationals must be integers or "num/den" strings')
-    value = rationals.get(obj)
-    if value is None:
-        try:
-            value = Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DescriptorFileError(location, f"bad rational {obj!r}: {exc}")
-        rationals[obj] = value
-    return value
+    try:
+        return Fraction(obj)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DescriptorFileError(location, f"bad rational {obj!r}: {exc}")
 
 
 def _parse_matrix(obj, location: str, rationals: Dict[object, Fraction]) -> List[List[Fraction]]:
+    """Rows of rationals; only an entry not in `rationals` is parsed, with its key path."""
     _expect(isinstance(obj, list), location, "matrix must be a list of rows")
     out = []
     for i, row in enumerate(obj):
         _expect(isinstance(row, list), f"{location}[{i}]", "matrix row must be a list")
-        out.append(
-            [_parse_fraction(x, f"{location}[{i}][{j}]", rationals) for j, x in enumerate(row)]
-        )
+        parsed = []
+        for x in row:
+            # the type test comes first: True hashes like 1, and a list is unhashable
+            value = rationals.get(x) if type(x) is int or isinstance(x, str) else None
+            if value is None:
+                value = rationals[x] = _parse_fraction(x, f"{location}[{i}][{len(parsed)}]")
+            parsed.append(value)
+        out.append(parsed)
     widths = {len(row) for row in out}
     _expect(len(widths) <= 1, location, "ragged matrix")
     return out
@@ -190,8 +192,9 @@ def _parse_fiber(obj, location: str) -> ExceptionalFiberDescriptor:
     counts: Dict[Tuple[str, str], int] = {}
     for key, value in counts_doc.items():
         loc = f"{location}.pairwise_counts[{key!r}]"
-        pair = tuple(key.split(","))
+        pair = tuple(sorted(key.split(",")))
         _expect(len(pair) == 2, loc, 'keys must look like "id1,id2"')
+        _expect(pair not in counts, loc, "repeats an earlier pair")
         _expect(type(value) is int and value >= 0, loc, "counts must be nonnegative integers")
         counts[pair] = value
     fd = ExceptionalFiberDescriptor(point=point, components=tuple(parsed), pairwise_counts=counts)
@@ -239,10 +242,25 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     return DescriptorBundle(descriptor=descriptor, snc=snc, fibers=fibers)
 
 
+def _unique_keys(path: str):
+    """object_pairs_hook for json.load: a key written twice in one object raises."""
+
+    def hook(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                _expect(key not in seen, path, f"repeats an earlier key {key!r} in one object")
+                seen.add(key)
+        return obj
+
+    return hook
+
+
 def load_bundle(path: str) -> DescriptorBundle:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys(path))
     except OSError as exc:
         raise DescriptorFileError(path, f"cannot read: {exc}")
     except json.JSONDecodeError as exc:

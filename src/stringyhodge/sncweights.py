@@ -99,10 +99,6 @@ def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 @dataclass(frozen=True)
 class SncComponent:
     """One connected component of D(r).
@@ -124,7 +120,8 @@ class SncComplexData(_ValidOnce):
     user_maps[(k, p, q)] is the list [delta_1, delta_2, ...] of matrices of
     the coboundary on the (p,q) piece of the H^k row; delta_r has one row per
     basis vector of H^k(D(r+1)) and one column per basis vector of H^k(D(r)).
-    A rational matrix is kept as its integer multiple made by _integral.
+    A rational matrix is kept as its integer multiple made by _integral.  The
+    key (0, 0, 0) is rejected: the H^0 row comes from the incidence data.
 
     Both mappings are read-only, so what is derived from them alone is kept
     on the instance once it succeeds: the validation, the H^0 coboundary chain
@@ -132,18 +129,13 @@ class SncComplexData(_ValidOnce):
     """
 
     levels: Mapping[int, Tuple[SncComponent, ...]]
-    user_maps: Mapping[Tuple[int, int, int], Tuple[Matrix, ...]] = field(
-        default_factory=dict
-    )
+    user_maps: Mapping[Tuple[int, int, int], Tuple[Matrix, ...]] = field(default_factory=dict)
 
     _error = SncDataError
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "levels",
-            MappingProxyType({r: tuple(cs) for r, cs in dict(self.levels).items()}),
-        )
+        levels = {r: tuple(cs) for r, cs in dict(self.levels).items()}
+        object.__setattr__(self, "levels", MappingProxyType(levels))
         maps = {key: tuple(map(_integral, mats)) for key, mats in dict(self.user_maps).items()}
         object.__setattr__(self, "user_maps", MappingProxyType(maps))
         object.__setattr__(self, "_ranked_rows", {})
@@ -164,60 +156,54 @@ class SncComplexData(_ValidOnce):
                     )
                 if tuple(sorted(comp.subset)) != comp.subset:
                     problems.append(f"level {r} component {idx}: subset not sorted")
-                if r >= 2:
-                    if len(comp.faces) != r:
-                        problems.append(
-                            f"level {r} component {idx}: expected {r} faces, got {len(comp.faces)}"
-                        )
-                        continue
-                    below = self.components(r - 1)
-                    for t, fidx in enumerate(comp.faces):
-                        if not (0 <= fidx < len(below)):
-                            problems.append(
-                                f"level {r} component {idx}: face index {fidx} out of range"
-                            )
-                            continue
-                        expected = comp.subset[:t] + comp.subset[t + 1 :]
-                        if below[fidx].subset != expected:
-                            problems.append(
-                                f"level {r} component {idx}: face {t} lands in subset "
-                                f"{below[fidx].subset}, expected {expected}"
-                            )
-        # consecutive coboundaries must compose to zero
-        if not problems:
-            chain = self._h0_chain
-            for r in range(1, len(chain)):
-                d1, d2 = chain[r - 1], chain[r]
-                if d1 and d2 and not is_zero_matrix(matrix_mul(d2, d1)):
-                    problems.append(f"delta_{r + 1} . delta_{r} != 0 on the H^0 row")
-        for k, p, q in self.user_maps:
+                problems += _face_problems(self, r, idx)
+        # the H^0 row once the incidence is sound, then every supplied row
+        rows = [] if problems else [(0, 0, 0)]
+        if (0, 0, 0) in self.user_maps:
+            problems.append("user map (0,0,0): the H^0 row is built from the incidence data")
+        rows += [key for key in self.user_maps if key != (0, 0, 0)]
+        for k, p, q in rows:
+            label = f"user map ({k},{p},{q})"
             try:
-                mats, dims = _row_maps_and_dims(self, k, p, q)
+                dims, mats = self._row(k, p, q)
             except SncDataError as exc:
-                problems.append(f"user map ({k},{p},{q}): {exc}")
+                problems.append(f"{label}: {exc}")
                 continue
-            misshapen = [  # a matrix with no rows fits only a zero-dimensional target
-                f"user map ({k},{p},{q}) delta_{i + 1}: shape {len(mat)}x{len(mat and mat[0])} "
+            misshapen = [
+                f"{label} delta_{i + 1}: shape {_shape(mat)} "
                 f"does not match declared dimensions {dims[i + 1]}x{dims[i]}"
                 for i, mat in enumerate(mats)
-                if len(mat) != dims[i + 1] or mat and len(mat[0]) != dims[i]
+                if len(mat) != dims[i + 1] or any(len(row) != dims[i] for row in mat)
             ]
             problems += misshapen
             if misshapen:
                 continue
-            for i in range(len(mats) - 1):
-                if mats[i] and mats[i + 1] and not is_zero_matrix(
-                    matrix_mul(mats[i + 1], mats[i])
-                ):
-                    problems.append(
-                        f"user map ({k},{p},{q}): delta_{i + 2} . delta_{i + 1} != 0"
-                    )
+            for i in range(1, len(mats)):
+                if any(map(any, matrix_mul(mats[i], mats[i - 1]))):
+                    broken = f"delta_{i + 1} . delta_{i} != 0"
+                    h0 = (k, p, q) == (0, 0, 0)
+                    problems.append(f"{broken} on the H^0 row" if h0 else f"{label}: {broken}")
         return self._kept(problems)
 
     @cached_property
     def _h0_chain(self) -> Tuple[Matrix, ...]:
         """delta_1, ..., delta_{top-1} of the H^0 row, built once per instance."""
         return tuple(coboundary_h0(self, r) for r in range(1, self.max_level()))
+
+    def _row(self, k: int, p: int, q: int) -> Tuple[List[int], Sequence[Matrix]]:
+        """Space dimensions and maps of a weight row: H^0 from the incidence, others supplied."""
+        if (k, p, q) == (0, 0, 0):
+            dims = [len(self.components(r)) for r in range(1, self.max_level() + 1)]
+            return dims, self._h0_chain
+        if p + q != k:
+            raise SncDataError(f"Hodge piece ({p},{q}) does not lie in degree {k}")
+        mats = self.user_maps.get((k, p, q))
+        if mats is None:
+            raise SncDataError(
+                f"no restriction matrices supplied for degree {k}, piece ({p},{q}); "
+                "the row cannot be computed"
+            )
+        return [self._piece_dim(r, p, q) for r in range(1, len(mats) + 2)], mats
 
     def _weight_row(self, k: int, p: int, q: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Space dimensions and map ranks of the (k, p, q) weight row.
@@ -227,11 +213,7 @@ class SncComplexData(_ValidOnce):
         """
         row = self._ranked_rows.get((k, p, q))
         if row is None:
-            if (k, p, q) == (0, 0, 0):  # built from the incidence data, user maps ignored
-                mats = self._h0_chain
-                dims = [len(self.components(r)) for r in range(1, self.max_level() + 1)]
-            else:
-                mats, dims = _row_maps_and_dims(self, k, p, q)
+            dims, mats = self._row(k, p, q)
             ranks = tuple(exact_rank(mat, dims[i]) for i, mat in enumerate(mats))
             row = self._ranked_rows[(k, p, q)] = (tuple(dims), ranks)
         return row
@@ -249,46 +231,55 @@ class SncComplexData(_ValidOnce):
         return total
 
 
+def _shape(mat: Matrix) -> str:
+    """rows x columns of mat; a ragged matrix shows each width, as 2x3/4."""
+    return f"{len(mat)}x" + ("/".join(map(str, sorted({len(row) for row in mat}))) or "0")
+
+
+def _face_problems(data: SncComplexData, r: int, idx: int) -> List[str]:
+    """Problems with the faces of component idx of D(r), by the one face rule.
+
+    A component of D(1) has no faces; one of D(r), r >= 2, has r, and face t
+    indexes the component of D(r-1) whose subset drops the t-th id.
+    """
+    comp = data.components(r)[idx]
+    count = r if r >= 2 else 0
+    if len(comp.faces) != count:
+        return [f"level {r} component {idx}: expected {count} faces, got {len(comp.faces)}"]
+    below = data.components(r - 1)
+    problems = []
+    for t, fidx in enumerate(comp.faces):
+        expected = comp.subset[:t] + comp.subset[t + 1 :]
+        if not (0 <= fidx < len(below)):
+            problems.append(f"face index {fidx} out of range")
+        elif below[fidx].subset != expected:
+            problems.append(
+                f"face {t} lands in subset {below[fidx].subset}, expected {expected}"
+            )
+    return [f"level {r} component {idx}: {problem}" for problem in problems]
+
+
 def coboundary_h0(data: SncComplexData, r: int) -> Matrix:
     """Simplicial coboundary delta_r : H^0(D(r)) -> H^0(D(r+1)).
 
     Signs follow the Cech convention: dropping the t-th id of a sorted subset
     carries the sign (-1)^t.  Rows index components of D(r+1), columns
-    components of D(r); the matrix is empty when either level is.
+    components of D(r); the matrix is empty when either level is.  Faces
+    that break the face rule raise its first problem.
     """
     if r < 1:
         raise SncDataError("levels start at r = 1")
-    below = data.components(r)
-    above = data.components(r + 1)
+    width = len(data.components(r))
     matrix: Matrix = []
-    for comp in above:
-        row = [0] * len(below)
+    for idx, comp in enumerate(data.components(r + 1)):
+        problems = _face_problems(data, r + 1, idx)
+        if problems:
+            raise SncDataError(problems[0])
+        row = [0] * width
         for t, fidx in enumerate(comp.faces):
-            expected = comp.subset[:t] + comp.subset[t + 1 :]
-            if not (0 <= fidx < len(below)) or below[fidx].subset != expected:
-                raise SncDataError(
-                    f"inconsistent incidence for component {comp.subset} at face {t}"
-                )
             row[fidx] += (-1) ** t
         matrix.append(row)
     return matrix
-
-
-def _row_maps_and_dims(
-    data: SncComplexData, k: int, p: int, q: int
-) -> Tuple[Sequence[Matrix], List[int]]:
-    """The supplied matrices of one (k, p, q) row and the dimensions they act between."""
-    if p + q != k:
-        raise SncDataError(f"Hodge piece ({p},{q}) does not lie in degree {k}")
-    key = (k, p, q)
-    if key not in data.user_maps:
-        raise SncDataError(
-            f"no restriction matrices supplied for degree {k}, piece ({p},{q}); "
-            "the row cannot be computed"
-        )
-    mats = data.user_maps[key]
-    dims = [data._piece_dim(r, p, q) for r in range(1, len(mats) + 2)]
-    return mats, dims
 
 
 def weight_graded_dims(data: SncComplexData, k: int, l: int, p: int, q: int) -> int:
@@ -311,13 +302,14 @@ def weight_graded_dims(data: SncComplexData, k: int, l: int, p: int, q: int) -> 
 def purity_consequence_check(data: SncComplexData, n: int, s: int) -> Dict[str, object]:
     """Exactness of the weight rows in degrees k >= n + s.
 
-    For each supplied row with k >= n + s, the complex must be exact except
-    at the first spot; when it is, the surviving dimension there equals the
-    alternating sum of the row's space dimensions, reported as h^{p,q}(D).
+    For the H^0 row (when 0 >= n + s) and each supplied row with k >= n + s,
+    the complex must be exact except at the first spot; when it is, the
+    surviving dimension there equals the alternating sum of the row's space
+    dimensions, reported as h^{p,q}(D).
     """
     data.check_valid()
     rows = {}
-    for (k, p, q) in sorted(data.user_maps):
+    for (k, p, q) in [(0, 0, 0), *sorted(data.user_maps)]:
         if k < n + s:
             continue
         dims, _ = data._weight_row(k, p, q)
@@ -325,9 +317,7 @@ def purity_consequence_check(data: SncComplexData, n: int, s: int) -> Dict[str, 
         failing = [(l, dim) for l, dim in spots if dim != 0]
         entry: Dict[str, object] = {"exact": not failing, "failing_spots": failing}
         if not failing:
-            entry["h_pq_D"] = sum(
-                (-1) ** i * dims[i] for i in range(len(dims))
-            )
+            entry["h_pq_D"] = sum((-1) ** i * dim for i, dim in enumerate(dims))
         rows[(k, p, q)] = entry
     return {
         "threshold": n + s,

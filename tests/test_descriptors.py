@@ -233,10 +233,15 @@ def _snc_doc(snc):
         # level r = dim + 1 would have dimension -1; an empty [] passes the row count
         ({"levels": {"3": [{"subset": ["A"], "diamond": []}]}},
          ".snc.levels['3'][0].diamond", "dimension would be -1; an empty stratum has no diamond"),
+        # the H^0 row is built from the incidence data, never supplied
+        ({"levels": {"1": [{"subset": ["A"]}]}, "user_maps": {"0,0,0": [[["1"]]]}},
+         ".snc", "user map (0,0,0): the H^0 row is built from the incidence data"),
+        ({"levels": {"1": [{"subset": ["A"], "faces": [5, 7]}]}},
+         ".snc", "level 1 component 0: expected 0 faces, got 2"),
     ],
     ids=["levels list", "user_maps list", "no diamond", "user map outside its degree",
          "superscript level key", "superscript user map key", "superscript diamond key",
-         "empty diamond at dimension -1"],
+         "empty diamond at dimension -1", "H^0 user map", "faces at level 1"],
 )
 def test_snc_block_errors_exit_2_with_key_path(snc, location, message, tmp_path, capsys):
     from stringyhodge.cli import main
@@ -337,13 +342,49 @@ TWO_PLANES = [{"id": "A", "discrepancy": 1}, {"id": "B", "discrepancy": 1}]
          ".snc.levels['01']"),
         ({"dim": 3, "strata": {"": P3}, "snc": {"user_maps": {"2,1,1": [], "2, 1, 1": []}}},
          ".snc.user_maps['2, 1, 1']"),
+        ({"dim": 3, "strata": {"": P3}, "fibers": [{"point": "x", "components": [
+            {"id": "F1", "discrepancy": 1, "diamond": P2},
+            {"id": "F2", "discrepancy": 1, "diamond": P2}],
+            "pairwise_counts": {"F1,F2": 1, "F2,F1": 5}}]},
+         ".fibers[0].pairwise_counts['F2,F1']"),
     ],
     ids=["stratum A,B twice", "Y twice", "h11 twice", "h12 twice, first 0", "level 1 twice",
-         "user map twice"],
+         "user map twice", "fiber pair swapped"],
 )
 def test_repeated_keys_exit_2_at_the_later_key(doc, location, tmp_path, capsys):
     message = _exit_2_at(doc, location, tmp_path, capsys)
     assert message.startswith("repeats an earlier ")
+
+
+def test_key_written_twice_in_one_object_exits_2(corpus, tmp_path, capsys):
+    """json.load keeps the last of two equal keys; the loader rejects the pair.
+
+    A second "E" stratum would otherwise replace the first and give
+    h^{2,2}_st = -3 for the node threefold.
+    """
+    from stringyhodge.cli import main
+
+    text = (corpus / "node3fold_blowup.json").read_text()
+    path = tmp_path / "doc.json"
+    second_e = '"E": {"0,0": 1, "1,1": 7, "2,2": 1},'
+    path.write_text(text.replace('"strata": {', '"strata": {' + second_e, 1))
+    assert main(["compute", str(path), "--format", "machine"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: repeats an earlier key 'E' in one object\n"
+
+
+def test_swapped_fiber_pair_exits_2(corpus, tmp_path, capsys):
+    from stringyhodge.cli import main
+
+    doc = json.loads((corpus / "fiber_two_quadrics.json").read_text())
+    doc["fibers"][0]["pairwise_counts"]["F2,F1"] = 5  # would merge into sigma = -3
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["defect", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}.fibers[0].pairwise_counts['F2,F1']: repeats an earlier pair\n"
 
 
 @pytest.mark.parametrize("faces", [[1, 0], [0, 1]])

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,10 @@ from stringyhodge import (
     sncweights,
     weight_graded_dims,
 )
+from stringyhodge.descriptors import _parse_snc
 from stringyhodge.sncweights import matrix_mul
 from conftest import diag
 
-P1 = projective_space(1)
 Q = quadric_surface()
 
 
@@ -104,8 +105,15 @@ class TestCoboundaryH0:
                 2: (SncComponent(("A", "B"), faces=(0, 0)),),
             }
         )
-        with pytest.raises(SncDataError):
+        first = "level 2 component 0: face 0 lands in subset ('A',), expected ('B',)"
+        assert bad.validate() == [first]
+        with pytest.raises(SncDataError) as err:
             coboundary_h0(bad, 1)
+        assert str(err.value) == first
+
+    def test_level_one_has_no_faces(self):
+        data = SncComplexData(levels={1: (SncComponent(("A",), faces=(5, 7)),)})
+        assert data.validate() == ["level 1 component 0: expected 0 faces, got 2"]
 
 
 class TestWeightGradedDims:
@@ -191,27 +199,42 @@ class TestUserMaps:
         assert point.validate() == []
         assert weight_graded_dims(point, 2, 0, 1, 1) == 4
 
-    def test_composition_must_vanish(self):
-        data = SncComplexData(
-            levels={
-                1: (SncComponent(("A",), P1), SncComponent(("B",), P1), SncComponent(("C",), P1)),
-                2: (
-                    SncComponent(("A", "B"), diag(1), faces=(1, 0)),
-                    SncComponent(("A", "C"), diag(1), faces=(2, 0)),
-                    SncComponent(("B", "C"), diag(1), faces=(2, 1)),
-                ),
-                3: (SncComponent(("A", "B", "C"), diag(1) * 0 + diag(1), faces=(2, 1, 0)),),
-            },
-            user_maps={
-                (0, 0, 0): (
-                    [[Fraction(-1), Fraction(1), Fraction(0)],
-                     [Fraction(-1), Fraction(0), Fraction(1)],
-                     [Fraction(0), Fraction(-1), Fraction(1)]],
-                    [[Fraction(1), Fraction(1), Fraction(1)]],  # does not compose to 0
-                ),
-            },
-        )
-        assert any("!= 0" in p for p in data.validate())
+    def test_composition_must_vanish(self, tmp_path, capsys):
+        # divisor A has two components A1, A2 (columns 0, 1 of delta_1), and
+        # every face lands in the subset it should; but AB meets A1 and AC
+        # meets A2, so the faces of ABC route through both and the ABC row
+        # of delta_2 . delta_1 is BC - AC + AB = (C - B) - (C - A2) + (B - A1)
+        levels = {
+            "1": [{"subset": ["A"]}, {"subset": ["A"]}, {"subset": ["B"]}, {"subset": ["C"]}],
+            "2": [{"subset": ["A", "B"], "faces": [2, 0]},
+                  {"subset": ["A", "C"], "faces": [3, 1]},
+                  {"subset": ["B", "C"], "faces": [3, 2]}],
+            "3": [{"subset": ["A", "B", "C"], "faces": [2, 1, 0]}],
+        }
+        data = _parse_snc({"levels": levels}, 3, "snc")  # loaded, not yet validated
+        assert matrix_mul(coboundary_h0(data, 2), coboundary_h0(data, 1)) == [[-1, 1, 0, 0]]
+        assert data.validate() == ["delta_2 . delta_1 != 0 on the H^0 row"]
+
+        from stringyhodge.cli import main
+
+        path = tmp_path / "doc.json"
+        doc = {"dim": 3, "strata": {"": {"0,0": 1, "1,1": 1, "2,2": 1, "3,3": 1}},
+               "snc": {"levels": levels}}
+        path.write_text(json.dumps(doc))
+        assert main(["compute", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}.snc: delta_2 . delta_1 != 0 on the H^0 row\n"
+
+    def test_h0_user_map_rejected_once(self):
+        # whatever is supplied for (0,0,0), the problem is the key itself
+        for mats in ((), ([[Fraction(1)]],), cech(["A", "B", "C"], 3)[:1] * 2):
+            data = SncComplexData(
+                levels=complex_from_faces(*TRIANGLE).levels, user_maps={(0, 0, 0): mats}
+            )
+            assert data.validate() == [
+                "user map (0,0,0): the H^0 row is built from the incidence data"
+            ]
 
 
 class TestPurityConsequence:
@@ -235,16 +258,17 @@ class TestPurityConsequence:
                     SncComponent(("B", "C"), diag(1, 1), faces=(2, 1)),
                 ),
             },
-            # declares the H^0 row for the purity scan; the incidence data is
-            # authoritative for (0,0,0) and its dual complex is a circle
-            user_maps={
-                (0, 0, 0): ([[Fraction(0)] * 3 for _ in range(3)],),
-            },
         )
         report = purity_consequence_check(data, n=0, s=0)
         row = report["rows"][(0, 0, 0)]
         assert not row["exact"]
         assert row["failing_spots"] == [(1, 1)]  # the H^1 of the circle survives
+
+    def test_h0_row_scanned_when_its_degree_reaches_the_threshold(self):
+        chain = complex_from_faces(*CHAIN)  # contractible: exact, h^0(D) = 2 - 1
+        report = purity_consequence_check(chain, n=0, s=0)
+        assert report["rows"] == {(0, 0, 0): {"exact": True, "failing_spots": [], "h_pq_D": 1}}
+        assert purity_consequence_check(chain, n=1, s=0)["rows"] == {}
 
     def test_single_component_always_exact(self):
         data = SncComplexData(
@@ -276,7 +300,7 @@ class TestExactRank:
 
 def cleared(m):
     """The integer form of a rational matrix, made where a map enters the SNC layer."""
-    return SncComplexData(levels={}, user_maps={(0, 0, 0): (m,)}).user_maps[(0, 0, 0)][0]
+    return SncComplexData(levels={}, user_maps={(1, 1, 0): (m,)}).user_maps[(1, 1, 0)][0]
 
 
 def dense_product(a, b):
@@ -413,8 +437,10 @@ class TestRankedOnce:
         assert data.validate() == ["user map (2,1,1): delta_2 . delta_1 != 0"]
 
     def test_validate_rejects_h0_row_that_does_not_compose(self, monkeypatch):
-        # incidence data always gives delta^2 = 0, so the check on the H^0
-        # row is exercised with one face sign flipped in the built coboundary
+        # the filled triangle's incidence gives delta^2 = 0, so the check on
+        # the H^0 row is exercised here with one face sign flipped in the
+        # built coboundary (TestUserMaps.test_composition_must_vanish shows
+        # incidence that passes the face rule and still fails it)
         build = sncweights.coboundary_h0
 
         def one_sign_flipped(data, r):
@@ -472,6 +498,30 @@ class TestRankedOnce:
             "user map (1,1,0): level 1 component ('A',) has no diamond; "
             "cannot size the Hodge piece"
         ]
+
+    def test_ragged_map_is_reported_not_composed(self):
+        maps = cech(IDS5, 3)
+        maps[0][1] = maps[0][1] + [Fraction(1)]  # the second row of delta_1 is one too wide
+        assert skeleton_with_user_maps(maps=maps).validate() == [
+            "user map (2,1,1) delta_1: shape 10x5/6 does not match declared dimensions 10x5"
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_misshapen_maps_are_problems_not_exceptions(self, data):
+        # delta_1 is 10x5 and delta_2 is 10x10; each row count and row width
+        # is drawn within one of its declared value
+        maps = []
+        for rows, cols in ((10, 5), (10, 10)):
+            nrows = data.draw(st.integers(rows - 1, rows + 1))
+            widths = data.draw(st.lists(st.integers(cols - 1, cols + 1),
+                                        min_size=nrows, max_size=nrows))
+            maps.append([data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=w, max_size=w))
+                         for w in widths])
+        fits = all(len(m) == 10 and all(len(row) == c for row in m)
+                   for m, c in zip(maps, (5, 10)))
+        problems = skeleton_with_user_maps(maps=maps).validate()
+        assert fits or problems and all("shape" in p for p in problems)
 
     def test_misshapen_row_is_reported_not_composed(self):
         maps = cech(IDS5, 3)
