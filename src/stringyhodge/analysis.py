@@ -31,8 +31,8 @@ class FiberComponent:
 class ExceptionalFiberDescriptor(_ValidOnce):
     """Exceptional fiber over one isolated threefold singularity.
 
-    Components are the surfaces of the fiber; pairwise_counts gives the
-    number of connected components of each pairwise intersection curve.
+    Components are the surfaces of the fiber; pairwise_counts maps each sorted
+    id pair to the number of connected components of its intersection curve.
     The fields never change (pairwise_counts is a read-only mapping), so a
     successful validation is kept.
     """
@@ -45,8 +45,7 @@ class ExceptionalFiberDescriptor(_ValidOnce):
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        counts = {tuple(sorted(k)): v for k, v in dict(self.pairwise_counts).items()}
-        object.__setattr__(self, "pairwise_counts", MappingProxyType(counts))
+        object.__setattr__(self, "pairwise_counts", MappingProxyType(dict(self.pairwise_counts)))
 
     def validate(self) -> List[str]:
         problems = []
@@ -68,6 +67,8 @@ class ExceptionalFiberDescriptor(_ValidOnce):
                 problems.append(f"malformed intersection pair {pair!r}")
             elif not set(pair) <= set(ids):
                 problems.append(f"intersection pair {pair!r} names unknown components")
+            elif tuple(sorted(pair)) != pair:
+                problems.append(f"intersection pair {pair!r} is not sorted")
             if count < 0:
                 problems.append(f"negative intersection count for pair {pair!r}")
         return self._kept(problems)

@@ -23,6 +23,7 @@ from .stringy import (
     crepant_compare,
     first_coefficient_difference,
     stringy_hodge_table,
+    _compare_bound,
 )
 
 EXPANSION_NOTE = "series expansion taken at the origin (u = v = 0)"
@@ -180,7 +181,7 @@ def cmd_compare(args) -> int:
         elif doc["first_difference"] is None:
             print(
                 "stringy E-functions DIFFER, but their expansions agree "
-                f"up to p+q <= {args.max_degree}"
+                f"up to p+q <= {_compare_bound(d1, d2, args.max_degree)}"
             )
         else:
             d = doc["first_difference"]

@@ -187,8 +187,15 @@ class SncComplexData(_ValidOnce):
 
     @cached_property
     def _h0_chain(self) -> Tuple[Matrix, ...]:
-        """delta_1, ..., delta_{top-1} of the H^0 row, built once per instance."""
-        return tuple(coboundary_h0(self, r) for r in range(1, self.max_level()))
+        """delta_1, ..., delta_{top-1} of the H^0 row, built once per instance from
+        faces that passed `validate`: face t of a component carries (-1)^t."""
+        chain = []
+        for r in range(2, self.max_level() + 1):
+            chain.append([[0] * len(self.components(r - 1)) for _ in self.components(r)])
+            for row, comp in zip(chain[-1], self.components(r)):
+                for t, fidx in enumerate(comp.faces):
+                    row[fidx] += (-1) ** t
+        return tuple(chain)
 
     def _row(self, k: int, p: int, q: int) -> Tuple[List[int], Sequence[Matrix]]:
         """Space dimensions and maps of a weight row: H^0 from the incidence, others supplied."""
@@ -264,22 +271,14 @@ def coboundary_h0(data: SncComplexData, r: int) -> Matrix:
 
     Signs follow the Cech convention: dropping the t-th id of a sorted subset
     carries the sign (-1)^t.  Rows index components of D(r+1), columns
-    components of D(r); the matrix is empty when either level is.  Faces
-    that break the face rule raise its first problem.
+    components of D(r); the matrix is empty when either level is.  Data that
+    fails `validate` raises; the result is a fresh copy of the H^0 chain.
     """
     if r < 1:
         raise SncDataError("levels start at r = 1")
-    width = len(data.components(r))
-    matrix: Matrix = []
-    for idx, comp in enumerate(data.components(r + 1)):
-        problems = _face_problems(data, r + 1, idx)
-        if problems:
-            raise SncDataError(problems[0])
-        row = [0] * width
-        for t, fidx in enumerate(comp.faces):
-            row[fidx] += (-1) ** t
-        matrix.append(row)
-    return matrix
+    data.check_valid()
+    chain = data._h0_chain
+    return [list(row) for row in chain[r - 1]] if r <= len(chain) else []
 
 
 def weight_graded_dims(data: SncComplexData, k: int, l: int, p: int, q: int) -> int:

@@ -346,6 +346,12 @@ def crepant_compare(d1: ResolutionDescriptor, d2: ResolutionDescriptor) -> bool:
     return stringy_e(d1).equals(stringy_e(d2))
 
 
+def _compare_bound(d1: ResolutionDescriptor, d2: ResolutionDescriptor,
+                   bound: Optional[int]) -> int:
+    """The bound on p+q that first_coefficient_difference searches: 2*max(n)+2 by default."""
+    return 2 * max(d1.n, d2.n) + 2 if bound is None else bound
+
+
 def first_coefficient_difference(
     d1: ResolutionDescriptor, d2: ResolutionDescriptor, bound: Optional[int] = None
 ) -> Optional[Tuple[int, int, int, int]]:
@@ -353,8 +359,7 @@ def first_coefficient_difference(
 
     Returns (p, q, b1, b2) or None when all coefficients up to the bound agree.
     """
-    if bound is None:
-        bound = 2 * max(d1.n, d2.n) + 2
+    bound = _compare_bound(d1, d2, bound)
     if bound < 0:
         raise ValueError("expansion bound must be nonnegative")
     c1 = stringy_e(d1).series_coefficients(bound)

@@ -94,11 +94,22 @@ class TestFiberValidatedOnce:
 
     def test_pairwise_counts_are_read_only(self):
         fd = ExceptionalFiberDescriptor(
-            "x1", (FiberComponent("F1", Q, 1), FiberComponent("F2", Q, 1)), {("F2", "F1"): 1}
+            "x1", (FiberComponent("F1", Q, 1), FiberComponent("F2", Q, 1)), {("F1", "F2"): 1}
         )
         with pytest.raises(TypeError):
             fd.pairwise_counts[("F1", "F2")] = 5
         assert fd.pairwise_counts == {("F1", "F2"): 1}
+
+    def test_swapped_pair_is_reported_not_merged(self):
+        # re-sorting the keys would keep the 5 and give sigma = 4 - 5 - 2 = -3
+        fd = ExceptionalFiberDescriptor(
+            "x1",
+            (FiberComponent("F1", Q, 1), FiberComponent("F2", Q, 1)),
+            {("F1", "F2"): 1, ("F2", "F1"): 5},
+        )
+        assert fd.validate() == ["intersection pair ('F2', 'F1') is not sorted"]
+        with pytest.raises(DescriptorError, match=r"\('F2', 'F1'\) is not sorted"):
+            local_defect(fd)
 
 
 class TestDefectBound:

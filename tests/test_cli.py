@@ -210,6 +210,21 @@ class TestCompare:
         diff = json.loads(out)["first_difference"]
         assert (diff["p"], diff["q"]) == (2, 2)
 
+    def test_text_names_the_default_bound_searched(self, tmp_path, capsys):
+        # E_st differs only from u^6 v^6 on, one past the default bound 2*2+2
+        paths = []
+        for a in (5, 6):
+            doc = {"dim": 2, "components": [{"id": "E", "discrepancy": a}],
+                   "strata": {"": {"0,0": 1, "1,1": 2, "2,2": 1}, "E": {"0,0": 1, "1,1": 1}}}
+            paths.append(tmp_path / f"a{a}.json")
+            paths[-1].write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "compare", *map(str, paths))
+        assert code == 1
+        assert out == ("stringy E-functions DIFFER, but their expansions agree "
+                       "up to p+q <= 6\n")
+        code, out, _ = run(capsys, "compare", *map(str, paths), "--max-degree", "20")
+        assert "first mismatch at u^6 v^6" in out
+
     def test_negative_max_degree_is_input_error(self, corpus, capsys):
         # like compute and check; equal E-functions never read the bound
         differing = (str(corpus / "node3fold_wrong_discrepancy.json"),

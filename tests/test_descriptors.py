@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,10 +242,14 @@ def _snc_doc(snc):
          ".snc", "user map (0,0,0): the H^0 row is built from the incidence data"),
         ({"levels": {"1": [{"subset": ["A"], "faces": [5, 7]}]}},
          ".snc", "level 1 component 0: expected 0 faces, got 2"),
+        # the loader leaves a matrix's shape to validate
+        ({"levels": {"1": [{"subset": ["A"], "diamond": {"0,0": 1, "1,1": 1}}]},
+          "user_maps": {"2,1,1": [[[1, -1], [1]]]}},
+         ".snc", "user map (2,1,1) delta_1: shape 2x1/2 does not match declared dimensions 0x1"),
     ],
     ids=["levels list", "user_maps list", "no diamond", "user map outside its degree",
          "superscript level key", "superscript user map key", "superscript diamond key",
-         "empty diamond at dimension -1", "H^0 user map", "faces at level 1"],
+         "empty diamond at dimension -1", "H^0 user map", "faces at level 1", "ragged user map"],
 )
 def test_snc_block_errors_exit_2_with_key_path(snc, location, message, tmp_path, capsys):
     from stringyhodge.cli import main
@@ -394,6 +402,55 @@ def test_unsorted_snc_subset_exits_2(faces, tmp_path, capsys):
     doc = {"dim": 3, "strata": {"": P3}, "snc": {"levels": levels}}
     message = _exit_2_at(doc, ".snc", tmp_path, capsys)
     assert message.startswith("level 2 component 0: subset not sorted")
+
+
+def test_fiber_pair_written_in_either_order_loads(corpus, tmp_path):
+    doc = json.loads((corpus / "fiber_two_quadrics.json").read_text())
+    doc["fibers"][0]["pairwise_counts"] = {"F2,F1": 1}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert load_bundle(str(path)).fibers[0].pairwise_counts == {("F1", "F2"): 1}
+
+
+FIBER = {"point": "x", "components": [{"id": "F1", "discrepancy": 1, "diamond": P2},
+                                      {"id": "F2", "discrepancy": 1, "diamond": P2}]}
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"F1,F2,F3": 1}, "malformed intersection pair ('F1', 'F2', 'F3')"),
+        ({"F1,F2": -1}, "negative intersection count for pair ('F1', 'F2')"),
+    ],
+    ids=["pair of three ids", "negative count"],
+)
+def test_fiber_rules_are_reported_at_the_fiber(counts, message, tmp_path, capsys):
+    # the loader checks types and spelling; the rest is left to validate
+    doc = {"dim": 3, "strata": {"": P3}, "fibers": [{**FIBER, "pairwise_counts": counts}]}
+    assert _exit_2_at(doc, ".fibers[0]", tmp_path, capsys) == message + "\n"
+
+
+def _compute_in_the_c_locale(path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    return subprocess.run(
+        [sys.executable, "-m", "stringyhodge.cli", "compute", str(path), "--format", "machine"],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    doc = {"dim": 0, "label": "K\u00e4hler point", "strata": {"": {"0,0": 1}}}
+    path = tmp_path / "doc.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    proc = _compute_in_the_c_locale(path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["label"] == "K\u00e4hler point"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+    proc = _compute_in_the_c_locale(path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {path}: not valid UTF-8: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 MUTANTS = ([], {}, 5, "x", True, None)

@@ -212,8 +212,11 @@ class TestUserMaps:
             "3": [{"subset": ["A", "B", "C"], "faces": [2, 1, 0]}],
         }
         data = _parse_snc({"levels": levels}, 3, "snc")  # loaded, not yet validated
-        assert matrix_mul(coboundary_h0(data, 2), coboundary_h0(data, 1)) == [[-1, 1, 0, 0]]
+        delta_1, delta_2 = data._h0_chain
+        assert matrix_mul(delta_2, delta_1) == [[-1, 1, 0, 0]]
         assert data.validate() == ["delta_2 . delta_1 != 0 on the H^0 row"]
+        with pytest.raises(SncDataError, match=r"delta_2 \. delta_1 != 0 on the H\^0 row"):
+            coboundary_h0(data, 1)
 
         from stringyhodge.cli import main
 
@@ -439,23 +442,22 @@ class TestRankedOnce:
     def test_validate_rejects_h0_row_that_does_not_compose(self, monkeypatch):
         # the filled triangle's incidence gives delta^2 = 0, so the check on
         # the H^0 row is exercised here with one face sign flipped in the
-        # built coboundary (TestUserMaps.test_composition_must_vanish shows
+        # built chain (TestUserMaps.test_composition_must_vanish shows
         # incidence that passes the face rule and still fails it)
-        build = sncweights.coboundary_h0
+        build = SncComplexData._h0_chain.func
 
-        def one_sign_flipped(data, r):
-            mat = build(data, r)
-            if r == 1:
-                mat[0][0] = -mat[0][0]
-            return mat
+        def one_sign_flipped(data):
+            chain = build(data)
+            chain[0][0][0] = -chain[0][0][0]
+            return chain
 
-        monkeypatch.setattr(sncweights, "coboundary_h0", one_sign_flipped)
+        monkeypatch.setattr(SncComplexData, "_h0_chain", property(one_sign_flipped))
         data = complex_from_faces(*TRIANGLE_FILLED)
         assert data.validate() == ["delta_2 . delta_1 != 0 on the H^0 row"]
 
     def test_each_matrix_ranked_once_per_instance(self, count_calls):
         ranks = count_calls(sncweights, "exact_rank")
-        builds = count_calls(sncweights, "coboundary_h0")
+        builds = count_calls(SncComplexData._h0_chain, "func")
         data = skeleton_with_user_maps(k=5, top=4)
         for _ in range(2):
             for k, p, q in ((0, 0, 0), (2, 1, 1)):
@@ -465,10 +467,11 @@ class TestRankedOnce:
             assert report["rows"][(2, 1, 1)]["failing_spots"] == [(3, 1)]
         # three maps in each of the two rows, and the H^0 chain built once
         assert ranks["exact_rank"] == 6
-        assert builds["coboundary_h0"] == 3
+        assert builds["func"] == 1
         # the ranks belong to the instance, not to the process
         weight_graded_dims(skeleton_with_user_maps(k=5, top=4), 2, 1, 1, 1)
         assert ranks["exact_rank"] == 9
+        assert builds["func"] == 2
 
     @pytest.mark.parametrize("name", sorted(BROKEN_MAPS))
     def test_invalid_data_raises_on_every_call(self, name):
@@ -482,6 +485,8 @@ class TestRankedOnce:
                 purity_consequence_check(data, n=1, s=1)
             with pytest.raises(SncDataError, match="delta_2 . delta_1 != 0"):
                 data.check_valid()
+            with pytest.raises(SncDataError, match="delta_2 . delta_1 != 0"):
+                coboundary_h0(data, 1)
 
     def test_missing_row_raises_on_every_call(self):
         data = skeleton_with_user_maps()
@@ -530,3 +535,29 @@ class TestRankedOnce:
         assert problems == [
             "user map (2,1,1) delta_2: shape 10x9 does not match declared dimensions 10x10"
         ]
+
+
+class TestH0ChainOfValidData:
+    """coboundary_h0 reads the H^0 chain that `validate` built and checked."""
+
+    def test_validate_applies_the_face_rule_once_per_component(self, count_calls):
+        ids = ["A", "B", "C", "D"]
+        data = complex_from_faces(ids, [s for r in (2, 3) for s in itertools.combinations(ids, r)])
+        calls = count_calls(sncweights, "_face_problems")
+        assert data.validate() == []
+        assert calls["_face_problems"] == 4 + 6 + 4
+
+    @pytest.mark.parametrize("k, top", [(k, top) for k in range(3, 6) for top in range(2, k + 1)])
+    def test_matches_cech_entry_by_entry(self, k, top):
+        data = skeleton_with_user_maps(k=k, top=top)
+        expected = cech([f"S{i}" for i in range(k)], top)
+        for r in range(1, top):
+            assert coboundary_h0(data, r) == expected[r - 1]
+        assert coboundary_h0(data, top) == []
+
+    def test_result_is_a_fresh_copy(self):
+        data = complex_from_faces(*TRIANGLE_FILLED)
+        first = coboundary_h0(data, 1)
+        first[0][0] = 99
+        assert coboundary_h0(data, 1) != first
+        assert weight_graded_dims(data, 0, 1, 0, 0) == 0
