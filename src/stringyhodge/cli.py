@@ -9,6 +9,8 @@ expansion (a defect of the library, reported on one line).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from typing import Dict
@@ -32,8 +34,14 @@ EXPANSION_NOTE = "series expansion taken at the origin (u = v = 0)"
 def _emit(doc: Dict[str, object], fmt: str, text_renderer) -> None:
     if fmt == "machine":
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
+        return
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
         text_renderer(doc)
+    # what the output encoding cannot hold (a label under an ASCII locale) is
+    # written as a backslash escape, as Python's stderr does, not an error
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    sys.stdout.write(text.getvalue().encode(encoding, "backslashreplace").decode(encoding))
 
 
 def _pq_map(table) -> Dict[str, object]:

@@ -39,10 +39,13 @@ def _expect(cond: bool, location: str, message: str) -> None:
         raise DescriptorFileError(location, message)
 
 
-def _parse_diamond(obj, dim: int, location: str) -> HodgeDiamond:
+def _parse_diamond(obj, dim: int, location: str,
+                   keys: Dict[str, Tuple[int, int]]) -> HodgeDiamond:
     # each entry is checked once, here, and its key path is spelled out only
     # to raise; JSON true/false load as bool, a subclass of int, so integers
-    # are tested with `type(value) is int`
+    # are tested with `type(value) is int`.  `keys` holds the (p,q) of every
+    # well-formed sparse key met so far in the document, so that each
+    # spelling is parsed once
     h: Dict[Tuple[int, int], int] = {}
     if isinstance(obj, list):
         _expect(len(obj) == dim + 1, location, f"dense matrix must have {dim + 1} rows")
@@ -56,20 +59,24 @@ def _parse_diamond(obj, dim: int, location: str) -> HodgeDiamond:
                     h[(p, q)] = value
     elif isinstance(obj, dict):
         for key, value in obj.items():
-            left, _, right = key.partition(",")
-            if not (left.strip().isdecimal() and right.strip().isdecimal()):
+            pq = keys.get(key)
+            if pq is None:
+                left, _, right = key.partition(",")
+                if left.strip().isdecimal() and right.strip().isdecimal():
+                    pq = keys[key] = (int(left), int(right))
+            if pq is None:
                 problem = 'sparse keys must look like "p,q"'
             elif type(value) is not int:
                 problem = "entries must be integers"
-            elif (p := int(left)) > dim or (q := int(right)) > dim:
+            elif pq[0] > dim or pq[1] > dim:
                 problem = f"(p,q) outside the {dim}-dimensional range"
             else:
                 if value:
-                    h[(p, q)] = value
+                    h[pq] = value
                 continue
             raise DescriptorFileError(f"{location}[{key!r}]", problem)
         if len(h) < len(obj):  # zeros were dropped, or two keys name the same (p,q)
-            pqs = [tuple(map(int, key.split(","))) for key in obj]
+            pqs = [keys[key] for key in obj]
             for i, key in enumerate(obj):
                 _expect(pqs[i] not in pqs[:i], f"{location}[{key!r}]",
                         f"repeats an earlier (p,q) = {pqs[i]}")
@@ -118,7 +125,8 @@ def _parse_matrix(obj, location: str, rationals: Dict[object, Fraction]) -> List
     return out
 
 
-def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
+def _parse_snc(obj, dim: int, location: str,
+               keys: Dict[str, Tuple[int, int]]) -> SncComplexData:
     _expect(isinstance(obj, dict), location, "snc block must be an object")
     levels_doc = obj.get("levels", {})
     _expect(isinstance(levels_doc, dict), f"{location}.levels", "levels must be an object")
@@ -140,7 +148,7 @@ def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
             )
             diamond = None
             if "diamond" in comp:
-                diamond = _parse_diamond(comp["diamond"], dim - r, f"{loc}.diamond")
+                diamond = _parse_diamond(comp["diamond"], dim - r, f"{loc}.diamond", keys)
             faces = comp.get("faces", [])
             _expect(
                 isinstance(faces, list) and all(type(f) is int for f in faces), f"{loc}.faces",
@@ -171,7 +179,8 @@ def _parse_snc(obj, dim: int, location: str) -> SncComplexData:
     return SncComplexData(levels=levels, user_maps=user_maps)
 
 
-def _parse_fiber(obj, location: str) -> ExceptionalFiberDescriptor:
+def _parse_fiber(obj, location: str,
+                 keys: Dict[str, Tuple[int, int]]) -> ExceptionalFiberDescriptor:
     _expect(isinstance(obj, dict), location, "fiber entry must be an object")
     point = obj.get("point")
     _expect(isinstance(point, str), f"{location}.point", "point label must be a string")
@@ -182,7 +191,7 @@ def _parse_fiber(obj, location: str) -> ExceptionalFiberDescriptor:
     for i, comp in enumerate(comps):
         loc = f"{location}.components[{i}]"
         cid, a = _parse_component(comp, loc)
-        diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond")
+        diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond", keys)
         parsed.append(FiberComponent(cid, diamond, a))
     counts_doc = obj.get("pairwise_counts", {})
     _expect(isinstance(counts_doc, dict), f"{location}.pairwise_counts",
@@ -216,11 +225,12 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     _expect(isinstance(strata_doc, dict) and strata_doc, f"{location}.strata",
             "missing Y stratum: strata must contain at least the empty key")
     strata: Dict[Tuple[str, ...], HodgeDiamond] = {}
+    keys: Dict[str, Tuple[int, int]] = {}  # sparse "p,q" keys, shared by every diamond
     for key, value in strata_doc.items():
-        subset = tuple(sorted(s for s in key.split(",") if s)) if key else ()
+        subset = tuple(sorted(filter(None, key.split(","))))
         loc = f"{location}.strata[{key!r}]"
         _expect(subset not in strata, loc, "repeats an earlier stratum")
-        strata[subset] = _parse_diamond(value, dim - len(subset), loc)
+        strata[subset] = _parse_diamond(value, dim - len(subset), loc, keys)
     descriptor = ResolutionDescriptor(
         n=dim, components=components, strata=strata, label=label
     )
@@ -228,13 +238,13 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     _expect(not problems, location, "; ".join(problems))
     snc = None
     if "snc" in doc:
-        snc = _parse_snc(doc["snc"], dim, f"{location}.snc")
+        snc = _parse_snc(doc["snc"], dim, f"{location}.snc", keys)
         problems = snc.validate()
         _expect(not problems, f"{location}.snc", "; ".join(problems))
     fibers_doc = doc.get("fibers", [])
     _expect(isinstance(fibers_doc, list), f"{location}.fibers", "fibers must be a list")
     fibers = tuple(
-        _parse_fiber(fiber, f"{location}.fibers[{i}]") for i, fiber in enumerate(fibers_doc)
+        _parse_fiber(fiber, f"{location}.fibers[{i}]", keys) for i, fiber in enumerate(fibers_doc)
     )
     return DescriptorBundle(descriptor=descriptor, snc=snc, fibers=fibers)
 

@@ -105,7 +105,7 @@ def validate(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:
             )
     if smooth_projective:
         problems += _duality_problems(d)
-    return sorted(set(problems))
+    return sorted(set(problems)) if problems else problems
 
 
 def _duality_problems(d: HodgeDiamond) -> List[str]:

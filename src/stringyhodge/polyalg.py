@@ -6,14 +6,16 @@ of cyclotomic-like factors (uv)^m - 1 in the diagonal variable w = uv.
 Along each diagonal such a function is a univariate series in w, written
 in one form: a row, the dense list of w-coefficients keyed by its lowest
 monomial (p, q), whose entry k is the coefficient of u^{p+k} v^{q+k}.
-One recurrence on rows serves expansion, exact division and the
-assembly's group factors: 1/(w^m - 1) = -sum_k w^{km}, i.e.
-q = p/(w^m - 1) has q_k = q_{k-m} - p_k.  No floating point appears
-anywhere; coefficients are Python ints.
+One recurrence on rows serves expansion and exact division:
+1/(w^m - 1) = -sum_k w^{km}, i.e. q = p/(w^m - 1) has q_k = q_{k-m} - p_k.
+The assembly builds its rows Kronecker-packed, w = 2^b with b a multiple
+of 8, and `_unpack` turns each into a list once.  No floating point
+appears anywhere; coefficients are Python ints.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,6 +38,35 @@ def _over(p: Sequence[int], factors: Sequence[int], length: int) -> List[int]:
         for k in range(pad, pad + length):
             q[k] = q[k - m] - q[k]
     return q[pad:]
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per digit of a packed row whose coefficients c satisfy |c| <= bound.
+
+    The digit holds c in two's complement, so 8 * size - 1 bits must exceed
+    bound's; sizes up to 8 are rounded up to 1, 2, 4 or 8 for `_unpack`.
+    """
+    size = (bound.bit_length() + 8) // 8
+    return 1 << (size - 1).bit_length() if size <= 8 else size
+
+
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}  # native formats, by item size in bytes
+
+
+def _unpack(packed: int, size: int, length: int) -> List[int]:
+    """The row c_0 .. c_{length-1} of packed = sum c_k 2^(8 size k), each
+    |c_k| < 2^(8 size - 1) (a Kronecker substitution w = 2^(8 size)).
+
+    Adding 2^(8 size - 1) to every digit makes them all nonnegative, which
+    the borrows between negative digits otherwise spoil; flipping that top
+    bit back leaves each digit as c_k in two's complement.
+    """
+    top = int.from_bytes((b"\0" * (size - 1) + b"\x80") * length, "little")
+    raw = ((packed + top) ^ top).to_bytes(size * length, sys.byteorder)
+    if size in _SIGNED:
+        return memoryview(raw).cast(_SIGNED[size]).tolist()
+    return [int.from_bytes(raw[i:i + size], sys.byteorder, signed=True)
+            for i in range(0, len(raw), size)]
 
 
 def _spread(rows: Mapping[Tuple[int, int], Sequence[int]]) -> BivariatePoly:

@@ -20,9 +20,9 @@ from .polyalg import (
     BivariatePoly,
     DenominatorSpec,
     StringyFunction,
-    _over,
+    _digit_bytes,
     _spread,
-    _times,
+    _unpack,
     exact_divide_test,
 )
 
@@ -75,25 +75,31 @@ class ResolutionDescriptor(_ValidOnce):
         if () not in self.strata:
             problems.append("missing Y stratum (empty subset)")
         known = set(ids)
+        present = self.strata.__contains__
         pd_failure = None
         for subset, diamond in self.strata.items():
-            if tuple(sorted(subset)) != subset:
-                problems.append(f"stratum key {subset!r} is not sorted")
-            if len(set(subset)) != len(subset):
-                problems.append(f"stratum key {subset!r} repeats a component")
-            unknown = set(subset) - known
-            if unknown:
-                problems.append(f"stratum {subset!r} names unknown components {sorted(unknown)}")
+            # one test for sorted, unique and known ids; messages only on failure
+            if not (known.issuperset(subset) and tuple(sorted(set(subset))) == subset):
+                if tuple(sorted(subset)) != subset:
+                    problems.append(f"stratum key {subset!r} is not sorted")
+                if len(set(subset)) != len(subset):
+                    problems.append(f"stratum key {subset!r} repeats a component")
+                unknown = set(subset) - known
+                if unknown:
+                    problems.append(
+                        f"stratum {subset!r} names unknown components {sorted(unknown)}"
+                    )
             expected = self.n - len(subset)
             if diamond.dim != expected:
                 problems.append(
                     f"stratum {subset!r} has dimension {diamond.dim}, expected {expected}"
                 )
             found = hodge.validate(diamond)
-            problems.extend(f"stratum {subset!r}: {msg}" for msg in found)
+            if found:
+                problems.extend(f"stratum {subset!r}: {msg}" for msg in found)
             if pd_failure is None and (found or hodge._duality_problems(diamond)):
                 pd_failure = subset
-            if subset:
+            if subset and not all(map(present, combinations(subset, len(subset) - 1))):
                 for sub in combinations(subset, len(subset) - 1):
                     if sub not in self.strata:
                         problems.append(
@@ -156,41 +162,59 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     (-1)^{p+q}, turns each group's table into its E-polynomial once.  The
     sign reads only (p, q), so a group may mix dimensions, as unvalidated
     controls with a = -1 do.  The common denominator holds each w^m - 1 as
-    often as the most demanding signature needs it and is expanded once; a
-    group's factor is that expansion divided exactly by w^m - 1 (the series
-    recurrence of polyalg, cut at the quotient's length) and multiplied by
-    w - w^m for each m of its signature.  Components with a < 1 give no
-    denominator factor; a = 0 makes the numerator factor w - w vanish, so
-    its strata are skipped.
+    often as the most demanding signature needs it.  Over it, a group's
+    factor is its cofactor times prod (w - w^m) = (-w)^{|sig|} prod
+    (w^{m-1} - 1).  Components with a < 1 give no denominator factor; a = 0
+    makes the numerator factor w - w vanish, so its strata are skipped.
+
+    Rows are accumulated Kronecker-packed: w becomes 2^b, a row the one
+    integer sum c_k 2^{bk}, and a factor (w^e - 1) the shift-and-subtract
+    F << be - F, so the inner loops run in the integer arithmetic.  A group
+    factor is a product of len(common) binomials w^e - 1 times a monomial,
+    so its coefficients are at most 2^len(common) in size, and every row
+    coefficient at most that times the sum of |h| over the groups; b is
+    wide enough for that bound, and each row is unpacked once.
     """
-    discrepancies = dict(d.components)
+    m_of = {cid: a + 1 for cid, a in d.components}
     groups: Dict[Tuple[int, ...], HodgeDiamond] = {}
     for subset, diamond in d.strata.items():
-        a = [discrepancies[cid] for cid in subset]
-        if 0 in a:
-            continue
-        signature = tuple(sorted(x + 1 for x in a if x >= 1))
+        signature = tuple(sorted(map(m_of.__getitem__, subset)))
+        if signature and signature[0] < 2:  # a = 0 kills the stratum, a < 0 adds no factor
+            if 1 in signature:
+                continue
+            signature = tuple(m for m in signature if m >= 2)
         if signature not in groups:
             groups[signature] = HodgeDiamond(diamond.dim)
         h_sum = groups[signature].h
         for pq, c in diamond.h.items():
             h_sum[pq] = h_sum.get(pq, 0) + c
-    common = DenominatorSpec()
+    need: Dict[int, int] = {}  # m -> its multiplicity in the common denominator
     for signature in groups:
-        common = common.union(DenominatorSpec(signature))
-    full = common.expand()
-    rows: Dict[Tuple[int, int], List[int]] = {}  # (p, q) -> coefficients of u^{p+k} v^{q+k}
-    zero = [0] * len(full)
-    for signature, h_sum in groups.items():
-        # full / prod (w^m - 1) * prod (w - w^m), where w - w^m = -w (w^{m-1} - 1)
-        factor = _over(full, signature, len(full) - sum(signature))
+        for m in set(signature):
+            need[m] = max(need.get(m, 0), signature.count(m))
+    common = DenominatorSpec(tuple(m for m, k in need.items() for _ in range(k)))
+    e_terms = {sig: hodge.e_polynomial(h_sum, check=False).terms for sig, h_sum in groups.items()}
+    size = _digit_bytes(
+        sum(abs(c) for terms in e_terms.values() for c in terms.values()) << len(common.factors)
+    )
+    b = 8 * size
+    packed: Dict[Tuple[int, int], int] = {}  # (p, q) -> the packed row of u^{p+k} v^{q+k}
+    for signature, terms in e_terms.items():
+        factor = 1
+        for m, k in need.items():
+            for _ in range(k - signature.count(m)):
+                factor = (factor << b * m) - factor
         for m in signature:
-            factor = _times(factor, m - 1)
-        sign = (-1) ** len(signature)
-        factor = [0] * len(signature) + [sign * x for x in factor]
-        for pq, c in hodge.e_polynomial(h_sum, check=False).terms.items():
-            rows[pq] = [x + c * f for x, f in zip(rows.get(pq, zero), factor)]
-    return StringyFunction(_spread(rows), common)
+            factor = (factor << b * (m - 1)) - factor
+        factor <<= b * len(signature)
+        if len(signature) % 2:
+            factor = -factor
+        for pq, c in terms.items():
+            packed[pq] = packed.get(pq, 0) + c * factor
+    length = 1 + sum(common.factors)
+    return StringyFunction(
+        _spread({pq: _unpack(row, size, length) for pq, row in packed.items()}), common
+    )
 
 
 def stringy_e(d: ResolutionDescriptor) -> StringyFunction:

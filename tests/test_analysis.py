@@ -74,7 +74,7 @@ class TestLocalDefect:
 class TestFiberValidatedOnce:
     def test_defect_validates_each_fiber_once(self, corpus, capsys, count_calls):
         path = corpus / "fiber_two_quadrics.json"
-        fibers = len(json.loads(path.read_text())["fibers"])
+        fibers = len(json.loads(path.read_text(encoding="utf-8"))["fibers"])
         calls = count_calls(ExceptionalFiberDescriptor, "validate")
         assert main(["defect", str(path)]) == 0
         capsys.readouterr()

@@ -87,6 +87,40 @@ def grouped_reference_assemble(d):
     return StringyFunction(numerator, common)
 
 
+def rowwise_reference_assemble(d):
+    """The grouped assembly before Kronecker packing, verbatim: one list of
+    w-coefficients per (p, q), each group's factor the common expansion
+    divided by its signature (`_over`) and multiplied by w^{m-1} - 1
+    (`_times`) per m."""
+    discrepancies = dict(d.components)
+    groups = {}
+    for subset, diamond in d.strata.items():
+        a = [discrepancies[cid] for cid in subset]
+        if 0 in a:
+            continue
+        signature = tuple(sorted(x + 1 for x in a if x >= 1))
+        if signature not in groups:
+            groups[signature] = HodgeDiamond(diamond.dim)
+        h_sum = groups[signature].h
+        for pq, c in diamond.h.items():
+            h_sum[pq] = h_sum.get(pq, 0) + c
+    common = DenominatorSpec()
+    for signature in groups:
+        common = common.union(DenominatorSpec(signature))
+    full = common.expand()
+    rows = {}
+    zero = [0] * len(full)
+    for signature, h_sum in groups.items():
+        factor = polyalg._over(full, signature, len(full) - sum(signature))
+        for m in signature:
+            factor = polyalg._times(factor, m - 1)
+        sign = (-1) ** len(signature)
+        factor = [0] * len(signature) + [sign * x for x in factor]
+        for pq, c in hodge.e_polynomial(h_sum, check=False).terms.items():
+            rows[pq] = [x + c * f for x, f in zip(rows.get(pq, zero), factor)]
+    return StringyFunction(polyalg._spread(rows), common)
+
+
 def reference_pd_verdict(d, f):
     if not d.strata_pd_consistent():
         return None
@@ -118,9 +152,9 @@ def negative_controls(draw):
 
 def assert_agrees_with_reference(d):
     new = stringy._assemble(d)
-    grouped = grouped_reference_assemble(d)
-    assert new.numerator.terms == grouped.numerator.terms
-    assert new.denominator.factors == grouped.denominator.factors
+    for grouped in (rowwise_reference_assemble(d), grouped_reference_assemble(d)):
+        assert new.numerator.terms == grouped.numerator.terms
+        assert new.denominator.factors == grouped.denominator.factors
     ref = reference_assemble(d)
     assert cross_multiplied_equal(new, ref)
     assert new.equals(ref)
@@ -161,6 +195,84 @@ class TestAgainstReference:
         )
         assert stringy_e(d).denominator.factors == (2, 2, 3)
         assert len(reference_assemble(d).denominator.factors) == 3
+        assert_agrees_with_reference(d)
+
+
+def mixed(scale):
+    """Unvalidated: entries of either sign near `scale`, a component with
+    a = -1 (no factor) and one with a = 0 (its strata are skipped)."""
+    return ResolutionDescriptor(
+        2,
+        (("A", 1), ("B", -1), ("C", 0), ("D", 2)),
+        {
+            (): HodgeDiamond(2, {(0, 0): scale, (1, 0): 1 - scale, (2, 2): scale, (1, 1): -3}),
+            ("A",): HodgeDiamond(1, {(0, 0): scale, (1, 1): -scale}),
+            ("B",): HodgeDiamond(1, {(0, 1): scale - 1}),
+            ("C",): HodgeDiamond(1, {(0, 0): scale}),
+            ("D",): HodgeDiamond(1, {(1, 0): -scale}),
+            ("A", "B"): HodgeDiamond(0, {(0, 0): -scale}),
+            ("A", "D"): HodgeDiamond(0, {(0, 0): scale}),
+            ("C", "D"): HodgeDiamond(0, {(0, 0): 7}),
+        },
+        "unvalidated",
+    )
+
+
+def chain(k):
+    """k components and the strata of one nested chain of subsets of them,
+    in dimension k: up to k factors w^m - 1 of each m in the signatures."""
+    ids = [f"E{i:02d}" for i in range(k)]
+    strata = {
+        tuple(ids[:j]): HodgeDiamond(
+            k - j, {(p, p): (-1) ** p * (j + p) for p in range(k - j + 1)}
+        )
+        for j in range(k + 1)
+    }
+    return ResolutionDescriptor(k, tuple((cid, 1 + i % 3) for i, cid in enumerate(ids)), strata)
+
+
+class TestPackedRows:
+    """The Kronecker-packed assembly against the row arithmetic it replaced."""
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8, 9, 16])
+    def test_unpack_reads_extreme_digits(self, size):
+        top = 1 << (8 * size - 1)
+        row = [top - 1, -top, 0, -1, 1, -top, top - 1, -1, -top]
+        packed = sum(c << (8 * size * k) for k, c in enumerate(row))
+        assert polyalg._unpack(packed, size, len(row)) == row
+
+    def test_digit_bytes_hold_the_bound(self):
+        edges = {1: 1, 2**7 - 1: 1, 2**7: 2, 2**15 - 1: 2, 2**15: 4, 2**31 - 1: 4,
+                 2**31: 8, 2**63 - 1: 8, 2**63: 9, 2**71: 10}
+        assert {bound: polyalg._digit_bytes(bound) for bound in edges} == edges
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "scale", [2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**64 + 1]
+    )
+    def test_point_keeps_its_entry_at_every_width(self, scale, sign):
+        # no factors: the bound is |h| itself, so these sit on each width's edge
+        d = ResolutionDescriptor(0, (), {(): HodgeDiamond(0, {(0, 0): sign * scale})})
+        assert stringy._assemble(d).numerator.terms == {(0, 0): sign * scale}
+
+    def test_every_width_matches_the_references(self, monkeypatch):
+        sizes = []
+        unpack = stringy._unpack
+
+        def recording(packed, size, length):
+            sizes.append(size)
+            return unpack(packed, size, length)
+
+        monkeypatch.setattr(stringy, "_unpack", recording)
+        for scale in (1, 2**7, 2**15, 2**31, 2**63, 2**64 + 1):
+            assert_agrees_with_reference(mixed(scale))
+            assert_agrees_with_reference(mixed(-scale))
+        assert {1, 2, 4, 8} <= set(sizes) and max(sizes) > 8
+
+    @pytest.mark.parametrize("k", [20, 23])
+    def test_many_factors_match_the_references(self, k):
+        d = chain(k)
+        assert len(stringy._assemble(d).denominator.factors) >= 20
         assert_agrees_with_reference(d)
 
 
@@ -272,7 +384,7 @@ class TestDualityRecord:
 
     @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
     def test_cli_compute_validates_each_diamond_once(self, path, capsys, count_calls):
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         diamonds = len(doc["strata"]) + sum(len(f["components"]) for f in doc.get("fibers", []))
         calls = count_calls(hodge, "validate")
         assert main(["compute", str(path)]) == 0

@@ -32,7 +32,8 @@ def _load_tracing():
     ("compare", ["node3fold_blowup.json", "node3fold_small.json"], "polyalg.mul.calls"),
 ])
 def test_tracer_reports_every_per_layer_metric(command, files, counted, corpus, capsys):
-    names = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = {m["name"] for m in benchmark["per_layer"]}
     tracer = _load_tracing().Tracer(stringyhodge)
     try:
         tracer.install()

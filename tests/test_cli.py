@@ -36,7 +36,7 @@ class TestCompute:
 
     def test_missing_y_stratum_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
-        path.write_text('{"dim": 2, "components": [], "strata": {}}')
+        path.write_text('{"dim": 2, "components": [], "strata": {}}', encoding="utf-8")
         code, _, err = run(capsys, "compute", str(path))
         assert code == 2
         assert "missing Y stratum" in err
@@ -146,7 +146,7 @@ class TestDefect:
             ],
         }
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code, _, err = run(capsys, "defect", str(path))
         assert code == 2
         assert "unknown components" in err
@@ -217,7 +217,7 @@ class TestCompare:
             doc = {"dim": 2, "components": [{"id": "E", "discrepancy": a}],
                    "strata": {"": {"0,0": 1, "1,1": 2, "2,2": 1}, "E": {"0,0": 1, "1,1": 1}}}
             paths.append(tmp_path / f"a{a}.json")
-            paths[-1].write_text(json.dumps(doc))
+            paths[-1].write_text(json.dumps(doc), encoding="utf-8")
         code, out, _ = run(capsys, "compare", *map(str, paths))
         assert code == 1
         assert out == ("stringy E-functions DIFFER, but their expansions agree "
@@ -288,11 +288,11 @@ class TestCrossCheckFailure:
     def test_survives_optimized_mode(self, mode, flags, corpus, tmp_path):
         src = Path(__file__).resolve().parent.parent / "src"
         script = tmp_path / "wrong_closed_form.py"
-        script.write_text(WRONG_CLOSED_FORM)
+        script.write_text(WRONG_CLOSED_FORM, encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, *flags, str(script), str(corpus / "burkhardt_x0.json"), mode],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 3, proc.stderr

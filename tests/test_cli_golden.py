@@ -57,16 +57,17 @@ def run_case(command, names, fmt):
 @pytest.mark.parametrize("command, names, fmt", CASES, ids=[case_id(*c) for c in CASES])
 def test_output_is_byte_identical(command, names, fmt, monkeypatch):
     monkeypatch.chdir(ROOT)
-    golden = json.loads(GOLDEN.read_text())
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert run_case(command, names, fmt) == golden[case_id(command, names, fmt)]
 
 
 def test_every_case_is_pinned():
-    assert sorted(json.loads(GOLDEN.read_text())) == sorted(case_id(*c) for c in CASES)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(case_id(*c) for c in CASES)
 
 
 if __name__ == "__main__":
     os.chdir(ROOT)
     doc = {case_id(*c): run_case(*c) for c in CASES}
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(doc)} cases in {GOLDEN}", file=sys.stderr)

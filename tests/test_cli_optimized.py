@@ -25,14 +25,14 @@ CASES = [
 
 
 def test_optimized_cli_matches_the_pinned_digests():
-    golden = json.loads(GOLDEN.read_text())
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     procs = [
         subprocess.Popen(
             [sys.executable, "-O", "-m", "stringyhodge.cli", command,
              *(f"corpus/{name}" for name in names), "--format", fmt],
-            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8",
         )
         for command, names, fmt in CASES
     ]

@@ -35,12 +35,12 @@ def test_demo_exits_0(demo):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_stdout_is_pinned(demo):
-    golden = json.loads(GOLDEN.read_text())
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert hashlib.sha256(run_demo(demo).stdout).hexdigest() == golden[demo.name]
 
 
 def test_every_demo_is_pinned():
-    assert sorted(json.loads(GOLDEN.read_text())) == [d.name for d in DEMOS]
+    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == [d.name for d in DEMOS]
 
 
 if __name__ == "__main__":
@@ -50,5 +50,5 @@ if __name__ == "__main__":
         if result.returncode != 0:
             sys.exit(f"{demo.name} exited {result.returncode}:\n{result.stderr.decode()}")
         doc[demo.name] = hashlib.sha256(result.stdout).hexdigest()
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(doc)} demos in {GOLDEN}", file=sys.stderr)

@@ -119,7 +119,7 @@ def test_bad_rational_in_user_maps():
 
 def test_json_syntax_error_reports_location(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text('{"dim": 3,,}')
+    path.write_text('{"dim": 3,,}', encoding="utf-8")
     with pytest.raises(DescriptorFileError) as err:
         load_bundle(str(path))
     assert "broken.json:1" in str(err.value)
@@ -197,7 +197,7 @@ def test_json_booleans_are_not_integers(doc, location, tmp_path, capsys):
     from stringyhodge.cli import main
 
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     code = main(["compute", str(path), "--format", "machine"])
     err = capsys.readouterr().err
     if location is None:
@@ -255,7 +255,7 @@ def test_snc_block_errors_exit_2_with_key_path(snc, location, message, tmp_path,
     from stringyhodge.cli import main
 
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(_snc_doc(snc)))
+    path.write_text(json.dumps(_snc_doc(snc)), encoding="utf-8")
     assert main(["compute", str(path)]) == 2
     assert f"error: {path}{location}: {message}" in capsys.readouterr().err
 
@@ -271,7 +271,7 @@ def test_stratum_of_dimension_minus_one_exits_2_with_key_path(empty, tmp_path, c
         "strata": {"": {"0,0": 1, "1,1": 1}, "A": {"0,0": 1}, "B": {"0,0": 1}, "A,B": empty},
     }
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["compute", str(path)]) == 2
     assert (f"error: {path}.strata['A,B']: dimension would be -1; "
             "an empty stratum has no diamond") in capsys.readouterr().err
@@ -294,7 +294,7 @@ def test_bad_user_map_entry_reports_its_own_key_path(maps, location):
 
 def test_user_map_rationals_parsed_exactly():
     snc = {"levels": {}, "user_maps": {"1,1,0": [[["1", 1, "-1"]], [["2/4", "-3/6", 0]]]}}
-    maps = _parse_snc(snc, 2, "snc").user_maps[(1, 1, 0)]
+    maps = _parse_snc(snc, 2, "snc", {}).user_maps[(1, 1, 0)]
     assert maps == ([[1, 1, -1]], [[1, -1, 0]])
     assert all(type(x) is int for mat in maps for row in mat for x in row)
 
@@ -315,7 +315,7 @@ def test_fiber_block_errors_exit_2_with_key_path(fibers, location, message, tmp_
 
     path = tmp_path / "doc.json"
     doc = {"dim": 3, "strata": {"": {"0,0": 1, "1,1": 1, "2,2": 1, "3,3": 1}}, "fibers": fibers}
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["defect", str(path)]) == 2
     assert f"error: {path}{location}: {message}" in capsys.readouterr().err
 
@@ -325,7 +325,7 @@ def _exit_2_at(doc, location, tmp_path, capsys):
     from stringyhodge.cli import main
 
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["compute", str(path)]) == 2
     err, prefix = capsys.readouterr().err, f"error: {path}{location}: "
     assert err.startswith(prefix), err
@@ -372,10 +372,10 @@ def test_key_written_twice_in_one_object_exits_2(corpus, tmp_path, capsys):
     """
     from stringyhodge.cli import main
 
-    text = (corpus / "node3fold_blowup.json").read_text()
+    text = (corpus / "node3fold_blowup.json").read_text(encoding="utf-8")
     path = tmp_path / "doc.json"
     second_e = '"E": {"0,0": 1, "1,1": 7, "2,2": 1},'
-    path.write_text(text.replace('"strata": {', '"strata": {' + second_e, 1))
+    path.write_text(text.replace('"strata": {', '"strata": {' + second_e, 1), encoding="utf-8")
     assert main(["compute", str(path), "--format", "machine"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -385,10 +385,10 @@ def test_key_written_twice_in_one_object_exits_2(corpus, tmp_path, capsys):
 def test_swapped_fiber_pair_exits_2(corpus, tmp_path, capsys):
     from stringyhodge.cli import main
 
-    doc = json.loads((corpus / "fiber_two_quadrics.json").read_text())
+    doc = json.loads((corpus / "fiber_two_quadrics.json").read_text(encoding="utf-8"))
     doc["fibers"][0]["pairwise_counts"]["F2,F1"] = 5  # would merge into sigma = -3
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["defect", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -405,10 +405,10 @@ def test_unsorted_snc_subset_exits_2(faces, tmp_path, capsys):
 
 
 def test_fiber_pair_written_in_either_order_loads(corpus, tmp_path):
-    doc = json.loads((corpus / "fiber_two_quadrics.json").read_text())
+    doc = json.loads((corpus / "fiber_two_quadrics.json").read_text(encoding="utf-8"))
     doc["fibers"][0]["pairwise_counts"] = {"F2,F1": 1}
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_bundle(str(path)).fibers[0].pairwise_counts == {("F1", "F2"): 1}
 
 
@@ -430,12 +430,12 @@ def test_fiber_rules_are_reported_at_the_fiber(counts, message, tmp_path, capsys
     assert _exit_2_at(doc, ".fibers[0]", tmp_path, capsys) == message + "\n"
 
 
-def _compute_in_the_c_locale(path):
+def _compute_in_the_c_locale(path, fmt="machine"):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
            "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
     return subprocess.run(
-        [sys.executable, "-m", "stringyhodge.cli", "compute", str(path), "--format", "machine"],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "stringyhodge.cli", "compute", str(path), "--format", fmt],
+        capture_output=True, encoding="utf-8", env=env,
     )
 
 
@@ -451,6 +451,21 @@ def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith(f"error: {path}: not valid UTF-8: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_text_output_escapes_what_the_locale_cannot_encode(tmp_path, capsys):
+    from stringyhodge.cli import main
+
+    doc = {"dim": 0, "label": "K\u00e4hler point", "strata": {"": {"0,0": 1}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    proc = _compute_in_the_c_locale(path, "text")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("== K\\xe4hler point (dim 0) ==\n")
+    # an encoding that holds the label writes it as it is
+    assert main(["compute", str(path)]) == 0
+    assert capsys.readouterr().out == proc.stdout.replace("\\xe4", "\u00e4")
 
 
 MUTANTS = ([], {}, 5, "x", True, None)
@@ -476,7 +491,7 @@ def test_mutated_corpus_loads_or_reports_its_file(name, corpus, tmp_path, capsys
     DescriptorFileError located at the file; nothing else escapes."""
     from stringyhodge.cli import main
 
-    doc = json.loads((corpus / name).read_text())
+    doc = json.loads((corpus / name).read_text(encoding="utf-8"))
     path = tmp_path / name
     for key_path in _key_paths(doc):
         for value in MUTANTS:
@@ -486,6 +501,6 @@ def test_mutated_corpus_loads_or_reports_its_file(name, corpus, tmp_path, capsys
             except DescriptorFileError as exc:  # cli.main reports it and exits 2
                 assert exc.location.startswith(str(path)), (key_path, value)
                 continue
-            path.write_text(json.dumps(mutated))
+            path.write_text(json.dumps(mutated), encoding="utf-8")
             assert main(["compute", str(path), "--format", "machine"]) == 0, (
                 key_path, value, capsys.readouterr().err)

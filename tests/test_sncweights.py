@@ -125,6 +125,29 @@ class TestWeightGradedDims:
         data = complex_from_faces(*CHAIN)
         assert weight_graded_dims(data, 0, 1, 0, 0) == 0
 
+    @pytest.mark.parametrize(
+        "triangles, betti",
+        [
+            # the 6-vertex real projective plane: a wrong face sign gives H^2 != 0
+            ([(1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+              (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6)], [1, 0, 0]),
+            # the 7-vertex torus
+            ([tuple(sorted((i % 7 + 1, (i + 1) % 7 + 1, (i + 3) % 7 + 1))) for i in range(7)]
+             + [tuple(sorted((i % 7 + 1, (i + 2) % 7 + 1, (i + 3) % 7 + 1))) for i in range(7)],
+             [1, 2, 1]),
+        ],
+        ids=["rp2", "torus"],
+    )
+    def test_triangulated_surface_gives_its_rational_betti_numbers(self, triangles, betti):
+        faces = {
+            tuple(f"V{i}" for i in face)
+            for triangle in triangles
+            for face in itertools.combinations(triangle, 2)
+        } | {tuple(f"V{i}" for i in triangle) for triangle in triangles}
+        ids = sorted({v for face in faces for v in face})
+        data = complex_from_faces(ids, faces)
+        assert [weight_graded_dims(data, 0, l, 0, 0) for l in range(3)] == betti
+
     def test_single_component_recovers_own_hpq(self):
         data = SncComplexData(
             levels={1: (SncComponent(("A",), Q),)},
@@ -211,7 +234,7 @@ class TestUserMaps:
                   {"subset": ["B", "C"], "faces": [3, 2]}],
             "3": [{"subset": ["A", "B", "C"], "faces": [2, 1, 0]}],
         }
-        data = _parse_snc({"levels": levels}, 3, "snc")  # loaded, not yet validated
+        data = _parse_snc({"levels": levels}, 3, "snc", {})  # loaded, not yet validated
         delta_1, delta_2 = data._h0_chain
         assert matrix_mul(delta_2, delta_1) == [[-1, 1, 0, 0]]
         assert data.validate() == ["delta_2 . delta_1 != 0 on the H^0 row"]
@@ -223,7 +246,7 @@ class TestUserMaps:
         path = tmp_path / "doc.json"
         doc = {"dim": 3, "strata": {"": {"0,0": 1, "1,1": 1, "2,2": 1, "3,3": 1}},
                "snc": {"levels": levels}}
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["compute", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""

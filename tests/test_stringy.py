@@ -73,6 +73,37 @@ class TestStringyE:
         with pytest.raises(DescriptorError, match="missing Y stratum"):
             stringy_e(missing_y)
 
+    def test_validate_lists_every_problem_in_order(self):
+        # stratum by stratum, in insertion order; each stratum's key checks,
+        # diamond checks, then its missing faces in `combinations` order,
+        # which drops the last id first
+        d = ResolutionDescriptor(
+            3,
+            (("A", 1), ("B", 1), ("C", 2)),
+            {
+                (): diag(1, 2, 2, 1),
+                ("A",): diag(1, 1, 1),
+                ("C",): diag(1, 1),
+                ("B", "A"): diag(1, 1),
+                ("A", "A"): diag(1, 1),
+                ("A", "Z"): diag(1, 1),
+                ("A", "C"): HodgeDiamond(1, {(0, 0): 1, (1, 0): -1, (1, 1): 1}),
+                ("A", "B", "C"): diag(1),
+            },
+        )
+        assert d.validate() == [
+            "stratum ('C',) has dimension 1, expected 2",
+            "stratum key ('B', 'A') is not sorted",
+            "downward closure broken: ('B', 'A') present but ('B',) missing",
+            "stratum key ('A', 'A') repeats a component",
+            "stratum ('A', 'Z') names unknown components ['Z']",
+            "downward closure broken: ('A', 'Z') present but ('Z',) missing",
+            "stratum ('A', 'C'): conjugation symmetry broken: h^{1,0} = -1 but h^{0,1} = 0",
+            "stratum ('A', 'C'): negative entry h^{1,0} = -1",
+            "downward closure broken: ('A', 'B', 'C') present but ('A', 'B') missing",
+            "downward closure broken: ('A', 'B', 'C') present but ('B', 'C') missing",
+        ]
+
     def test_discrepancy_zero_subsets_vanish(self, node):
         # adding a crepant component changes nothing
         with_crepant = ResolutionDescriptor(
