@@ -24,6 +24,7 @@ class DescriptorFileError(ValueError):
 
     def __init__(self, location: str, message: str):
         self.location = location
+        self.message = message
         super().__init__(f"{location}: {message}")
 
 
@@ -42,7 +43,8 @@ def _expect(cond: bool, location: str, message: str) -> None:
 def _parse_diamond(obj, dim: int, location: str,
                    keys: Dict[str, Tuple[int, int]]) -> HodgeDiamond:
     # each entry is checked once, here, and its key path is spelled out only
-    # to raise; JSON true/false load as bool, a subclass of int, so integers
+    # to raise, below `location`, which is "" for a caller that roots the path
+    # itself; JSON true/false load as bool, a subclass of int, so integers
     # are tested with `type(value) is int`.  `keys` holds the (p,q) of every
     # well-formed sparse key met so far in the document, so that each
     # spelling is parsed once
@@ -228,9 +230,12 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     keys: Dict[str, Tuple[int, int]] = {}  # sparse "p,q" keys, shared by every diamond
     for key, value in strata_doc.items():
         subset = tuple(sorted(filter(None, key.split(","))))
-        loc = f"{location}.strata[{key!r}]"
-        _expect(subset not in strata, loc, "repeats an earlier stratum")
-        strata[subset] = _parse_diamond(value, dim - len(subset), loc, keys)
+        try:  # paths below the stratum come back relative, and are rooted only to raise
+            _expect(subset not in strata, "", "repeats an earlier stratum")
+            strata[subset] = _parse_diamond(value, dim - len(subset), "", keys)
+        except DescriptorFileError as exc:
+            raise DescriptorFileError(f"{location}.strata[{key!r}]{exc.location}",
+                                      exc.message) from None
     descriptor = ResolutionDescriptor(
         n=dim, components=components, strata=strata, label=label
     )

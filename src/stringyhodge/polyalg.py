@@ -9,8 +9,9 @@ monomial (p, q), whose entry k is the coefficient of u^{p+k} v^{q+k}.
 One recurrence on rows serves expansion and exact division:
 1/(w^m - 1) = -sum_k w^{km}, i.e. q = p/(w^m - 1) has q_k = q_{k-m} - p_k.
 The assembly builds its rows Kronecker-packed, w = 2^b with b a multiple
-of 8, and `_unpack` turns each into a list once.  No floating point
-appears anywhere; coefficients are Python ints.
+of 8, and `_unpack` turns each diagonal into a list once; those are the
+rows of the function it returns.  No floating point appears anywhere;
+coefficients are Python ints.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 def _times(p: List[int], m: int) -> List[int]:
@@ -74,9 +76,8 @@ def _spread(rows: Mapping[Tuple[int, int], Sequence[int]]) -> BivariatePoly:
     the coefficient of u^{p+k} v^{q+k}, summed where rows overlap."""
     terms: Dict[Tuple[int, int], int] = {}
     for (p, q), row in rows.items():
-        for k, c in enumerate(row):
-            if c:
-                terms[p + k, q + k] = terms.get((p + k, q + k), 0) + c
+        for k in compress(range(len(row)), row):  # the nonzero entries, found in C
+            terms[p + k, q + k] = terms.get((p + k, q + k), 0) + row[k]
     return BivariatePoly(terms)
 
 
@@ -206,6 +207,15 @@ class StringyFunction:
             return self.numerator
         return self.numerator * _spread({(0, 0): cofactor.expand()})
 
+    @classmethod
+    def _from_rows(cls, rows: Dict[Tuple[int, int], List[int]],
+                   denominator: DenominatorSpec) -> "StringyFunction":
+        """numerator `_spread(rows)` over denominator, keeping the rows, which
+        are in the form of `_slices`, as its `_slices`."""
+        f = cls(_spread(rows), denominator)
+        object.__setattr__(f, "_slices", rows)
+        return f
+
     def equals(self, other: "StringyFunction") -> bool:
         common = self.denominator.union(other.denominator)
         return self._lift(common) == other._lift(common)
@@ -213,7 +223,8 @@ class StringyFunction:
     @cached_property
     def _slices(self) -> Dict[Tuple[int, int], List[int]]:
         """The numerator as one row per diagonal, keyed by its lowest monomial,
-        with nonzero first and last entries; split once per function."""
+        with nonzero first and last entries; split once per function, and
+        never for one built by `_from_rows`."""
         rows: Dict[int, Tuple[Tuple[int, int], List[int]]] = {}
         for (a, b), c in sorted(self.numerator.terms.items()):
             (p, _), row = rows.setdefault(a - b, ((a, b), []))

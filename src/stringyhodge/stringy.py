@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import lt
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -21,7 +22,6 @@ from .polyalg import (
     DenominatorSpec,
     StringyFunction,
     _digit_bytes,
-    _spread,
     _unpack,
     exact_divide_test,
 )
@@ -76,10 +76,10 @@ class ResolutionDescriptor(_ValidOnce):
             problems.append("missing Y stratum (empty subset)")
         known = set(ids)
         present = self.strata.__contains__
-        pd_failure = None
+        invalid = None
         for subset, diamond in self.strata.items():
             # one test for sorted, unique and known ids; messages only on failure
-            if not (known.issuperset(subset) and tuple(sorted(set(subset))) == subset):
+            if not (known.issuperset(subset) and all(map(lt, subset, subset[1:]))):
                 if tuple(sorted(subset)) != subset:
                     problems.append(f"stratum key {subset!r} is not sorted")
                 if len(set(subset)) != len(subset):
@@ -97,15 +97,15 @@ class ResolutionDescriptor(_ValidOnce):
             found = hodge.validate(diamond)
             if found:
                 problems.extend(f"stratum {subset!r}: {msg}" for msg in found)
-            if pd_failure is None and (found or hodge._duality_problems(diamond)):
-                pd_failure = subset
+                if invalid is None:
+                    invalid = subset
             if subset and not all(map(present, combinations(subset, len(subset) - 1))):
                 for sub in combinations(subset, len(subset) - 1):
                     if sub not in self.strata:
                         problems.append(
                             f"downward closure broken: {subset!r} present but {sub!r} missing"
                         )
-        object.__setattr__(self, "_pd_failure", pd_failure)
+        object.__setattr__(self, "_invalid_stratum", invalid)
         return self._kept(problems)
 
     @cached_property
@@ -122,14 +122,24 @@ class ResolutionDescriptor(_ValidOnce):
         """
         return self._levels.get(k)
 
+    @cached_property
+    def _pd_failure(self) -> Optional[Subset]:
+        # the first stratum failing hodge.validate(s, smooth_projective=True);
+        # validate() keeps the first that fails the plain check, so up to that
+        # one only duality is left to test
+        if "_invalid_stratum" not in vars(self):
+            self.validate()
+        invalid = self._invalid_stratum
+        return next((J for J, s in self.strata.items()
+                     if J == invalid or hodge._duality_problems(s)), None)
+
     def strata_pd_consistent(self) -> bool:
         """Whether every stratum passes `hodge.validate(d, smooth_projective=True)`.
 
-        Reads the first failing stratum (or None) that validate() keeps from
-        its one loop over the strata, validating first if nothing did yet.
+        The first failing stratum (or None) is found on the first call, which
+        `check_pd_identity` makes, and kept; beyond what validate() records it
+        only tests duality, validating first if nothing did yet.
         """
-        if "_pd_failure" not in vars(self):
-            self.validate()
         return self._pd_failure is None
 
     def discrepancy_one_sum(self, p: int) -> int:
@@ -169,11 +179,15 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
 
     Rows are accumulated Kronecker-packed: w becomes 2^b, a row the one
     integer sum c_k 2^{bk}, and a factor (w^e - 1) the shift-and-subtract
-    F << be - F, so the inner loops run in the integer arithmetic.  A group
-    factor is a product of len(common) binomials w^e - 1 times a monomial,
-    so its coefficients are at most 2^len(common) in size, and every row
-    coefficient at most that times the sum of |h| over the groups; b is
-    wide enough for that bound, and each row is unpacked once.
+    F << be - F, so the inner loops run in the integer arithmetic.  The rows
+    of one diagonal are merged into one integer, row (p, q) shifted by
+    b(p - p0) from the lowest (p0, q0) of the diagonal.  A group factor is a
+    product of len(common) binomials w^e - 1 times a monomial, so its
+    coefficients are at most 2^len(common) in size, and every digit of a
+    diagonal at most that times the sum of |h| over the groups; b is wide
+    enough for that bound.  Each diagonal is unpacked once, without its zero
+    ends, and these rows become the function's `_slices`: its numerator is
+    never split back into them.
     """
     m_of = {cid: a + 1 for cid, a in d.components}
     groups: Dict[Tuple[int, ...], HodgeDiamond] = {}
@@ -211,10 +225,19 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
             factor = -factor
         for pq, c in terms.items():
             packed[pq] = packed.get(pq, 0) + c * factor
-    length = 1 + sum(common.factors)
-    return StringyFunction(
-        _spread({pq: _unpack(row, size, length) for pq, row in packed.items()}), common
-    )
+    diagonals: Dict[int, Tuple[int, int]] = {}  # p - q -> its lowest p, its rows merged
+    for (p, q), row in sorted(packed.items()):
+        p0, merged = diagonals.get(p - q, (p, 0))
+        diagonals[p - q] = p0, merged + (row << b * (p - p0))
+    rows: Dict[Tuple[int, int], List[int]] = {}
+    for diagonal, (p, row) in diagonals.items():
+        if row:
+            k = ((row & -row).bit_length() - 1) // b  # zero digits below the first nonzero one
+            row >>= b * k
+            # every digit is below 2^(b-1) in size, so with digit h the last
+            # nonzero one |row| lies in (2^(bh-1), 2^(bh+b-1)): bh to bh+b-1 bits
+            rows[p + k, p + k - diagonal] = _unpack(row, size, abs(row).bit_length() // b + 1)
+    return StringyFunction._from_rows(rows, common)
 
 
 def stringy_e(d: ResolutionDescriptor) -> StringyFunction:

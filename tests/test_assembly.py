@@ -1,7 +1,9 @@
 """The grouped E_st assembly against an independent per-stratum reference,
 and the once-per-descriptor contract of validation and assembly."""
 
+import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -37,7 +39,7 @@ from stringyhodge import hodge, polyalg
 from stringyhodge.cli import main
 from stringyhodge.stringy import first_coefficient_difference
 from conftest import (
-    CORPUS, cross_multiplied_equal, descriptors, diag, expand_w, from_w, w_mul,
+    CORPUS, cross_multiplied_equal, descriptors, diag, expand_w, from_w, random_pd_diamond, w_mul,
 )
 
 
@@ -150,8 +152,15 @@ def negative_controls(draw):
     return ResolutionDescriptor(d.n, tuple(components), strata, "negative control")
 
 
+def assert_rows_are_the_split(f):
+    """The rows the assembly hands over are the numerator's own split."""
+    assert "_slices" in vars(f)  # set by the assembly, not split on demand
+    assert vars(f)["_slices"] == StringyFunction(f.numerator, f.denominator)._slices
+
+
 def assert_agrees_with_reference(d):
     new = stringy._assemble(d)
+    assert_rows_are_the_split(new)
     for grouped in (rowwise_reference_assemble(d), grouped_reference_assemble(d)):
         assert new.numerator.terms == grouped.numerator.terms
         assert new.denominator.factors == grouped.denominator.factors
@@ -276,6 +285,74 @@ class TestPackedRows:
         assert_agrees_with_reference(d)
 
 
+def full_simplex(rng, n, k):
+    """Shaped like the bench's simplex pool: k components with discrepancies
+    1, 2, 3 dealt out in turn, and every subset of at most n of them a stratum."""
+    ids = [f"E{i}" for i in range(k)]
+    discrepancies = [1 + i % 3 for i in range(k)]
+    rng.shuffle(discrepancies)
+    strata = {(): random_pd_diamond(rng, n, connected=True)}
+    for size in range(1, n + 1):
+        for J in itertools.combinations(ids, size):
+            strata[J] = random_pd_diamond(rng, n - size)
+    return ResolutionDescriptor(n, tuple(zip(ids, discrepancies)), strata, f"simplex {n} {k}")
+
+
+class TestDiagonalRows:
+    """E_st's rows come out of the packed assembly, one per diagonal; the
+    references above check the same on random descriptors, unvalidated
+    controls with a = -1 and a = 0, and long chains."""
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
+    def test_corpus(self, path):
+        assert_rows_are_the_split(stringy._assemble(load_bundle(str(path)).descriptor))
+
+    @pytest.mark.parametrize("n, k", [(3, 8), (3, 10), (4, 8), (4, 10)])
+    def test_simplex_pool_shapes(self, n, k):
+        assert_rows_are_the_split(stringy._assemble(full_simplex(random.Random(f"{n} {k}"), n, k)))
+
+    def test_large_discrepancies_are_exact(self):
+        # a threefold with a = 10^4 and 10^4 + 1 against Batyrev's sum written
+        # out over the two factors; each diagonal spans 2 * 10^4 + 4 digits
+        ma, mb = 10**4 + 1, 10**4 + 2
+        y = BivariatePoly({(0, 0): 1, (1, 1): 3, (2, 1): -2, (1, 2): -2, (2, 2): 3, (3, 3): 1})
+        surface = BivariatePoly(
+            {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 2, (2, 1): -1, (1, 2): -1, (2, 2): 1}
+        )
+        line = BivariatePoly({(0, 0): 1, (1, 1): 1})
+        d = ResolutionDescriptor(
+            3,
+            (("A", ma - 1), ("B", mb - 1)),
+            {
+                (): HodgeDiamond(3, {(0, 0): 1, (1, 1): 3, (2, 1): 2, (1, 2): 2, (2, 2): 3,
+                                     (3, 3): 1}),
+                ("A",): HodgeDiamond(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1,
+                                         (1, 2): 1, (2, 2): 1}),
+                ("B",): HodgeDiamond(2, {(0, 0): 1, (1, 1): 1, (2, 2): 1}),
+                ("A", "B"): HodgeDiamond(1, {(0, 0): 1, (1, 1): 1}),
+            },
+        )
+        assert not d.validate() and d.strata_pd_consistent()
+
+        def w(*terms):  # sum of c * (uv)^e over the (e, c)
+            return BivariatePoly({(e, e): c for e, c in terms})
+
+        plane = BivariatePoly({(0, 0): 1, (1, 1): 1, (2, 2): 1})
+        numerator = (
+            y * w((ma, 1), (0, -1)) * w((mb, 1), (0, -1))
+            + surface * w((1, 1), (ma, -1)) * w((mb, 1), (0, -1))
+            + plane * w((1, 1), (mb, -1)) * w((ma, 1), (0, -1))
+            + line * w((1, 1), (ma, -1)) * w((1, 1), (mb, -1))
+        )
+        by_hand = StringyFunction(numerator, DenominatorSpec((ma, mb)))
+        f = stringy._assemble(d)
+        assert f.denominator == by_hand.denominator
+        assert f.numerator == by_hand.numerator
+        assert_rows_are_the_split(f)
+        assert exact_divide_test(f) == exact_divide_test(by_hand)
+        assert f.series_coefficients(8) == by_hand.series_coefficients(8)
+
+
 class TestOncePerDescriptor:
     def test_conjecture_report_validates_loaded_descriptor_once(self, corpus, count_calls):
         calls = count_calls(ResolutionDescriptor, "validate")
@@ -316,12 +393,16 @@ class TestOncePerDescriptor:
          "chain_snc.json"],
     )
     def test_cli_compute_splits_e_st_into_diagonals_once(self, name, corpus, capsys, count_calls):
-        # the series and the exact division share one split of the numerator:
-        # count the computations behind the cached _slices
+        # the assembly unpacks each diagonal once and hands the rows on, so the
+        # series and the exact division read them and the numerator is never
+        # split: count the unpacks and the computations behind the cached _slices
         splits = count_calls(polyalg.StringyFunction.__dict__["_slices"], "func")
-        assert main(["compute", str(corpus / name)]) == 0
-        capsys.readouterr()
-        assert splits["func"] == 1
+        unpacks = count_calls(stringy, "_unpack")
+        assert main(["compute", str(corpus / name), "--format", "machine"]) == 0
+        numerator = json.loads(capsys.readouterr().out)["e_function"]["numerator"]
+        diagonals = {int(p) - int(q) for p, q in (key.split(",") for key in numerator)}
+        assert splits["func"] == 0
+        assert unpacks["_unpack"] == len(diagonals) > 0
 
     def test_level_sums_computed_once(self, count_calls):
         d = ResolutionDescriptor(
@@ -381,6 +462,44 @@ class TestDualityRecord:
         )
         # the record is the first failing stratum itself, for a verdict to name
         assert d._pd_failure == (failing[0] if failing else None)
+
+    @pytest.mark.parametrize("validated", [False, True])
+    def test_record_is_a_stratum_only_validate_rejects(self, validated):
+        # h^{1,1} = -1 on a surface keeps conjugation and duality, so only
+        # validate()'s own record makes D_E fail; D_F, later, breaks duality
+        d = ResolutionDescriptor(
+            3,
+            (("E", 1), ("F", 1)),
+            {
+                (): diag(1, 2, 2, 1),
+                ("E",): diag(1, -1, 1),
+                ("F",): HodgeDiamond(2, {(0, 0): 1, (1, 1): 1}),
+            },
+        )
+        if validated:
+            assert d.validate() == ["stratum ('E',): negative entry h^{1,1} = -1"]
+        assert not hodge.validate(d.strata[("F",)]) and hodge._duality_problems(d.strata[("F",)])
+        assert d._pd_failure == ("E",)
+        assert check_pd_identity(d) is None
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
+    def test_duality_is_scanned_only_by_the_identity_check(self, path, capsys, count_calls):
+        # check and compare never read the record; compute builds it once, at
+        # most one duality test per stratum, and later reads keep it
+        scans = count_calls(hodge, "_duality_problems")
+        code = main(["check", str(path)])
+        assert main(["compare", str(path), str(path)]) == 0
+        capsys.readouterr()
+        assert code in (0, 1) and scans["_duality_problems"] == 0
+        assert main(["compute", str(path)]) == 0
+        capsys.readouterr()
+        strata = len(json.loads(path.read_text(encoding="utf-8"))["strata"])
+        assert 0 < scans["_duality_problems"] <= strata
+        d = load_bundle(str(path)).descriptor
+        scans.clear()
+        for _ in range(2):
+            check_pd_identity(d)
+        assert 0 < scans["_duality_problems"] <= strata
 
     @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
     def test_cli_compute_validates_each_diamond_once(self, path, capsys, count_calls):
