@@ -4,6 +4,9 @@ Exit codes: 0 on success (and all-nonnegative for `check`), 1 when `check`
 finds a negative stringy Hodge number or `compare` finds a mismatch, 2 on
 input or validation errors, 3 when a closed form disagrees with the series
 expansion (a defect of the library, reported on one line).
+
+`--max-degree` bounds the expansion of `compute` and `check` only; `compare`
+finds the first mismatch exactly, with no bound (`first_coefficient_difference`).
 """
 
 from __future__ import annotations
@@ -22,10 +25,8 @@ from .stringy import (
     check_pd_identity,
     check_polynomial_consequences,
     check_symmetry,
-    crepant_compare,
     first_coefficient_difference,
     stringy_hodge_table,
-    _compare_bound,
 )
 
 EXPANSION_NOTE = "series expansion taken at the origin (u = v = 0)"
@@ -171,11 +172,10 @@ def cmd_defect(args) -> int:
 def cmd_compare(args) -> int:
     d1 = load_bundle(args.path_a).descriptor
     d2 = load_bundle(args.path_b).descriptor
-    equal = crepant_compare(d1, d2)
-    diff = None if equal else first_coefficient_difference(d1, d2, args.max_degree)
+    diff = first_coefficient_difference(d1, d2)
     doc = {
         "labels": [d1.label, d2.label],
-        "equal": equal,
+        "equal": diff is None,
         "first_difference": (
             None
             if diff is None
@@ -186,11 +186,6 @@ def cmd_compare(args) -> int:
     def render(doc):
         if doc["equal"]:
             print("stringy E-functions are EQUAL (exact rational-function identity)")
-        elif doc["first_difference"] is None:
-            print(
-                "stringy E-functions DIFFER, but their expansions agree "
-                f"up to p+q <= {_compare_bound(d1, d2, args.max_degree)}"
-            )
         else:
             d = doc["first_difference"]
             print(
@@ -199,7 +194,7 @@ def cmd_compare(args) -> int:
             )
 
     _emit(doc, args.format, render)
-    return 0 if equal else 1
+    return 0 if diff is None else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,28 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, max_degree_help=None):
-        if max_degree_help:
-            p.add_argument("--max-degree", type=int, default=None, help=max_degree_help)
+    for command, paths, bounded, help_text in (
+        ("compute", ("path",), True, "full stringy report for one descriptor"),
+        ("check", ("path",), True, "nonnegativity verdicts (exit 1 on a negative)"),
+        ("defect", ("path",), False, "per-point local defect table"),
+        ("compare", ("path_a", "path_b"), False,
+         "exact equality of two stringy E-functions, and their first mismatch"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        for name in paths:
+            p.add_argument(name)
+        if bounded:
+            p.add_argument("--max-degree", type=int, default=None,
+                           help="expansion bound on p+q (default 2*dim)")
         p.add_argument("--format", choices=("text", "machine"), default="text")
-
-    p = sub.add_parser("compute", help="full stringy report for one descriptor")
-    p.add_argument("path")
-    add_common(p, "expansion bound on p+q (default 2*dim)")
-
-    p = sub.add_parser("check", help="nonnegativity verdicts (exit 1 on a negative)")
-    p.add_argument("path")
-    add_common(p, "expansion bound on p+q (default 2*dim)")
-
-    p = sub.add_parser("defect", help="per-point local defect table")
-    p.add_argument("path")
-    add_common(p)
-
-    p = sub.add_parser("compare", help="exact equality of two stringy E-functions")
-    p.add_argument("path_a")
-    p.add_argument("path_b")
-    add_common(p, "bound on p+q for locating the first mismatch (default 2*dim+2); "
-                  "equality is decided exactly")
     return parser
 
 

@@ -279,4 +279,8 @@ def load_bundle(path: str) -> DescriptorBundle:
         raise DescriptorFileError(path, f"not valid UTF-8: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise DescriptorFileError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg)
+    except DescriptorFileError:  # from _unique_keys, a ValueError like the two above
+        raise
+    except (ValueError, RecursionError) as exc:  # a too long integer literal, deep nesting
+        raise DescriptorFileError(path, f"cannot parse: {exc}")
     return parse_bundle(doc, location=path)

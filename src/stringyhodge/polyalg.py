@@ -192,20 +192,23 @@ class DenominatorSpec:
 class StringyFunction:
     """numerator / prod_j ((uv)^{m_j} - 1), kept unreduced.
 
-    Equality brings both sides to the union of the two denominators,
-    each numerator multiplied by its own cofactor only; no GCDs are taken.
-    Equal denominators are compared numerator to numerator.
+    Equality brings both sides to the union of the two denominators (see
+    `_lifted`); equal denominators are compared numerator to numerator.
     """
 
     numerator: BivariatePoly
     denominator: DenominatorSpec = field(default_factory=DenominatorSpec)
 
-    def _lift(self, common: DenominatorSpec) -> BivariatePoly:
-        """The numerator over common, a denominator that self's divides."""
-        cofactor = common.cofactor(self.denominator)
-        if not cofactor.factors:
-            return self.numerator
-        return self.numerator * _spread({(0, 0): cofactor.expand()})
+    def _lifted(self, other: "StringyFunction") -> List[BivariatePoly]:
+        """Both numerators over D, the union of the two denominators, each
+        multiplied by its own cofactor only; no GCDs are taken."""
+        common = self.denominator.union(other.denominator)
+        lifts = []
+        for f in (self, other):
+            cofactor = common.cofactor(f.denominator)
+            lifts.append(f.numerator * _spread({(0, 0): cofactor.expand()})
+                         if cofactor.factors else f.numerator)
+        return lifts
 
     @classmethod
     def _from_rows(cls, rows: Dict[Tuple[int, int], List[int]],
@@ -217,8 +220,9 @@ class StringyFunction:
         return f
 
     def equals(self, other: "StringyFunction") -> bool:
-        common = self.denominator.union(other.denominator)
-        return self._lift(common) == other._lift(common)
+        """Whether self - other = M / D is 0, M being the lifted numerators' difference."""
+        a, b = self._lifted(other)
+        return a == b
 
     @cached_property
     def _slices(self) -> Dict[Tuple[int, int], List[int]]:

@@ -388,31 +388,29 @@ def h22st_fourfold(d: ResolutionDescriptor) -> int:
 
 def crepant_compare(d1: ResolutionDescriptor, d2: ResolutionDescriptor) -> bool:
     """Whether two descriptors yield the same stringy E-function, exactly."""
-    if d1.n != d2.n:
-        raise DescriptorError(f"dimension mismatch: {d1.n} vs {d2.n}")
-    return stringy_e(d1).equals(stringy_e(d2))
-
-
-def _compare_bound(d1: ResolutionDescriptor, d2: ResolutionDescriptor,
-                   bound: Optional[int]) -> int:
-    """The bound on p+q that first_coefficient_difference searches: 2*max(n)+2 by default."""
-    return 2 * max(d1.n, d2.n) + 2 if bound is None else bound
+    return first_coefficient_difference(d1, d2) is None
 
 
 def first_coefficient_difference(
-    d1: ResolutionDescriptor, d2: ResolutionDescriptor, bound: Optional[int] = None
+    d1: ResolutionDescriptor, d2: ResolutionDescriptor
 ) -> Optional[Tuple[int, int, int, int]]:
-    """First (p,q) in total-degree order where the expansions differ.
+    """(p, q, b1, b2) at the first (p,q) in the order (p+q, (p,q)) where the
+    expansions differ, or None when the E-functions are equal.
 
-    Returns (p, q, b1, b2) or None when all coefficients up to the bound agree.
+    Over D, the union of the two denominators, E_st(d1) - E_st(d2) = M / D
+    with M the difference of the lifted numerators.  D is a polynomial in
+    w = uv with constant term +-1, so along each diagonal the expansion of
+    M / D starts at M's lowest term, times +-1: the first mismatch is M's
+    least term, found with no bound.  b1 and b2 are read up to p + q.
     """
-    bound = _compare_bound(d1, d2, bound)
-    if bound < 0:
-        raise ValueError("expansion bound must be nonnegative")
-    c1 = stringy_e(d1).series_coefficients(bound)
-    c2 = stringy_e(d2).series_coefficients(bound)
-    keys = sorted(set(c1) | set(c2), key=lambda t: (t[0] + t[1], t))
-    for key in keys:
-        if c1.get(key, 0) != c2.get(key, 0):
-            return (key[0], key[1], c1.get(key, 0), c2.get(key, 0))
-    return None
+    if d1.n != d2.n:
+        raise DescriptorError(f"dimension mismatch: {d1.n} vs {d2.n}")
+    f1, f2 = stringy_e(d1), stringy_e(d2)
+    m1, m2 = f1._lifted(f2)
+    if m1 == m2:
+        return None
+    t1, t2 = m1.terms, m2.terms
+    p, q = min((k for k in t1.keys() | t2.keys() if t1.get(k, 0) != t2.get(k, 0)),
+               key=lambda k: (k[0] + k[1], k))
+    b1, b2 = (f.series_coefficients(p + q).get((p, q), 0) for f in (f1, f2))
+    return p, q, b1, b2

@@ -191,27 +191,8 @@ class TestCompare:
         assert code == 2
         assert "dimension mismatch" in err
 
-    def test_max_degree_bounds_the_search_not_the_verdict(self, corpus, capsys):
-        paths = (
-            str(corpus / "node3fold_wrong_discrepancy.json"),
-            str(corpus / "node3fold_small.json"),
-        )
-        code, out, _ = run(capsys, "compare", *paths, "--max-degree", "1",
-                           "--format", "machine")
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["equal"] is False and doc["first_difference"] is None
-        code, out, _ = run(capsys, "compare", *paths, "--max-degree", "1")
-        assert code == 1
-        assert "agree up to p+q <= 1" in out
-        code, out, _ = run(capsys, "compare", *paths, "--max-degree", "4",
-                           "--format", "machine")
-        assert code == 1
-        diff = json.loads(out)["first_difference"]
-        assert (diff["p"], diff["q"]) == (2, 2)
-
-    def test_text_names_the_default_bound_searched(self, tmp_path, capsys):
-        # E_st differs only from u^6 v^6 on, one past the default bound 2*2+2
+    def test_text_names_a_mismatch_past_twice_the_dimension(self, tmp_path, capsys):
+        # E_st differs only from u^6 v^6 on, past 2*2+2; no bound hides it
         paths = []
         for a in (5, 6):
             doc = {"dim": 2, "components": [{"id": "E", "discrepancy": a}],
@@ -220,26 +201,25 @@ class TestCompare:
             paths[-1].write_text(json.dumps(doc), encoding="utf-8")
         code, out, _ = run(capsys, "compare", *map(str, paths))
         assert code == 1
-        assert out == ("stringy E-functions DIFFER, but their expansions agree "
-                       "up to p+q <= 6\n")
-        code, out, _ = run(capsys, "compare", *map(str, paths), "--max-degree", "20")
-        assert "first mismatch at u^6 v^6" in out
+        assert out == "stringy E-functions DIFFER: first mismatch at u^6 v^6 (1 vs 0)\n"
 
-    def test_negative_max_degree_is_input_error(self, corpus, capsys):
-        # like compute and check; equal E-functions never read the bound
-        differing = (str(corpus / "node3fold_wrong_discrepancy.json"),
-                     str(corpus / "node3fold_small.json"))
-        code, out, err = run(capsys, "compare", *differing, "--max-degree", "-1")
-        assert code == 2 and not out
-        assert "expansion bound must be nonnegative" in err
-        equal = (str(corpus / "node3fold_blowup.json"), str(corpus / "node3fold_small.json"))
-        assert run(capsys, "compare", *equal, "--max-degree", "-1")[0] == 0
+
+@pytest.mark.parametrize("command", ["compute", "check"])
+def test_negative_max_degree_is_input_error(command, corpus, capsys):
+    code, out, err = run(capsys, command, str(corpus / "node3fold_small.json"),
+                         "--max-degree", "-1")
+    assert code == 2 and not out
+    assert "expansion bound must be nonnegative" in err
 
 
 class TestDefectFlags:
-    def test_max_degree_not_accepted(self, corpus, capsys):
+    @pytest.mark.parametrize("command, paths", [
+        ("defect", ["fiber_node.json"]),
+        ("compare", ["node3fold_wrong_discrepancy.json", "node3fold_small.json"]),
+    ], ids=["defect", "compare"])
+    def test_max_degree_not_accepted(self, command, paths, corpus, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["defect", str(corpus / "fiber_node.json"), "--max-degree", "3"])
+            main([command, *(str(corpus / f) for f in paths), "--max-degree", "3"])
         assert exc.value.code == 2
         assert "--max-degree" in capsys.readouterr().err
 

@@ -125,6 +125,34 @@ def test_json_syntax_error_reports_location(tmp_path):
     assert "broken.json:1" in str(err.value)
 
 
+@pytest.mark.parametrize("command", ["compute", "check"])
+def test_deeply_nested_file_exits_2_at_the_file(command, tmp_path, capsys):
+    # json.load raises RecursionError, not a ValueError; for `check` exit 1
+    # would read as a negative verdict
+    from stringyhodge.cli import main
+
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: cannot parse: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer literals in this Python")
+def test_integer_literal_past_the_digit_limit_exits_2_at_the_file(tmp_path, capsys):
+    from stringyhodge.cli import main
+
+    path = tmp_path / "long.json"
+    digits = sys.get_int_max_str_digits() + 1
+    path.write_text('{"dim": ' + "1" * digits + "}", encoding="utf-8")
+    assert main(["compute", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: cannot parse: Exceeds the limit")
+
+
 def test_downward_closure_enforced():
     doc = {
         "dim": 3,
@@ -416,18 +444,30 @@ FIBER = {"point": "x", "components": [{"id": "F1", "discrepancy": 1, "diamond": 
                                       {"id": "F2", "discrepancy": 1, "diamond": P2}]}
 
 
+def _fiber_doc(**fiber):
+    return {"dim": 3, "strata": {"": P3}, "fibers": [{**FIBER, **fiber}]}
+
+
 @pytest.mark.parametrize(
-    "counts, message",
+    "doc, location, message",
     [
-        ({"F1,F2,F3": 1}, "malformed intersection pair ('F1', 'F2', 'F3')"),
-        ({"F1,F2": -1}, "negative intersection count for pair ('F1', 'F2')"),
+        (_fiber_doc(pairwise_counts={"F1,F2,F3": 1}), ".fibers[0]",
+         "malformed intersection pair ('F1', 'F2', 'F3')"),
+        (_fiber_doc(pairwise_counts={"F1,F2": -1}), ".fibers[0]",
+         "negative intersection count for pair ('F1', 'F2')"),
+        (_fiber_doc(components=[FIBER["components"][0]] * 2), ".fibers[0]",
+         "duplicate fiber component ids"),
+        (_fiber_doc(components=[{"id": "F1", "discrepancy": -1, "diamond": P2}]), ".fibers[0]",
+         "component 'F1' has negative discrepancy"),
+        ({"dim": 3, "components": [TWO_PLANES[0]] * 2, "strata": {"": P3, "A": P2}}, "",
+         "duplicate component ids"),
     ],
-    ids=["pair of three ids", "negative count"],
+    ids=["pair of three ids", "negative count", "fiber ids repeated",
+         "fiber negative discrepancy", "component ids repeated"],
 )
-def test_fiber_rules_are_reported_at_the_fiber(counts, message, tmp_path, capsys):
+def test_validate_rules_are_reported_at_their_block(doc, location, message, tmp_path, capsys):
     # the loader checks types and spelling; the rest is left to validate
-    doc = {"dim": 3, "strata": {"": P3}, "fibers": [{**FIBER, "pairwise_counts": counts}]}
-    assert _exit_2_at(doc, ".fibers[0]", tmp_path, capsys) == message + "\n"
+    assert _exit_2_at(doc, location, tmp_path, capsys) == message + "\n"
 
 
 def _compute_in_the_c_locale(path, fmt="machine"):

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringyhodge import (
     BivariatePoly,
@@ -21,7 +22,8 @@ from stringyhodge import (
     stringy_e,
     stringy_hodge_table,
 )
-from conftest import descriptors, diag
+from stringyhodge.stringy import first_coefficient_difference
+from conftest import cross_multiplied_equal, descriptors, diag
 
 
 @pytest.fixture
@@ -291,6 +293,54 @@ class TestCrepantCompare:
         p2 = ResolutionDescriptor(2, (), {(): projective_space(2)}, "P2")
         with pytest.raises(DescriptorError):
             crepant_compare(node, p2)
+
+
+def assert_first_mismatch(d1, d2):
+    """The reported mismatch, checked against the two expansions alone: they
+    agree before it in the order (p+q, (p,q)), differ at it, and hold the
+    reported values there; None only when the functions cross-multiply equal."""
+    f1, f2 = stringy_e(d1), stringy_e(d2)
+    diff = first_coefficient_difference(d1, d2)
+    if diff is None:
+        assert cross_multiplied_equal(f1, f2)
+        return
+    p, q, b1, b2 = diff
+    c1, c2 = f1.series_coefficients(p + q), f2.series_coefficients(p + q)
+    for key in sorted(c1.keys() | c2.keys(), key=lambda k: (k[0] + k[1], k)):
+        if key == (p, q):
+            break
+        assert c1.get(key, 0) == c2.get(key, 0), key
+    assert (c1.get((p, q), 0), c2.get((p, q), 0)) == (b1, b2)
+    assert b1 != b2
+
+
+def exceptional_curve(a):
+    """A surface resolved by one P^1 of discrepancy a."""
+    return ResolutionDescriptor(2, (("E", a),), {(): diag(1, 2, 1), ("E",): diag(1, 1)})
+
+
+def exceptional_quadric(a):
+    """A threefold resolved by one quadric surface of discrepancy a."""
+    return ResolutionDescriptor(3, (("E", a),), {(): diag(1, 3, 3, 1), ("E",): quadric_surface()})
+
+
+class TestFirstMismatch:
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_agrees_with_the_expansions(self, data):
+        d1 = data.draw(descriptors())
+        d2 = data.draw(descriptors().filter(lambda d: d.n == d1.n))
+        assert_first_mismatch(d1, d2)
+        assert_first_mismatch(d2, d1)
+        assert first_coefficient_difference(d1, d1) is None
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 40, 1000])
+    @pytest.mark.parametrize("family", [exceptional_curve, exceptional_quadric])
+    def test_found_past_twice_the_dimension(self, family, k):
+        # a = k and a = k + 1 first differ at u^(k+1) v^(k+1); for k >= 5 that
+        # is past p + q = 2n + 2, a bound that follows from the dimension alone
+        assert first_coefficient_difference(family(k), family(k + 1))[:2] == (k + 1, k + 1)
+        assert_first_mismatch(family(k), family(k + 1))
 
 
 class TestClosedFormExpansionEquivalence:
