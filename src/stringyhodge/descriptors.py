@@ -94,10 +94,12 @@ def _parse_diamond(obj, dim: int, location: str,
 def _parse_component(comp, loc: str) -> Tuple[str, int]:
     """The id and discrepancy of one component object."""
     _expect(isinstance(comp, dict), loc, "component must be an object")
-    _expect(isinstance(comp.get("id"), str), f"{loc}.id", "id must be a string")
+    cid = comp.get("id")  # stratum keys and fiber pairs join ids with ","; "" alone is Y
+    _expect(isinstance(cid, str) and cid != "" and "," not in cid, f"{loc}.id",
+            'id must be a nonempty string without ","')
     _expect(type(comp.get("discrepancy")) is int, f"{loc}.discrepancy",
             "discrepancy must be an integer")
-    return comp["id"], comp["discrepancy"]
+    return cid, comp["discrepancy"]
 
 
 def _parse_fraction(obj, location: str) -> Fraction:
@@ -229,8 +231,10 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     strata: Dict[Tuple[str, ...], HodgeDiamond] = {}
     keys: Dict[str, Tuple[int, int]] = {}  # sparse "p,q" keys, shared by every diamond
     for key, value in strata_doc.items():
-        subset = tuple(sorted(filter(None, key.split(","))))
+        subset = tuple(sorted(key.split(","))) if key else ()
         try:  # paths below the stratum come back relative, and are rooted only to raise
+            if subset and not subset[0]:  # an empty id sorts first
+                raise DescriptorFileError("", 'names an empty id; only the key "" names Y')
             _expect(subset not in strata, "", "repeats an earlier stratum")
             strata[subset] = _parse_diamond(value, dim - len(subset), "", keys)
         except DescriptorFileError as exc:

@@ -8,9 +8,9 @@ in one form: a row, the dense list of w-coefficients keyed by its lowest
 monomial (p, q), whose entry k is the coefficient of u^{p+k} v^{q+k}.
 One recurrence on rows serves expansion and exact division:
 1/(w^m - 1) = -sum_k w^{km}, i.e. q = p/(w^m - 1) has q_k = q_{k-m} - p_k.
-The assembly builds its rows Kronecker-packed, w = 2^b with b a multiple
-of 8, and `_unpack` turns each diagonal into a list once; those are the
-rows of the function it returns.  No floating point appears anywhere;
+Sums of products of binomials w^e - 1, E_st's numerator among them, are
+built in `_binomial_sum` alone, Kronecker-packed with w = 2^b, and read
+off one row per diagonal.  No floating point appears anywhere;
 coefficients are Python ints.
 """
 
@@ -22,11 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-def _times(p: List[int], m: int) -> List[int]:
-    """Coefficients of p * (w^m - 1)."""
-    return [x - y for x, y in zip([0] * m + p, p + [0] * m)]
-
 
 def _over(p: Sequence[int], factors: Sequence[int], length: int) -> List[int]:
     """The first `length` series coefficients of p / prod (w^m - 1) at w = 0.
@@ -175,13 +170,6 @@ class DenominatorSpec:
         counts = Counter(self.factors) - Counter(sub.factors)
         return DenominatorSpec(tuple(counts.elements()))
 
-    def expand(self) -> List[int]:
-        """Coefficients of prod (w^m - 1), lowest degree first."""
-        out = [1]
-        for m in self.factors:
-            out = _times(out, m)
-        return out
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
@@ -200,24 +188,16 @@ class StringyFunction:
     denominator: DenominatorSpec = field(default_factory=DenominatorSpec)
 
     def _lifted(self, other: "StringyFunction") -> List[BivariatePoly]:
-        """Both numerators over D, the union of the two denominators, each
-        multiplied by its own cofactor only; no GCDs are taken."""
+        """Both numerators over D, the union of the two denominators, each times
+        its own cofactor's binomials w^m - 1 one by one; no GCDs are taken."""
         common = self.denominator.union(other.denominator)
         lifts = []
         for f in (self, other):
-            cofactor = common.cofactor(f.denominator)
-            lifts.append(f.numerator * _spread({(0, 0): cofactor.expand()})
-                         if cofactor.factors else f.numerator)
+            lift = f.numerator
+            for m in common.cofactor(f.denominator).factors:
+                lift = lift * BivariatePoly({(m, m): 1, (0, 0): -1})
+            lifts.append(lift)
         return lifts
-
-    @classmethod
-    def _from_rows(cls, rows: Dict[Tuple[int, int], List[int]],
-                   denominator: DenominatorSpec) -> "StringyFunction":
-        """numerator `_spread(rows)` over denominator, keeping the rows, which
-        are in the form of `_slices`, as its `_slices`."""
-        f = cls(_spread(rows), denominator)
-        object.__setattr__(f, "_slices", rows)
-        return f
 
     def equals(self, other: "StringyFunction") -> bool:
         """Whether self - other = M / D is 0, M being the lifted numerators' difference."""
@@ -228,7 +208,7 @@ class StringyFunction:
     def _slices(self) -> Dict[Tuple[int, int], List[int]]:
         """The numerator as one row per diagonal, keyed by its lowest monomial,
         with nonzero first and last entries; split once per function, and
-        never for one built by `_from_rows`."""
+        never for one built by `_binomial_sum`."""
         rows: Dict[int, Tuple[Tuple[int, int], List[int]]] = {}
         for (a, b), c in sorted(self.numerator.terms.items()):
             (p, _), row = rows.setdefault(a - b, ((a, b), []))
@@ -252,6 +232,46 @@ class StringyFunction:
         if not self.denominator.factors:
             return str(self.numerator)
         return f"({self.numerator}) / ({self.denominator})"
+
+
+def _binomial_sum(products: Sequence[Tuple[Mapping[Tuple[int, int], int], Sequence[int], int]],
+                  denominator: DenominatorSpec) -> StringyFunction:
+    """sum terms * w^shift * prod (w^e - 1) over the (terms, exponents, shift)
+    of `products`, over denominator, with its rows kept as its `_slices`.
+
+    Kronecker-packed: w becomes 2^b, a row the one integer sum c_k 2^{bk},
+    and w^e - 1 the shift-and-subtract F << be - F.  The rows of a diagonal
+    are merged, row (p, q) shifted by b(p - p0) from the lowest (p0, q0).
+    A product of k binomials has coefficients at most 2^k in size, so b holds
+    the sum of sum |c| * 2^k over the products.  Each diagonal is unpacked
+    once, without its zero ends; the numerator is never split back into rows.
+    """
+    size = _digit_bytes(sum(sum(map(abs, terms.values())) << len(exponents)
+                            for terms, exponents, _ in products))
+    b = 8 * size
+    packed: Dict[Tuple[int, int], int] = {}  # (p, q) -> the packed row of u^{p+k} v^{q+k}
+    for terms, exponents, shift in products:
+        factor = 1
+        for e in exponents:
+            factor = (factor << b * e) - factor
+        factor <<= b * shift
+        for pq, c in terms.items():
+            packed[pq] = packed.get(pq, 0) + c * factor
+    diagonals: Dict[int, Tuple[int, int]] = {}  # p - q -> its lowest p, its rows merged
+    for (p, q), row in sorted(packed.items()):
+        p0, merged = diagonals.get(p - q, (p, 0))
+        diagonals[p - q] = p0, merged + (row << b * (p - p0))
+    rows: Dict[Tuple[int, int], List[int]] = {}
+    for diagonal, (p, row) in diagonals.items():
+        if row:
+            k = ((row & -row).bit_length() - 1) // b  # zero digits below the first nonzero one
+            row >>= b * k
+            # every digit is below 2^(b-1) in size, so with digit h the last
+            # nonzero one |row| lies in (2^(bh-1), 2^(bh+b-1)): bh to bh+b-1 bits
+            rows[p + k, p + k - diagonal] = _unpack(row, size, abs(row).bit_length() // b + 1)
+    f = StringyFunction(_spread(rows), denominator)
+    object.__setattr__(f, "_slices", rows)
+    return f
 
 
 def exact_divide_test(f: StringyFunction) -> Optional[BivariatePoly]:

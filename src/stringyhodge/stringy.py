@@ -21,8 +21,7 @@ from .polyalg import (
     BivariatePoly,
     DenominatorSpec,
     StringyFunction,
-    _digit_bytes,
-    _unpack,
+    _binomial_sum,
     exact_divide_test,
 )
 
@@ -177,17 +176,8 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     (w^{m-1} - 1).  Components with a < 1 give no denominator factor; a = 0
     makes the numerator factor w - w vanish, so its strata are skipped.
 
-    Rows are accumulated Kronecker-packed: w becomes 2^b, a row the one
-    integer sum c_k 2^{bk}, and a factor (w^e - 1) the shift-and-subtract
-    F << be - F, so the inner loops run in the integer arithmetic.  The rows
-    of one diagonal are merged into one integer, row (p, q) shifted by
-    b(p - p0) from the lowest (p0, q0) of the diagonal.  A group factor is a
-    product of len(common) binomials w^e - 1 times a monomial, so its
-    coefficients are at most 2^len(common) in size, and every digit of a
-    diagonal at most that times the sum of |h| over the groups; b is wide
-    enough for that bound.  Each diagonal is unpacked once, without its zero
-    ends, and these rows become the function's `_slices`: its numerator is
-    never split back into them.
+    `polyalg._binomial_sum` forms the sum of these products, with the sign
+    (-1)^{|sig|} put into each group's E-terms.
     """
     m_of = {cid: a + 1 for cid, a in d.components}
     groups: Dict[Tuple[int, ...], HodgeDiamond] = {}
@@ -207,37 +197,15 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
         for m in set(signature):
             need[m] = max(need.get(m, 0), signature.count(m))
     common = DenominatorSpec(tuple(m for m, k in need.items() for _ in range(k)))
-    e_terms = {sig: hodge.e_polynomial(h_sum, check=False).terms for sig, h_sum in groups.items()}
-    size = _digit_bytes(
-        sum(abs(c) for terms in e_terms.values() for c in terms.values()) << len(common.factors)
-    )
-    b = 8 * size
-    packed: Dict[Tuple[int, int], int] = {}  # (p, q) -> the packed row of u^{p+k} v^{q+k}
-    for signature, terms in e_terms.items():
-        factor = 1
-        for m, k in need.items():
-            for _ in range(k - signature.count(m)):
-                factor = (factor << b * m) - factor
-        for m in signature:
-            factor = (factor << b * (m - 1)) - factor
-        factor <<= b * len(signature)
+    products = []
+    for signature, h_sum in groups.items():
+        terms = hodge.e_polynomial(h_sum, check=False).terms
         if len(signature) % 2:
-            factor = -factor
-        for pq, c in terms.items():
-            packed[pq] = packed.get(pq, 0) + c * factor
-    diagonals: Dict[int, Tuple[int, int]] = {}  # p - q -> its lowest p, its rows merged
-    for (p, q), row in sorted(packed.items()):
-        p0, merged = diagonals.get(p - q, (p, 0))
-        diagonals[p - q] = p0, merged + (row << b * (p - p0))
-    rows: Dict[Tuple[int, int], List[int]] = {}
-    for diagonal, (p, row) in diagonals.items():
-        if row:
-            k = ((row & -row).bit_length() - 1) // b  # zero digits below the first nonzero one
-            row >>= b * k
-            # every digit is below 2^(b-1) in size, so with digit h the last
-            # nonzero one |row| lies in (2^(bh-1), 2^(bh+b-1)): bh to bh+b-1 bits
-            rows[p + k, p + k - diagonal] = _unpack(row, size, abs(row).bit_length() // b + 1)
-    return StringyFunction._from_rows(rows, common)
+            terms = {pq: -c for pq, c in terms.items()}
+        exponents = [m for m, k in need.items() for _ in range(k - signature.count(m))]
+        exponents += [m - 1 for m in signature]
+        products.append((terms, exponents, len(signature)))
+    return _binomial_sum(products, common)
 
 
 def stringy_e(d: ResolutionDescriptor) -> StringyFunction:

@@ -371,7 +371,6 @@ TWO_PLANES = [{"id": "A", "discrepancy": 1}, {"id": "B", "discrepancy": 1}]
         ({"dim": 3, "components": TWO_PLANES, "strata": {
             "": P3, "A": P2, "B": P2, "A,B": {"0,0": 1, "1,1": 1}, "B,A": {"0,0": 1, "1,1": 2}}},
          ".strata['B,A']"),
-        ({"dim": 3, "strata": {"": P3, ",": P3}}, ".strata[',']"),
         ({"dim": 3, "strata": {"": {**P3, "01,1": 7}}}, ".strata['']['01,1']"),
         ({"dim": 3, "strata": {"": {**P3, "1,2": 0, "1,02": 1}}}, ".strata['']['1,02']"),
         ({"dim": 3, "strata": {"": P3}, "snc": {"levels": {"1": [], "01": []}}},
@@ -384,12 +383,44 @@ TWO_PLANES = [{"id": "A", "discrepancy": 1}, {"id": "B", "discrepancy": 1}]
             "pairwise_counts": {"F1,F2": 1, "F2,F1": 5}}]},
          ".fibers[0].pairwise_counts['F2,F1']"),
     ],
-    ids=["stratum A,B twice", "Y twice", "h11 twice", "h12 twice, first 0", "level 1 twice",
+    ids=["stratum A,B twice", "h11 twice", "h12 twice, first 0", "level 1 twice",
          "user map twice", "fiber pair swapped"],
 )
 def test_repeated_keys_exit_2_at_the_later_key(doc, location, tmp_path, capsys):
     message = _exit_2_at(doc, location, tmp_path, capsys)
     assert message.startswith("repeats an earlier ")
+
+
+ONE_PLANE = [{"id": "E", "discrepancy": 1}]
+EMPTY_ID = 'names an empty id; only the key "" names Y'
+BAD_ID = 'id must be a nonempty string without ","'
+
+
+@pytest.mark.parametrize(
+    "doc, location, message",
+    [
+        ({"dim": 3, "strata": {"": P3, ",": P3}}, ".strata[',']", EMPTY_ID),
+        ({"dim": 3, "components": ONE_PLANE, "strata": {"": P3, "E,": P2}}, ".strata['E,']",
+         EMPTY_ID),
+        ({"dim": 3, "components": ONE_PLANE, "strata": {"": P3, ",E": P2}}, ".strata[',E']",
+         EMPTY_ID),
+        ({"dim": 3, "components": ONE_PLANE, "strata": {"": P3, "E,,": P2}}, ".strata['E,,']",
+         EMPTY_ID),
+        ({"dim": 3, "components": [{"id": "", "discrepancy": 1}], "strata": {"": P3}},
+         ".components[0].id", BAD_ID),
+        ({"dim": 3, "components": [*ONE_PLANE, {"id": "E,F", "discrepancy": 1}],
+          "strata": {"": P3, "E": P2, "E,F": {"2,2": 1}}}, ".components[1].id", BAD_ID),
+        ({"dim": 3, "strata": {"": P3}, "fibers": [
+            {"point": "x", "components": [{"id": "F,1", "discrepancy": 1, "diamond": P2}]}]},
+         ".fibers[0].components[0].id", BAD_ID),
+    ],
+    ids=["Y twice", "trailing comma", "leading comma", "two trailing commas", "empty id",
+         "id with a comma", "fiber id with a comma"],
+)
+def test_empty_or_comma_id_exits_2_at_its_path(doc, location, message, tmp_path,
+                                                 capsys):
+    # each once loaded as another key, Y or E, or was blamed on a later key
+    assert _exit_2_at(doc, location, tmp_path, capsys) == message + "\n"
 
 
 def test_key_written_twice_in_one_object_exits_2(corpus, tmp_path, capsys):
@@ -508,7 +539,11 @@ def test_text_output_escapes_what_the_locale_cannot_encode(tmp_path, capsys):
     assert capsys.readouterr().out == proc.stdout.replace("\\xe4", "\u00e4")
 
 
-MUTANTS = ([], {}, 5, "x", True, None)
+# every JSON type, ids and keys the format cannot spell, rationals that do
+# not parse; integers stay small, since a dim or a discrepancy of 10^6 only
+# asks for a large expansion
+MUTANTS = ([], {}, [[]], [0], [1, 0], {"0,0": 1}, 0, 1, 2, 3, -1, 9, 1.5, True, False, None,
+           "", "x", ",", "E", "0,0", "1/2", "1/0", "E,F", "\u00e9")
 
 
 def _key_paths(node, path=()):
@@ -524,23 +559,56 @@ def _key_paths(node, path=()):
         yield from _key_paths(child, path + (key,))
 
 
+def _mutants(doc):
+    """The document with one edit at a time, undone before the next: every
+    value replaced by each of MUTANTS, or deleted, and every key renamed
+    (reversed, or given a trailing comma where that reads the same) or list
+    entry doubled."""
+    for *route, key in list(_key_paths(doc)):
+        parent = doc
+        for step in route:
+            parent = parent[step]
+        old = parent[key]
+        for value in MUTANTS:
+            parent[key] = value
+            yield doc
+        parent[key] = old
+        if isinstance(parent, dict):
+            items = list(parent.items())
+            new = key[::-1] if key[::-1] != key else key + ","
+            for edit in ([kv for kv in items if kv[0] != key],
+                         [(new if k == key else k, v) for k, v in items]):
+                parent.clear()
+                parent.update(edit)
+                yield doc
+            parent.clear()
+            parent.update(items)
+        else:
+            del parent[key]
+            yield doc
+            parent[key:key] = [old, old]
+            yield doc
+            del parent[key]
+
+
 @pytest.mark.parametrize("name", ALL_CORPUS)
 def test_mutated_corpus_loads_or_reports_its_file(name, corpus, tmp_path, capsys):
-    """Each value of a corpus document, replaced by each JSON type in turn,
-    either loads and `stringy compute` exits 0 on it, or raises
-    DescriptorFileError located at the file; nothing else escapes."""
+    """Each mutant of a corpus document either raises DescriptorFileError
+    located at the file, which `cli.main` reports with exit 2 for every
+    command, or loads; then `compute` exits 0, `check` 0 or 1, and `defect`
+    0 or 1, or 2 for a file with no fibers.  Nothing else escapes."""
     from stringyhodge.cli import main
 
-    doc = json.loads((corpus / name).read_text(encoding="utf-8"))
     path = tmp_path / name
-    for key_path in _key_paths(doc):
-        for value in MUTANTS:
-            mutated = _replaced(doc, key_path, value)
-            try:
-                parse_bundle(mutated, location=str(path))
-            except DescriptorFileError as exc:  # cli.main reports it and exits 2
-                assert exc.location.startswith(str(path)), (key_path, value)
-                continue
-            path.write_text(json.dumps(mutated), encoding="utf-8")
-            assert main(["compute", str(path), "--format", "machine"]) == 0, (
-                key_path, value, capsys.readouterr().err)
+    for mutated in _mutants(json.loads((corpus / name).read_text(encoding="utf-8"))):
+        try:
+            bundle = parse_bundle(mutated, location=str(path))
+        except DescriptorFileError as exc:
+            assert exc.location.startswith(str(path)), mutated
+            continue
+        path.write_text(json.dumps(mutated), encoding="utf-8")
+        expected = {"compute": {0}, "check": {0, 1}, "defect": {0, 1} if bundle.fibers else {2}}
+        for command, codes in expected.items():
+            code = main([command, str(path), "--format", "machine"])
+            assert code in codes, (command, code, mutated, capsys.readouterr().err)
+            capsys.readouterr()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -341,6 +343,23 @@ class TestFirstMismatch:
         # is past p + q = 2n + 2, a bound that follows from the dimension alone
         assert first_coefficient_difference(family(k), family(k + 1))[:2] == (k + 1, k + 1)
         assert_first_mismatch(family(k), family(k + 1))
+
+    def test_lift_is_as_sparse_as_its_factors(self):
+        # each numerator has a handful of terms and its cofactor is one
+        # binomial w^m - 1 with m = 10^5 + 1 or 10^5 + 2: the lift multiplies
+        # by the two terms, never by a dense list of m + 1 coefficients
+        d1, d2 = exceptional_quadric(10**5), exceptional_quadric(10**5 + 1)
+        f1, f2 = stringy_e(d1), stringy_e(d2)
+        tracemalloc.start()
+        try:
+            m1, m2 = f1._lifted(f2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert len(m1.terms) <= 2 * len(f1.numerator.terms)
+        assert len(m2.terms) <= 2 * len(f2.numerator.terms)
+        assert first_coefficient_difference(d1, d2) == (100001, 100001, 1, 0)
 
 
 class TestClosedFormExpansionEquivalence:
