@@ -11,12 +11,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Tuple, Union
 
 from .analysis import ExceptionalFiberDescriptor, FiberComponent
 from .hodge import HodgeDiamond
 from .sncweights import SncComplexData, SncComponent
 from .stringy import ResolutionDescriptor
+
+Rational = Union[int, Fraction]  # an integral rational is kept as an int
+_WIRE = frozenset((int, str))  # the types a rational is written in
 
 
 class DescriptorFileError(ValueError):
@@ -102,29 +106,39 @@ def _parse_component(comp, loc: str) -> Tuple[str, int]:
     return cid, comp["discrepancy"]
 
 
-def _parse_fraction(obj, location: str) -> Fraction:
-    """One rational, written as an integer or a "num/den" string."""
+def _parse_rational(obj, location: str) -> Rational:
+    """One rational, written as an integer or a "num/den" string; an integral
+    one, such as "4/2" or "-1", comes back as an int."""
     if not (type(obj) is int or isinstance(obj, str)):
         raise DescriptorFileError(location, 'rationals must be integers or "num/den" strings')
     try:
-        return Fraction(obj)
+        value = Fraction(obj)
     except (ValueError, ZeroDivisionError) as exc:
         raise DescriptorFileError(location, f"bad rational {obj!r}: {exc}")
+    return value.numerator if value.denominator == 1 else value
 
 
-def _parse_matrix(obj, location: str, rationals: Dict[object, Fraction]) -> List[List[Fraction]]:
-    """Rows of rationals; only an entry not in `rationals` is parsed, with its key path."""
+def _parse_matrix(obj, location: str, rationals: Dict[object, Rational]) -> List[List[Rational]]:
+    """Rows of rationals; only an entry not in `rationals` is parsed, and key
+    paths are spelled out only to raise.
+
+    A row of ints and strings, all met before, is looked up in one pass in
+    C; any other row is read entry by entry.  The type test comes first:
+    True and 1.0 hash like 1, and a list is unhashable.
+    """
     _expect(isinstance(obj, list), location, "matrix must be a list of rows")
     out = []
     for i, row in enumerate(obj):
-        _expect(isinstance(row, list), f"{location}[{i}]", "matrix row must be a list")
-        parsed = []
-        for x in row:
-            # the type test comes first: True hashes like 1, and a list is unhashable
-            value = rationals.get(x) if type(x) is int or isinstance(x, str) else None
-            if value is None:
-                value = rationals[x] = _parse_fraction(x, f"{location}[{i}][{len(parsed)}]")
-            parsed.append(value)
+        if not isinstance(row, list):
+            raise DescriptorFileError(f"{location}[{i}]", "matrix row must be a list")
+        parsed = list(map(rationals.get, row)) if _WIRE.issuperset(map(type, row)) else [None]
+        if None in parsed:
+            parsed = []
+            for x in row:
+                value = rationals.get(x) if type(x) is int or isinstance(x, str) else None
+                if value is None:
+                    value = rationals[x] = _parse_rational(x, f"{location}[{i}][{len(parsed)}]")
+                parsed.append(value)
         out.append(parsed)
     return out
 
@@ -136,49 +150,44 @@ def _parse_snc(obj, dim: int, location: str,
     _expect(isinstance(levels_doc, dict), f"{location}.levels", "levels must be an object")
     levels: Dict[int, Tuple[SncComponent, ...]] = {}
     for key, comps in levels_doc.items():
-        _expect(str(key).isdecimal() and int(key) >= 1, f"{location}.levels[{key!r}]",
-                "level keys must be integers >= 1")
+        loc = f"{location}.levels[{key!r}]"
+        _expect(str(key).isdecimal() and int(key) >= 1, loc, "level keys must be integers >= 1")
         r = int(key)
-        _expect(r not in levels, f"{location}.levels[{key!r}]", "repeats an earlier level")
+        _expect(r not in levels, loc, "repeats an earlier level")
         parsed = []
-        _expect(isinstance(comps, list), f"{location}.levels[{key!r}]", "must be a list")
+        _expect(isinstance(comps, list), loc, "must be a list")
         for i, comp in enumerate(comps):
-            loc = f"{location}.levels[{key!r}][{i}]"
-            _expect(isinstance(comp, dict), loc, "component must be an object")
-            subset = comp.get("subset")
-            _expect(
-                isinstance(subset, list) and all(isinstance(s, str) for s in subset),
-                f"{loc}.subset", "subset must be a list of component ids",
-            )
-            diamond = None
-            if "diamond" in comp:
-                diamond = _parse_diamond(comp["diamond"], dim - r, f"{loc}.diamond", keys)
-            faces = comp.get("faces", [])
-            _expect(
-                isinstance(faces, list) and all(type(f) is int for f in faces), f"{loc}.faces",
-                "faces must be a list of integer indices",
-            )
+            try:  # paths below the component come back relative, and are rooted only to raise
+                _expect(isinstance(comp, dict), "", "component must be an object")
+                subset = comp.get("subset")
+                _expect(isinstance(subset, list) and all(map(isinstance, subset, repeat(str))),
+                        ".subset", "subset must be a list of component ids")
+                diamond = None
+                if "diamond" in comp:
+                    diamond = _parse_diamond(comp["diamond"], dim - r, ".diamond", keys)
+                faces = comp.get("faces", [])
+                _expect(isinstance(faces, list) and {int}.issuperset(map(type, faces)),
+                        ".faces", "faces must be a list of integer indices")
+            except DescriptorFileError as exc:
+                raise DescriptorFileError(f"{loc}[{i}]{exc.location}", exc.message) from None
             parsed.append(
                 SncComponent(subset=tuple(subset), diamond=diamond, faces=tuple(faces))
             )
         levels[r] = tuple(parsed)
     maps_doc = obj.get("user_maps", {})
     _expect(isinstance(maps_doc, dict), f"{location}.user_maps", "user_maps must be an object")
-    user_maps: Dict[Tuple[int, int, int], Tuple[List[List[Fraction]], ...]] = {}
-    rationals: Dict[object, Fraction] = {}  # "1", "-1" and "0" recur in every matrix
+    user_maps: Dict[Tuple[int, int, int], Tuple[List[List[Rational]], ...]] = {}
+    rationals: Dict[object, Rational] = {}  # "1", "-1" and "0" recur in every matrix
     for key, mats in maps_doc.items():
+        loc = f"{location}.user_maps[{key!r}]"
         parts = str(key).split(",")
-        _expect(
-            len(parts) == 3 and all(part.strip().isdecimal() for part in parts),
-            f"{location}.user_maps[{key!r}]", 'keys must look like "k,p,q"',
-        )
-        _expect(isinstance(mats, list), f"{location}.user_maps[{key!r}]", "must be a list")
+        _expect(len(parts) == 3 and all(part.strip().isdecimal() for part in parts), loc,
+                'keys must look like "k,p,q"')
+        _expect(isinstance(mats, list), loc, "must be a list")
         k, p, q = (int(part) for part in parts)
-        _expect((k, p, q) not in user_maps, f"{location}.user_maps[{key!r}]",
-                "repeats an earlier row")
+        _expect((k, p, q) not in user_maps, loc, "repeats an earlier row")
         user_maps[(k, p, q)] = tuple(
-            _parse_matrix(mat, f"{location}.user_maps[{key!r}][{i}]", rationals)
-            for i, mat in enumerate(mats)
+            _parse_matrix(mat, f"{loc}[{i}]", rationals) for i, mat in enumerate(mats)
         )
     return SncComplexData(levels=levels, user_maps=user_maps)
 

@@ -37,6 +37,32 @@ def _over(p: Sequence[int], factors: Sequence[int], length: int) -> List[int]:
     return q[pad:]
 
 
+def _over_at(p: Sequence[int], factors: Sequence[int], k: int) -> int:
+    """Entry k of _over(p, factors, k + 1), formed from the entries it needs.
+
+    After factor m, entry i is q_{i-m} minus entry i of the stage before, so
+    entry k needs entries k, k - m, k - 2m, ... >= 0 of that stage, and so
+    on back to p.  Large factors need few; where the needed entries come to
+    more than k / 8, the dense recurrence is cheaper and runs instead.
+    """
+    stages = []
+    wanted = {k}
+    for m in reversed(factors):
+        tops: Dict[int, int] = {}  # the largest wanted index of each residue mod m
+        for i in wanted:
+            if i > tops.get(i % m, -1):
+                tops[i % m] = i
+        wanted = {j for top in tops.values() for j in range(top, -1, -m)}
+        if len(wanted) > k // 8:
+            return _over(p, factors, k + 1)[k]
+        stages.append(wanted)
+    q = {i: p[i] if i < len(p) else 0 for i in wanted}
+    for m, wanted in zip(factors, reversed(stages)):
+        for i in sorted(wanted):  # q_{i-m} is already this stage's, as in _over
+            q[i] = q.get(i - m, 0) - q[i]
+    return q[k]
+
+
 def _digit_bytes(bound: int) -> int:
     """Bytes per digit of a packed row whose coefficients c satisfy |c| <= bound.
 
@@ -227,6 +253,13 @@ class StringyFunction:
             (p, q): _over(row, factors, max(0, (bound - p - q) // 2 + 1))
             for (p, q), row in self._slices.items()
         }).terms
+
+    def _coefficient(self, p: int, q: int) -> int:
+        """b_{p,q} alone, from the one row on the diagonal p - q."""
+        for (p0, q0), row in self._slices.items():
+            if p0 - q0 == p - q:
+                return _over_at(row, self.denominator.factors, p - p0) if p >= p0 else 0
+        return 0
 
     def __str__(self) -> str:
         if not self.denominator.factors:

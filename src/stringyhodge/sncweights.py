@@ -7,18 +7,22 @@ weight spectral complex is assembled from this incidence data alone; higher
 rows need user-supplied restriction-map matrices, which the source data
 offers no algorithm for.
 
-Matrices are integer matrices: a rational restriction map is scaled by the
-lcm of its denominators once, when SncComplexData is built, which changes
-neither its rank nor whether consecutive maps compose to zero.  Ranks come
-from fraction-free elimination on sparse rows, each divided by its content;
-products of maps, formed to check that they compose to zero, skip zeros.
+Matrices are integer matrices.  The loader reads an integral entry as an
+int, and a map of ints is copied as it is; only a map with a non-integral
+entry is scaled by the lcm of its denominators, once, when SncComplexData is
+built, which changes neither its rank nor whether consecutive maps compose
+to zero.  Ranks come from fraction-free elimination on sparse rows, each
+divided by its content; products of maps, formed to check that they
+compose to zero, skip zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
+from operator import lt
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,7 +36,10 @@ class SncDataError(ValueError):
 
 
 def _integral(m) -> Matrix:
-    """The rational matrix m times the lcm of the denominators of its entries."""
+    """The rational matrix m as fresh integer rows: a matrix of ints is copied,
+    one holding a Fraction is multiplied by the lcm of its denominators."""
+    if {int}.issuperset(map(type, chain.from_iterable(m))):  # the type test runs in C
+        return list(map(list, m))
     scale = lcm(*(x.denominator for row in m for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in m]
 
@@ -103,7 +110,7 @@ def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
 class SncComponent:
     """One connected component of D(r).
 
-    subset is the sorted tuple of divisor ids whose intersection contains the
+    subset is the sorted tuple of distinct divisor ids whose intersection contains the
     component; faces[t] is the index (within level r-1) of the component of
     D(r-1) it maps into when the t-th id of subset is dropped.
     """
@@ -120,7 +127,7 @@ class SncComplexData(_ValidOnce):
     user_maps[(k, p, q)] is the list [delta_1, delta_2, ...] of matrices of
     the coboundary on the (p,q) piece of the H^k row; delta_r has one row per
     basis vector of H^k(D(r+1)) and one column per basis vector of H^k(D(r)).
-    A rational matrix is kept as its integer multiple made by _integral.  The
+    Each matrix is kept as the fresh integer rows made by _integral.  The
     key (0, 0, 0) is rejected: the H^0 row comes from the incidence data.
 
     Both mappings are read-only, so what is derived from them alone is kept
@@ -154,8 +161,12 @@ class SncComplexData(_ValidOnce):
                     problems.append(
                         f"level {r} component {idx}: subset size {len(comp.subset)} != {r}"
                     )
-                if tuple(sorted(comp.subset)) != comp.subset:
-                    problems.append(f"level {r} component {idx}: subset not sorted")
+                subset = comp.subset
+                if not all(map(lt, subset, subset[1:])):  # one test for sorted and distinct
+                    if tuple(sorted(subset)) != subset:
+                        problems.append(f"level {r} component {idx}: subset not sorted")
+                    if len(set(subset)) != len(subset):
+                        problems.append(f"level {r} component {idx}: subset repeats an id")
                 problems += _face_problems(self, r, idx)
         # the H^0 row once the incidence is sound, then every supplied row
         rows = [] if problems else [(0, 0, 0)]

@@ -369,7 +369,9 @@ def first_coefficient_difference(
     with M the difference of the lifted numerators.  D is a polynomial in
     w = uv with constant term +-1, so along each diagonal the expansion of
     M / D starts at M's lowest term, times +-1: the first mismatch is M's
-    least term, found with no bound.  b1 and b2 are read up to p + q.
+    least term, found with no bound.  b1 and b2 are each read off the one
+    row of the function on the diagonal p - q, from the entries that
+    coefficient needs.
     """
     if d1.n != d2.n:
         raise DescriptorError(f"dimension mismatch: {d1.n} vs {d2.n}")
@@ -380,5 +382,4 @@ def first_coefficient_difference(
     t1, t2 = m1.terms, m2.terms
     p, q = min((k for k in t1.keys() | t2.keys() if t1.get(k, 0) != t2.get(k, 0)),
                key=lambda k: (k[0] + k[1], k))
-    b1, b2 = (f.series_coefficients(p + q).get((p, q), 0) for f in (f1, f2))
-    return p, q, b1, b2
+    return p, q, f1._coefficient(p, q), f2._coefficient(p, q)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from stringyhodge import (
     DescriptorFileError,
     load_bundle,
 )
-from stringyhodge.descriptors import _parse_snc, parse_bundle
+from stringyhodge.descriptors import _parse_matrix, _parse_snc, parse_bundle
 
 ALL_CORPUS = [
     "smooth_p3.json",
@@ -258,6 +259,10 @@ def _snc_doc(snc):
          ".snc", "user map (3,1,1): Hodge piece (1,1) does not lie in degree 3"),
         # "²" passes str.isdigit but not int()
         ({"levels": {"²": []}}, ".snc.levels['²']", "level keys must be integers >= 1"),
+        # a component's own paths are rooted at the component only to raise
+        ({"levels": {"1": [5]}}, ".snc.levels['1'][0]", "component must be an object"),
+        ({"levels": {"1": [{"subset": "A"}]}}, ".snc.levels['1'][0].subset",
+         "subset must be a list of component ids"),
         ({"levels": {}, "user_maps": {"²,1,1": []}}, ".snc.user_maps['²,1,1']",
          'keys must look like "k,p,q"'),
         ({"levels": {"1": [{"subset": ["A"], "diamond": {"²,0": 1}}]}},
@@ -276,7 +281,8 @@ def _snc_doc(snc):
          ".snc", "user map (2,1,1) delta_1: shape 2x1/2 does not match declared dimensions 0x1"),
     ],
     ids=["levels list", "user_maps list", "no diamond", "user map outside its degree",
-         "superscript level key", "superscript user map key", "superscript diamond key",
+         "superscript level key", "component not an object", "subset not a list",
+         "superscript user map key", "superscript diamond key",
          "empty diamond at dimension -1", "H^0 user map", "faces at level 1", "ragged user map"],
 )
 def test_snc_block_errors_exit_2_with_key_path(snc, location, message, tmp_path, capsys):
@@ -318,6 +324,19 @@ def test_bad_user_map_entry_reports_its_own_key_path(maps, location):
     with pytest.raises(DescriptorFileError) as err:
         parse_bundle(doc)
     assert err.value.location == f"<document>.snc.user_maps['1,1,0']{location}"
+
+
+def test_integral_rationals_parse_as_ints():
+    rationals = {}
+    row = _parse_matrix([["4/2", "-1", 1, "1/2", "-3/6"]], "m", rationals)[0]
+    assert row == [2, -1, 1, Fraction(1, 2), Fraction(-1, 2)]
+    assert [type(x) for x in row] == [int, int, int, Fraction, Fraction]
+    assert rationals == {"4/2": 2, "-1": -1, 1: 1, "1/2": Fraction(1, 2), "-3/6": Fraction(-1, 2)}
+    # true hashes like the 1 parsed before, and is still rejected
+    with pytest.raises(DescriptorFileError) as err:
+        _parse_matrix([[1, True]], "m", rationals)
+    assert err.value.location == "m[0][1]"
+    assert err.value.message == 'rationals must be integers or "num/den" strings'
 
 
 def test_user_map_rationals_parsed_exactly():
@@ -461,6 +480,14 @@ def test_unsorted_snc_subset_exits_2(faces, tmp_path, capsys):
     doc = {"dim": 3, "strata": {"": P3}, "snc": {"levels": levels}}
     message = _exit_2_at(doc, ".snc", tmp_path, capsys)
     assert message.startswith("level 2 component 0: subset not sorted")
+
+
+def test_snc_subset_repeating_an_id_exits_2(tmp_path, capsys):
+    # D_A meeting itself would give the loop D_A, D_A ∩ D_A: Gr^W_0 H^1(D) = 1
+    levels = {"1": [{"subset": ["A"]}], "2": [{"subset": ["A", "A"], "faces": [0, 0]}]}
+    doc = {"dim": 3, "strata": {"": P3}, "snc": {"levels": levels}}
+    message = _exit_2_at(doc, ".snc", tmp_path, capsys)
+    assert message == "level 2 component 0: subset repeats an id\n"
 
 
 def test_fiber_pair_written_in_either_order_loads(corpus, tmp_path):

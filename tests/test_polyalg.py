@@ -4,6 +4,8 @@ from stringyhodge.polyalg import (
     BivariatePoly,
     DenominatorSpec,
     StringyFunction,
+    _over,
+    _over_at,
     _spread,
     exact_divide_test,
 )
@@ -152,6 +154,19 @@ class TestSlices:
         # one row per diagonal, trimmed at both ends
         assert len(rows) == len({a - b for a, b in p.terms})
         assert all(row[0] and row[-1] for row in rows.values())
+
+
+class TestOneCoefficient:
+    @given(st.lists(st.integers(-9, 9), max_size=12),
+           st.lists(st.sampled_from([2, 3, 5, 40, 101, 1000]), max_size=4).map(sorted),
+           st.one_of(st.integers(0, 40), st.integers(0, 3000)))
+    def test_over_at_is_one_entry_of_over(self, row, factors, k):
+        # large factors take the sparse path, small ones fall back to _over
+        assert _over_at(row, factors, k) == _over(row, factors, k + 1)[k]
+
+    @given(stringy_functions, st.integers(-2, 8), st.integers(-2, 8))
+    def test_coefficient_is_one_entry_of_the_expansion(self, f, p, q):
+        assert f._coefficient(p, q) == f.series_coefficients(p + q).get((p, q), 0)
 
 
 class TestExactDivideTest:

@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -110,6 +111,22 @@ class TestCoboundaryH0:
         with pytest.raises(SncDataError) as err:
             coboundary_h0(bad, 1)
         assert str(err.value) == first
+
+    def test_subset_repeating_an_id_rejected(self):
+        # both faces of D_A ∩ D_A land in D_A, so the face rule alone passes it
+        data = SncComplexData(
+            levels={1: (SncComponent(("A",)),), 2: (SncComponent(("A", "A"), faces=(0, 0)),)}
+        )
+        assert data.validate() == ["level 2 component 0: subset repeats an id"]
+        with pytest.raises(SncDataError, match="subset repeats an id"):
+            weight_graded_dims(data, 0, 1, 0, 0)
+        unsorted_and_repeated = SncComplexData(
+            levels={1: (SncComponent(("A",)), SncComponent(("B",))),
+                    3: (SncComponent(("B", "A", "B")),)}
+        )
+        assert unsorted_and_repeated.validate()[:2] == [
+            "level 3 component 0: subset not sorted", "level 3 component 0: subset repeats an id"
+        ]
 
     def test_level_one_has_no_faces(self):
         data = SncComplexData(levels={1: (SncComponent(("A",), faces=(5, 7)),)})
@@ -358,6 +375,28 @@ def matrices(draw, nrows=st.integers(0, 7), ncols=st.integers(0, 7)):
     rows, cols = draw(nrows), draw(ncols)
     entry_rows = st.lists(sparse_entries, min_size=cols, max_size=cols)
     return draw(st.lists(entry_rows, min_size=rows, max_size=rows)), cols
+
+
+rationals = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=12))
+
+
+class TestIntegral:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(rationals, min_size=3, max_size=3), max_size=4), st.booleans())
+    def test_matches_the_per_entry_formula_in_fresh_rows(self, m, all_ints):
+        if all_ints:
+            m = [[int(x) for x in row] for row in m]
+        scale = lcm(*(x.denominator for row in m for x in row))
+        expected = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+        out = sncweights._integral(m)
+        assert out == expected
+        assert all(type(x) is int for row in out for x in row)
+        data = SncComplexData(levels={}, user_maps={(1, 1, 0): (m,)})
+        for row in m:  # the input, changed afterwards, leaves the kept map alone
+            row.append(1)
+            row[0] = Fraction(1, 7)
+        m.append([5, 5, 5])
+        assert data.user_maps[(1, 1, 0)] == (expected,)
 
 
 class TestSparseKernels:

@@ -361,6 +361,21 @@ class TestFirstMismatch:
         assert len(m2.terms) <= 2 * len(f2.numerator.terms)
         assert first_coefficient_difference(d1, d2) == (100001, 100001, 1, 0)
 
+    def test_first_mismatch_reads_one_coefficient_sparsely(self):
+        # b1 and b2 sit at w^(10^5 + 1) of a row with six nonzero entries over
+        # one factor w^m - 1, m = 10^5 + 1 or 10^5 + 2: each is read from the
+        # entries of the row it depends on, never from a dense expansion
+        d1, d2 = exceptional_quadric(10**5), exceptional_quadric(10**5 + 1)
+        stringy_e(d1), stringy_e(d2)
+        tracemalloc.start()
+        try:
+            result = first_coefficient_difference(d1, d2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert result == (100001, 100001, 1, 0)
+
 
 class TestClosedFormExpansionEquivalence:
     @settings(max_examples=60)
