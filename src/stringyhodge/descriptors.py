@@ -20,7 +20,6 @@ from .sncweights import SncComplexData, SncComponent
 from .stringy import ResolutionDescriptor
 
 Rational = Union[int, Fraction]  # an integral rational is kept as an int
-_WIRE = frozenset((int, str))  # the types a rational is written in
 
 
 class DescriptorFileError(ValueError):
@@ -120,25 +119,19 @@ def _parse_rational(obj, location: str) -> Rational:
 
 def _parse_matrix(obj, location: str, rationals: Dict[object, Rational]) -> List[List[Rational]]:
     """Rows of rationals; only an entry not in `rationals` is parsed, and key
-    paths are spelled out only to raise.
-
-    A row of ints and strings, all met before, is looked up in one pass in
-    C; any other row is read entry by entry.  The type test comes first:
-    True and 1.0 hash like 1, and a list is unhashable.
-    """
+    paths are spelled out only to raise."""
     _expect(isinstance(obj, list), location, "matrix must be a list of rows")
     out = []
     for i, row in enumerate(obj):
         if not isinstance(row, list):
             raise DescriptorFileError(f"{location}[{i}]", "matrix row must be a list")
-        parsed = list(map(rationals.get, row)) if _WIRE.issuperset(map(type, row)) else [None]
-        if None in parsed:
-            parsed = []
-            for x in row:
-                value = rationals.get(x) if type(x) is int or isinstance(x, str) else None
-                if value is None:
-                    value = rationals[x] = _parse_rational(x, f"{location}[{i}][{len(parsed)}]")
-                parsed.append(value)
+        parsed = []
+        for x in row:
+            # the type test comes first: True hashes like 1, and a list is unhashable
+            value = rationals.get(x) if type(x) is int or isinstance(x, str) else None
+            if value is None:
+                value = rationals[x] = _parse_rational(x, f"{location}[{i}][{len(parsed)}]")
+            parsed.append(value)
         out.append(parsed)
     return out
 

@@ -42,8 +42,7 @@ def _over_at(p: Sequence[int], factors: Sequence[int], k: int) -> int:
 
     After factor m, entry i is q_{i-m} minus entry i of the stage before, so
     entry k needs entries k, k - m, k - 2m, ... >= 0 of that stage, and so
-    on back to p.  Large factors need few; where the needed entries come to
-    more than k / 8, the dense recurrence is cheaper and runs instead.
+    on back to p: a handful where the factors are large.
     """
     stages = []
     wanted = {k}
@@ -53,8 +52,6 @@ def _over_at(p: Sequence[int], factors: Sequence[int], k: int) -> int:
             if i > tops.get(i % m, -1):
                 tops[i % m] = i
         wanted = {j for top in tops.values() for j in range(top, -1, -m)}
-        if len(wanted) > k // 8:
-            return _over(p, factors, k + 1)[k]
         stages.append(wanted)
     q = {i: p[i] if i < len(p) else 0 for i in wanted}
     for m, wanted in zip(factors, reversed(stages)):

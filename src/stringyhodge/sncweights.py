@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import lt
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -161,12 +160,10 @@ class SncComplexData(_ValidOnce):
                     problems.append(
                         f"level {r} component {idx}: subset size {len(comp.subset)} != {r}"
                     )
-                subset = comp.subset
-                if not all(map(lt, subset, subset[1:])):  # one test for sorted and distinct
-                    if tuple(sorted(subset)) != subset:
-                        problems.append(f"level {r} component {idx}: subset not sorted")
-                    if len(set(subset)) != len(subset):
-                        problems.append(f"level {r} component {idx}: subset repeats an id")
+                if tuple(sorted(comp.subset)) != comp.subset:
+                    problems.append(f"level {r} component {idx}: subset not sorted")
+                if len(set(comp.subset)) != len(comp.subset):
+                    problems.append(f"level {r} component {idx}: subset repeats an id")
                 problems += _face_problems(self, r, idx)
         # the H^0 row once the incidence is sound, then every supplied row
         rows = [] if problems else [(0, 0, 0)]

@@ -161,7 +161,6 @@ class TestOneCoefficient:
            st.lists(st.sampled_from([2, 3, 5, 40, 101, 1000]), max_size=4).map(sorted),
            st.one_of(st.integers(0, 40), st.integers(0, 3000)))
     def test_over_at_is_one_entry_of_over(self, row, factors, k):
-        # large factors take the sparse path, small ones fall back to _over
         assert _over_at(row, factors, k) == _over(row, factors, k + 1)[k]
 
     @given(stringy_functions, st.integers(-2, 8), st.integers(-2, 8))
