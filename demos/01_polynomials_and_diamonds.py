@@ -27,7 +27,7 @@ print("E(P^1 x P^1)  =", e_polynomial(quadric_surface()))
 elliptic = curve(1)
 product = kunneth(elliptic, projective_space(1))
 assert e_polynomial(product) == e_polynomial(elliptic) * p1
-print("\nelliptic curve x P^1 diamond:", product.h)
+print("\nelliptic curve x P^1 diamond:", dict(product.h))
 
 # The discrepancy factor (w - w^{a+1})/(w^{a+1} - 1) expands at the origin
 # with integer coefficients; discrepancy 0 kills the factor entirely.

@@ -123,16 +123,19 @@ def product_stringy(d: ResolutionDescriptor, z: HodgeDiamond) -> ResolutionDescr
     """Descriptor of X x Z for a smooth projective Z.
 
     Components and discrepancies are unchanged; every stratum is multiplied
-    by Z.  The stringy E-function picks up the factor E(Z).
+    by Z, one Kunneth product per distinct diamond, which the strata that
+    share it share too.  The stringy E-function picks up the factor E(Z).
     """
     problems = hodge.validate(z, smooth_projective=True)
     if problems:
         raise DescriptorError("product factor invalid: " + "; ".join(problems))
     d.check_valid()
+    distinct = {id(s): s for s in d.strata.values()}
+    times_z = {key: hodge.kunneth(s, z) for key, s in distinct.items()}
     return ResolutionDescriptor(
         n=d.n + z.dim,
         components=d.components,
-        strata={J: hodge.kunneth(diamond, z) for J, diamond in d.strata.items()},
+        strata={J: times_z[id(s)] for J, s in d.strata.items()},
         label=f"{d.label} x (dim-{z.dim} factor)" if d.label else "",
     )
 

@@ -43,14 +43,34 @@ def _expect(cond: bool, location: str, message: str) -> None:
         raise DescriptorFileError(location, message)
 
 
-def _parse_diamond(obj, dim: int, location: str,
-                   keys: Dict[str, Tuple[int, int]]) -> HodgeDiamond:
-    # each entry is checked once, here, and its key path is spelled out only
-    # to raise, below `location`, which is "" for a caller that roots the path
-    # itself; JSON true/false load as bool, a subclass of int, so integers
-    # are tested with `type(value) is int`.  `keys` holds the (p,q) of every
-    # well-formed sparse key met so far in the document, so that each
-    # spelling is parsed once
+_INTS = frozenset((int,))
+
+
+def _parse_diamond(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]],
+                   diamonds: Dict[tuple, HodgeDiamond]) -> HodgeDiamond:
+    """The diamond of one stratum or component, parsed once per spelling.
+
+    `diamonds` maps (dim, keys, values) as written of every sparse map that
+    parsed in the document to its diamond, and every later map spelled alike
+    gets that same object.  What it holds parsed, so its values are ints; a
+    match is taken only if the map's values are ints too, since true and 1.0
+    equal 1.  Anything else is parsed, so a bad diamond raises at its first
+    occurrence.  `keys` holds the (p,q) of every well-formed sparse key met
+    so far in the document.
+
+    Key paths are spelled out only to raise, below `location`, which is ""
+    for a caller that roots the path itself.  JSON true/false load as bool, a
+    subclass of int, so integers are tested with `type(value) is int`.
+    """
+    spelled = None
+    if isinstance(obj, dict):
+        spelled = (dim, tuple(obj), tuple(obj.values()))
+        try:
+            diamond = diamonds.get(spelled)
+        except TypeError:  # an entry is a list or an object, which is parsed to raise
+            diamond = spelled = None
+        if diamond is not None and _INTS.issuperset(map(type, spelled[2])):
+            return diamond
     h: Dict[Tuple[int, int], int] = {}
     if isinstance(obj, list):
         _expect(len(obj) == dim + 1, location, f"dense matrix must have {dim + 1} rows")
@@ -89,8 +109,9 @@ def _parse_diamond(obj, dim: int, location: str,
         raise DescriptorFileError(location, "diamond must be a dense matrix or a sparse map")
     # only an empty [] or {} gets here with dim < 0: the stratum itself must be empty
     _expect(dim >= 0, location, f"dimension would be {dim}; an empty stratum has no diamond")
-    diamond = HodgeDiamond(dim)
-    diamond.h = h  # in range and free of zeros already
+    diamond = HodgeDiamond._trusted(dim, h)  # in range and free of zeros already
+    if spelled is not None:
+        diamonds[spelled] = diamond
     return diamond
 
 
@@ -136,8 +157,8 @@ def _parse_matrix(obj, location: str, rationals: Dict[object, Rational]) -> List
     return out
 
 
-def _parse_snc(obj, dim: int, location: str,
-               keys: Dict[str, Tuple[int, int]]) -> SncComplexData:
+def _parse_snc(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]],
+               diamonds: Dict[tuple, HodgeDiamond]) -> SncComplexData:
     _expect(isinstance(obj, dict), location, "snc block must be an object")
     levels_doc = obj.get("levels", {})
     _expect(isinstance(levels_doc, dict), f"{location}.levels", "levels must be an object")
@@ -157,7 +178,7 @@ def _parse_snc(obj, dim: int, location: str,
                         ".subset", "subset must be a list of component ids")
                 diamond = None
                 if "diamond" in comp:
-                    diamond = _parse_diamond(comp["diamond"], dim - r, ".diamond", keys)
+                    diamond = _parse_diamond(comp["diamond"], dim - r, ".diamond", keys, diamonds)
                 faces = comp.get("faces", [])
                 _expect(isinstance(faces, list) and {int}.issuperset(map(type, faces)),
                         ".faces", "faces must be a list of integer indices")
@@ -185,8 +206,8 @@ def _parse_snc(obj, dim: int, location: str,
     return SncComplexData(levels=levels, user_maps=user_maps)
 
 
-def _parse_fiber(obj, location: str,
-                 keys: Dict[str, Tuple[int, int]]) -> ExceptionalFiberDescriptor:
+def _parse_fiber(obj, location: str, keys: Dict[str, Tuple[int, int]],
+                 diamonds: Dict[tuple, HodgeDiamond]) -> ExceptionalFiberDescriptor:
     _expect(isinstance(obj, dict), location, "fiber entry must be an object")
     point = obj.get("point")
     _expect(isinstance(point, str), f"{location}.point", "point label must be a string")
@@ -197,7 +218,7 @@ def _parse_fiber(obj, location: str,
     for i, comp in enumerate(comps):
         loc = f"{location}.components[{i}]"
         cid, a = _parse_component(comp, loc)
-        diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond", keys)
+        diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond", keys, diamonds)
         parsed.append(FiberComponent(cid, diamond, a))
     counts_doc = obj.get("pairwise_counts", {})
     _expect(isinstance(counts_doc, dict), f"{location}.pairwise_counts",
@@ -232,13 +253,15 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
             "missing Y stratum: strata must contain at least the empty key")
     strata: Dict[Tuple[str, ...], HodgeDiamond] = {}
     keys: Dict[str, Tuple[int, int]] = {}  # sparse "p,q" keys, shared by every diamond
+    diamonds: Dict[tuple, HodgeDiamond] = {}  # and the diamonds of sparse maps, by spelling
     for key, value in strata_doc.items():
         subset = tuple(sorted(key.split(","))) if key else ()
         try:  # paths below the stratum come back relative, and are rooted only to raise
             if subset and not subset[0]:  # an empty id sorts first
                 raise DescriptorFileError("", 'names an empty id; only the key "" names Y')
-            _expect(subset not in strata, "", "repeats an earlier stratum")
-            strata[subset] = _parse_diamond(value, dim - len(subset), "", keys)
+            if subset in strata:
+                raise DescriptorFileError("", "repeats an earlier stratum")
+            strata[subset] = _parse_diamond(value, dim - len(subset), "", keys, diamonds)
         except DescriptorFileError as exc:
             raise DescriptorFileError(f"{location}.strata[{key!r}]{exc.location}",
                                       exc.message) from None
@@ -249,13 +272,14 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     _expect(not problems, location, "; ".join(problems))
     snc = None
     if "snc" in doc:
-        snc = _parse_snc(doc["snc"], dim, f"{location}.snc", keys)
+        snc = _parse_snc(doc["snc"], dim, f"{location}.snc", keys, diamonds)
         problems = snc.validate()
         _expect(not problems, f"{location}.snc", "; ".join(problems))
     fibers_doc = doc.get("fibers", [])
     _expect(isinstance(fibers_doc, list), f"{location}.fibers", "fibers must be a list")
     fibers = tuple(
-        _parse_fiber(fiber, f"{location}.fibers[{i}]", keys) for i, fiber in enumerate(fibers_doc)
+        _parse_fiber(fiber, f"{location}.fibers[{i}]", keys, diamonds)
+        for i, fiber in enumerate(fibers_doc)
     )
     return DescriptorBundle(descriptor=descriptor, snc=snc, fibers=fibers)
 

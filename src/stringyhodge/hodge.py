@@ -6,6 +6,7 @@ connected components and h^{0,0} records the number of components.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .polyalg import BivariatePoly
@@ -39,45 +40,65 @@ class _ValidOnce:
 
 
 class HodgeDiamond:
-    """Table h^{p,q}, 0 <= p, q <= dim, for a smooth projective variety."""
+    """Table h^{p,q}, 0 <= p, q <= dim, for a smooth projective variety.
+
+    An immutable value: `h` is a read-only mapping that holds no zero entry,
+    neither field can be reassigned, and two diamonds are equal, and hash
+    alike, when their dim and entries are.  So one object may stand for
+    every stratum with the same diamond.
+    """
 
     __slots__ = ("dim", "h")
 
     def __init__(self, dim: int, h: Optional[Mapping[Tuple[int, int], int]] = None):
         if dim < 0:
             raise DiamondError("dimension must be nonnegative")
-        self.dim = dim
-        self.h: Dict[Tuple[int, int], int] = {}
+        table: Dict[Tuple[int, int], int] = {}
         if h:
             for (p, q), n in h.items():
                 if n == 0:
                     continue
                 if not (0 <= p <= dim and 0 <= q <= dim):
                     raise DiamondError(f"h^{{{p},{q}}} outside the {dim}-dimensional range")
-                self.h[(p, q)] = n
+                table[(p, q)] = n
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "h", MappingProxyType(table))
+
+    @classmethod
+    def _trusted(cls, dim: int, h: Dict[Tuple[int, int], int]) -> "HodgeDiamond":
+        """A diamond of `h` as it is, not copied or checked, so the caller must
+        not write `h` after; the loader's tables are in range and zero-free."""
+        diamond = object.__new__(cls)
+        object.__setattr__(diamond, "dim", dim)
+        object.__setattr__(diamond, "h", MappingProxyType(h))
+        return diamond
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"HodgeDiamond is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"HodgeDiamond is immutable: cannot delete {name!r}")
 
     def hpq(self, p: int, q: int) -> int:
         """h^{p,q}, with 0 outside the stored range."""
         return self.h.get((p, q), 0)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, HodgeDiamond)
             and self.dim == other.dim
             and self.h == other.h
         )
 
+    def __hash__(self) -> int:
+        return hash((self.dim, frozenset(self.h.items())))
+
     def __repr__(self) -> str:
-        return f"HodgeDiamond(dim={self.dim}, h={self.h!r})"
+        return f"HodgeDiamond(dim={self.dim}, h={dict(self.h)!r})"
 
     def __add__(self, other: "HodgeDiamond") -> "HodgeDiamond":
         """Disjoint union: entrywise sum, same dimension."""
-        if self.dim != other.dim:
-            raise DiamondError("disjoint union requires equal dimensions")
-        out = dict(self.h)
-        for k, n in other.h.items():
-            out[k] = out.get(k, 0) + n
-        return HodgeDiamond(self.dim, out)
+        return _union([self, other])
 
     def __mul__(self, copies: int) -> "HodgeDiamond":
         if copies < 0:
@@ -85,6 +106,18 @@ class HodgeDiamond:
         return HodgeDiamond(self.dim, {k: copies * n for k, n in self.h.items()})
 
     __rmul__ = __mul__
+
+
+def _union(diamonds: List[HodgeDiamond]) -> HodgeDiamond:
+    """Disjoint union of diamonds of one dimension, summed entrywise at once."""
+    dim = diamonds[0].dim
+    table: Dict[Tuple[int, int], int] = {}
+    for d in diamonds:
+        if d.dim != dim:
+            raise DiamondError("disjoint union requires equal dimensions")
+        for pq, n in d.h.items():
+            table[pq] = table.get(pq, 0) + n
+    return HodgeDiamond(dim, table)
 
 
 def validate(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:

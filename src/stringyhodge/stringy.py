@@ -64,6 +64,13 @@ class ResolutionDescriptor(_ValidOnce):
         )
 
     def validate(self) -> List[str]:
+        """Every violated invariant, stratum by stratum in strata order.
+
+        `hodge.validate` runs once per distinct diamond, and its messages are
+        repeated for each stratum that holds it.  Diamonds are told apart by
+        identity: the loader gives all strata that spell one alike the same
+        object, and identity costs no hashing of entries.
+        """
         problems = []
         ids = [cid for cid, _ in self.components]
         if len(set(ids)) != len(ids):
@@ -76,6 +83,7 @@ class ResolutionDescriptor(_ValidOnce):
         known = set(ids)
         present = self.strata.__contains__
         invalid = None
+        found_in: Dict[int, List[str]] = {}  # by id of the diamond
         for subset, diamond in self.strata.items():
             # one test for sorted, unique and known ids; messages only on failure
             if not (known.issuperset(subset) and all(map(lt, subset, subset[1:]))):
@@ -93,7 +101,9 @@ class ResolutionDescriptor(_ValidOnce):
                 problems.append(
                     f"stratum {subset!r} has dimension {diamond.dim}, expected {expected}"
                 )
-            found = hodge.validate(diamond)
+            found = found_in.get(id(diamond))
+            if found is None:
+                found = found_in[id(diamond)] = hodge.validate(diamond)
             if found:
                 problems.extend(f"stratum {subset!r}: {msg}" for msg in found)
                 if invalid is None:
@@ -109,10 +119,11 @@ class ResolutionDescriptor(_ValidOnce):
 
     @cached_property
     def _levels(self) -> Dict[int, HodgeDiamond]:
-        out: Dict[int, HodgeDiamond] = {}
+        # the strata of each level summed at once, not one `+` at a time
+        levels: Dict[int, List[HodgeDiamond]] = {}
         for J, d in self.strata.items():
-            out[len(J)] = out[len(J)] + d if len(J) in out else d
-        return out
+            levels.setdefault(len(J), []).append(d)
+        return {k: ds[0] if len(ds) == 1 else hodge._union(ds) for k, ds in levels.items()}
 
     def level(self, k: int) -> Optional[HodgeDiamond]:
         """Summed diamond of D(k), the union of all |J| = k strata.
@@ -125,12 +136,19 @@ class ResolutionDescriptor(_ValidOnce):
     def _pd_failure(self) -> Optional[Subset]:
         # the first stratum failing hodge.validate(s, smooth_projective=True);
         # validate() keeps the first that fails the plain check, so up to that
-        # one only duality is left to test
+        # one only duality is left to test, once per distinct diamond
         if "_invalid_stratum" not in vars(self):
             self.validate()
         invalid = self._invalid_stratum
-        return next((J for J, s in self.strata.items()
-                     if J == invalid or hodge._duality_problems(s)), None)
+        broken: Dict[int, bool] = {}  # by id of the diamond
+        for J, s in self.strata.items():
+            if J == invalid:
+                return J
+            if id(s) not in broken:
+                broken[id(s)] = bool(hodge._duality_problems(s))
+            if broken[id(s)]:
+                return J
+        return None
 
     def strata_pd_consistent(self) -> bool:
         """Whether every stratum passes `hodge.validate(d, smooth_projective=True)`.
@@ -176,20 +194,22 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     (w^{m-1} - 1).  Components with a < 1 give no denominator factor; a = 0
     makes the numerator factor w - w vanish, so its strata are skipped.
 
+    Each stratum adds its entries to its group's plain table: most strata
+    are points and curves with a handful of entries, so counting repeated
+    (signature, diamond) pairs first would cost more than it saves.
+
     `polyalg._binomial_sum` forms the sum of these products, with the sign
     (-1)^{|sig|} put into each group's E-terms.
     """
     m_of = {cid: a + 1 for cid, a in d.components}
-    groups: Dict[Tuple[int, ...], HodgeDiamond] = {}
+    groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
     for subset, diamond in d.strata.items():
         signature = tuple(sorted(map(m_of.__getitem__, subset)))
         if signature and signature[0] < 2:  # a = 0 kills the stratum, a < 0 adds no factor
             if 1 in signature:
                 continue
             signature = tuple(m for m in signature if m >= 2)
-        if signature not in groups:
-            groups[signature] = HodgeDiamond(diamond.dim)
-        h_sum = groups[signature].h
+        h_sum = groups.setdefault(signature, {})
         for pq, c in diamond.h.items():
             h_sum[pq] = h_sum.get(pq, 0) + c
     need: Dict[int, int] = {}  # m -> its multiplicity in the common denominator
@@ -199,7 +219,8 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     common = DenominatorSpec(tuple(m for m, k in need.items() for _ in range(k)))
     products = []
     for signature, h_sum in groups.items():
-        terms = hodge.e_polynomial(h_sum, check=False).terms
+        # wrapped as is: e_polynomial(check=False) reads the entries and nothing else
+        terms = hodge.e_polynomial(HodgeDiamond._trusted(d.n, h_sum), check=False).terms
         if len(signature) % 2:
             terms = {pq: -c for pq, c in terms.items()}
         exponents = [m for m, k in need.items() for _ in range(k - signature.count(m))]

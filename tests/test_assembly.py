@@ -13,6 +13,7 @@ from stringyhodge import (
     BivariatePoly,
     DenominatorSpec,
     DescriptorError,
+    DiamondError,
     HodgeDiamond,
     ResolutionDescriptor,
     StringyFunction,
@@ -106,7 +107,8 @@ def rowwise_reference_assemble(d):
     """The grouped assembly before Kronecker packing, verbatim: one list of
     w-coefficients per (p, q), each group's factor the common expansion
     divided by its signature (`_over`) and multiplied by w^{m-1} - 1
-    (`times`) per m."""
+    (`times`) per m.  Each group's h^{p,q} are summed into a plain dict, one
+    stratum at a time, and signed here, so no HodgeDiamond is built."""
     discrepancies = dict(d.components)
     groups = {}
     for subset, diamond in d.strata.items():
@@ -114,9 +116,7 @@ def rowwise_reference_assemble(d):
         if 0 in a:
             continue
         signature = tuple(sorted(x + 1 for x in a if x >= 1))
-        if signature not in groups:
-            groups[signature] = HodgeDiamond(diamond.dim)
-        h_sum = groups[signature].h
+        h_sum = groups.setdefault(signature, {})
         for pq, c in diamond.h.items():
             h_sum[pq] = h_sum.get(pq, 0) + c
     common = DenominatorSpec()
@@ -131,8 +131,9 @@ def rowwise_reference_assemble(d):
             factor = times(factor, m - 1)
         sign = (-1) ** len(signature)
         factor = [0] * len(signature) + [sign * x for x in factor]
-        for pq, c in hodge.e_polynomial(h_sum, check=False).terms.items():
-            rows[pq] = [x + c * f for x, f in zip(rows.get(pq, zero), factor)]
+        for (p, q), c in h_sum.items():
+            c *= (-1) ** (p + q)
+            rows[p, q] = [x + c * f for x, f in zip(rows.get((p, q), zero), factor)]
     return StringyFunction(polyalg._spread(rows), common)
 
 
@@ -423,12 +424,20 @@ class TestOncePerDescriptor:
             (("A", 1), ("B", 1)),
             {(): diag(1, 3, 3, 1), ("A",): quadric_surface(), ("B",): diag(1, 1, 1)},
         )
-        additions = count_calls(HodgeDiamond, "__add__")
+        sums = count_calls(ResolutionDescriptor.__dict__["_levels"], "func")
         assert a_pq(d, 2, 2) == 3 - 3
-        assert additions["__add__"] == 1  # D(1) = D_A + D_B, summed once
+        assert sums["func"] == 1  # D(0), D(1) = D_A + D_B, summed once
         assert [a_pq(d, p, p) for p in range(4)] == [1, 3 - 2, 3 - 3, 1 - 2]
         assert d.level(1) == quadric_surface() + diag(1, 1, 1)
-        assert additions["__add__"] == 2  # the comparison's own sum
+        assert d.level(0) is d.strata[()]
+        assert sums["func"] == 1
+
+    def test_a_level_mixing_dimensions_is_no_disjoint_union(self):
+        # unvalidated: B's stratum has the wrong dimension
+        d = ResolutionDescriptor(
+            2, (("A", 1), ("B", 1)), {(): diag(1, 1, 1), ("A",): diag(1, 1), ("B",): diag(1)})
+        with pytest.raises(DiamondError, match="disjoint union requires equal dimensions"):
+            d.level(1)
 
     def test_strata_are_read_only(self):
         d = ResolutionDescriptor(2, (), {(): diag(1, 1, 1)})
@@ -516,8 +525,14 @@ class TestDualityRecord:
 
     @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
     def test_cli_compute_validates_each_diamond_once(self, path, capsys, count_calls):
+        # once per sparse map of the file as written, at its dimension: the
+        # loader gives all strata that spell it so one object (a dense matrix
+        # is never shared); and once per fiber component
         doc = json.loads(path.read_text(encoding="utf-8"))
-        diamonds = len(doc["strata"]) + sum(len(f["components"]) for f in doc.get("fibers", []))
+        spellings = {(key.count(",") + bool(key), json.dumps(spelled))
+                     if isinstance(spelled, dict) else key
+                     for key, spelled in doc["strata"].items()}
+        diamonds = len(spellings) + sum(len(f["components"]) for f in doc.get("fibers", []))
         calls = count_calls(hodge, "validate")
         assert main(["compute", str(path)]) == 0
         capsys.readouterr()

@@ -9,6 +9,7 @@ import pytest
 
 from stringyhodge import (
     DescriptorFileError,
+    hodge,
     load_bundle,
 )
 from stringyhodge.descriptors import _parse_matrix, _parse_snc, parse_bundle
@@ -341,7 +342,7 @@ def test_integral_rationals_parse_as_ints():
 
 def test_user_map_rationals_parsed_exactly():
     snc = {"levels": {}, "user_maps": {"1,1,0": [[["1", 1, "-1"]], [["2/4", "-3/6", 0]]]}}
-    maps = _parse_snc(snc, 2, "snc", {}).user_maps[(1, 1, 0)]
+    maps = _parse_snc(snc, 2, "snc", {}, {}).user_maps[(1, 1, 0)]
     assert maps == ([[1, 1, -1]], [[1, -1, 0]])
     assert all(type(x) is int for mat in maps for row in mat for x in row)
 
@@ -526,6 +527,91 @@ def _fiber_doc(**fiber):
 def test_validate_rules_are_reported_at_their_block(doc, location, message, tmp_path, capsys):
     # the loader checks types and spelling; the rest is left to validate
     assert _exit_2_at(doc, location, tmp_path, capsys) == message + "\n"
+
+
+THREE_PLANES = [{"id": cid, "discrepancy": 1} for cid in "ABC"]
+
+
+def _three_planes(plane, **strata):
+    """A threefold with planes A, B and C, each stratum spelled `plane`."""
+    return {"dim": 3, "components": THREE_PLANES,
+            "strata": {"": P3, "A": plane, "B": plane, "C": plane, **strata}}
+
+
+def test_diamonds_spelled_alike_share_one_object():
+    line = {"0,0": 1, "1,1": 1}
+    doc = _three_planes(P2, **{"A,B": line, "A,C": line, "B,C": {"1,1": 1, "0,0": 1},
+                               "A,B,C": {"0,0": 1}})
+    doc["snc"] = {"levels": {"1": [{"subset": [cid], "diamond": P2} for cid in "ABC"]}}
+    doc["fibers"] = [{"point": "x", "components": [
+        {"id": "F1", "discrepancy": 1, "diamond": P2},
+        {"id": "F2", "discrepancy": 1, "diamond": line}]}]
+    bundle = parse_bundle(doc)
+    strata = bundle.descriptor.strata
+    plane = strata[("A",)]
+    assert strata[("B",)] is plane and strata[("C",)] is plane
+    assert all(comp.diamond is plane for comp in bundle.snc.levels[1])
+    assert bundle.fibers[0].components[0].diamond is plane
+    assert strata[("A", "C")] is strata[("A", "B")]
+    # another key order is another spelling: an equal value, parsed anew
+    assert strata[("B", "C")] == strata[("A", "B")]
+    assert strata[("B", "C")] is not strata[("A", "B")]
+    # the dimension belongs to the spelling
+    assert strata[("A", "B")].dim == 1 and bundle.fibers[0].components[1].diamond.dim == 2
+
+
+def test_one_diamond_spelled_three_ways_loads_and_computes_alike(tmp_path, capsys):
+    from stringyhodge.cli import main
+
+    spellings = [P2, {"2,2": 1, "0,0": 1, "1,1": 1}, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    planes, outputs = [], []
+    for i, plane in enumerate(spellings):
+        path = tmp_path / f"{i}.json"
+        doc = {"dim": 3, "label": "a plane", "components": ONE_PLANE,
+               "strata": {"": P3, "E": plane}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        planes.append(load_bundle(str(path)).descriptor.strata[("E",)])
+        assert main(["compute", str(path), "--format", "machine"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert planes[0] == planes[1] == planes[2]
+    assert len(set(map(hash, planes))) == 1
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_a_shared_diamond_is_validated_once_and_reported_per_stratum(count_calls):
+    calls = count_calls(hodge, "validate")
+    with pytest.raises(DescriptorFileError) as err:
+        parse_bundle(_three_planes({"0,0": 1, "1,0": 1, "2,2": 1}))
+    broken = "conjugation symmetry broken: h^{1,0} = 1 but h^{0,1} = 0"
+    assert str(err.value) == "<document>: " + "; ".join(
+        f"stratum ({cid!r},): {broken}" for cid in "ABC")
+    assert calls["validate"] == 2  # Y, and the plane that A, B and C share
+
+
+@pytest.mark.parametrize(
+    "plane, key, message",
+    [
+        ({**P2, "3,3": 1}, "['3,3']", "(p,q) outside the 2-dimensional range"),
+        ({**P2, "x": 1}, "['x']", BAD_KEY),
+        ({**P2, "1,1": True}, "['1,1']", NOT_INT),
+        # unhashable entries: the loader's per-document lookup must not raise TypeError
+        ({**P2, "1,1": [1]}, "['1,1']", NOT_INT),
+        ({**P2, "1,1": {"n": 1}}, "['1,1']", NOT_INT),
+        ([[1, 0, 0], [0, 1.0, 0], [0, 0, 1]], "[1][1]", NOT_INT),
+    ],
+    ids=["out of range", "bad key", "true", "list entry", "object entry", "dense float"],
+)
+def test_a_bad_diamond_in_three_strata_exits_2_at_the_first(plane, key, message, tmp_path,
+                                                             capsys):
+    assert _exit_2_at(_three_planes(plane), f".strata['A']{key}", tmp_path, capsys) == (
+        f"{message}\n")
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
+def test_true_or_float_never_matches_a_diamond_parsed_before(value, tmp_path, capsys):
+    # True == 1 and 1.0 == 1, and both hash as 1
+    doc = _three_planes(P2, C={**P2, "1,1": value})
+    assert _exit_2_at(doc, ".strata['C']['1,1']", tmp_path, capsys) == f"{NOT_INT}\n"
 
 
 def _compute_in_the_c_locale(path, fmt="machine"):

@@ -82,6 +82,54 @@ class TestValidate:
         assert any("duality" in p for p in validate(bad, smooth_projective=True))
 
 
+class TestImmutableValue:
+    def test_fields_cannot_be_reassigned_or_deleted(self):
+        d = projective_space(2)
+        for name, value in (("h", {}), ("dim", 3)):
+            with pytest.raises(AttributeError):
+                setattr(d, name, value)
+            with pytest.raises(AttributeError):
+                delattr(d, name)
+        assert d == diag(1, 1, 1)
+
+    def test_entries_cannot_be_written(self):
+        d = projective_space(1)
+        with pytest.raises(TypeError):
+            d.h[(0, 0)] = 5
+        with pytest.raises(TypeError):
+            del d.h[(1, 1)]
+        assert d.h == {(0, 0): 1, (1, 1): 1}
+
+    def test_the_table_passed_in_is_copied(self):
+        table = {(0, 0): 1, (1, 1): 1}
+        d = HodgeDiamond(1, table)
+        table[(0, 0)] = 7
+        assert d.hpq(0, 0) == 1
+
+    def test_zeros_are_not_entries(self):
+        with_zeros = HodgeDiamond(1, {(0, 0): 1, (1, 0): 0, (0, 1): 0, (1, 1): 1})
+        assert with_zeros == projective_space(1)
+        assert hash(with_zeros) == hash(projective_space(1))
+        assert dict(with_zeros.h) == {(0, 0): 1, (1, 1): 1}
+
+    def test_equal_only_on_dim_and_entries(self):
+        assert HodgeDiamond(1, {(0, 0): 1}) != HodgeDiamond(0, {(0, 0): 1})
+        assert projective_space(1) != curve(1)
+        assert projective_space(1) != {(0, 0): 1, (1, 1): 1}
+        assert len({projective_space(1), curve(0), diag(1, 1), projective_space(0)}) == 2
+
+    def test_repr_shows_a_plain_table(self):
+        assert repr(projective_space(1)) == "HodgeDiamond(dim=1, h={(0, 0): 1, (1, 1): 1})"
+
+    @given(pd_diamonds(2), st.randoms(use_true_random=False))
+    def test_equal_diamonds_hash_equal_whatever_the_entry_order(self, d, rng):
+        items = list(d.h.items())
+        rng.shuffle(items)
+        same = HodgeDiamond(d.dim, dict(items))
+        assert same == d and hash(same) == hash(d)
+        assert {d: 1}[same] == 1
+
+
 class TestProperties:
     @given(pd_diamonds(3, connected=True))
     def test_formal_poincare_duality(self, d):
