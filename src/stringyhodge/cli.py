@@ -16,6 +16,8 @@ import contextlib
 import io
 import json
 import sys
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Dict
 
 from .analysis import CrossCheckError, conjecture_report, defect_bound_check, local_defect
@@ -32,9 +34,51 @@ from .stringy import (
 EXPANSION_NOTE = "series expansion taken at the origin (u = v = 0)"
 
 
+_CONTAINERS = (dict, list, tuple)
+_LITERALS = {None: "null", True: "true", False: "false"}
+_ENCODERS: Dict[str, json.JSONEncoder] = {}  # by the line break and indent of an item
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    Any indent sends json to its pure-Python encoder.  So a container of
+    scalars alone is encoded by one call of the C encoder, its items
+    separated by a line break and the indent of their level, and only its
+    brackets are re-spaced; a container that holds containers is joined
+    here, and so are the literals, ints and strings among its items.
+    """
+    if obj is None or obj is True or obj is False:
+        return _LITERALS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if any(map(isinstance, obj.values(), repeat(_CONTAINERS))):
+            items = (f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if any(map(isinstance, obj, repeat(_CONTAINERS))):
+            return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in obj) + pad + "]"
+    encoder = _ENCODERS.get(inner)
+    if encoder is None:
+        encoder = _ENCODERS[inner] = json.JSONEncoder(
+            sort_keys=True, check_circular=False, separators=("," + inner, ": "))
+    flat = encoder.encode(obj)
+    if not isinstance(obj, _CONTAINERS):
+        return flat  # a float, or a TypeError for what JSON cannot hold
+    return flat[0] + inner + flat[1:-1] + pad + flat[-1]
+
+
 def _emit(doc: Dict[str, object], fmt: str, text_renderer) -> None:
     if fmt == "machine":
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(doc) + "\n")
         return
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
@@ -45,13 +89,29 @@ def _emit(doc: Dict[str, object], fmt: str, text_renderer) -> None:
     sys.stdout.write(text.getvalue().encode(encoding, "backslashreplace").decode(encoding))
 
 
+class _Spellings(dict):
+    """(p, q) -> "p,q": the first 1024 keys are spelled once per process and
+    kept, the rest (large exponents of a numerator) on every use."""
+
+    def __missing__(self, pq):
+        key = f"{pq[0]},{pq[1]}"
+        if len(self) < 1024:
+            self[pq] = key
+        return key
+
+
+_PQ_KEYS = _Spellings()
+
+
 def _pq_map(table) -> Dict[str, object]:
-    return {f"{p},{q}": v for (p, q), v in sorted(table.items())}
+    pqs = sorted(table)
+    return dict(zip(map(_PQ_KEYS.__getitem__, pqs), map(table.__getitem__, pqs)))
 
 
 def cmd_compute(args) -> int:
     bundle = load_bundle(args.path)
     report = stringy_hodge_table(bundle.descriptor, args.max_degree)
+    h_st = report.h_st_table()
     doc: Dict[str, object] = {
         "label": report.label,
         "dim": report.n,
@@ -63,13 +123,13 @@ def cmd_compute(args) -> int:
         },
         "polynomial": _pq_map(report.polynomial.terms) if report.polynomial else None,
         "b_coefficients": _pq_map(report.coefficients),
-        "stringy_hodge_numbers": _pq_map(report.h_st_table()),
+        "stringy_hodge_numbers": _pq_map(h_st),
         "checks": {
             "symmetry": check_symmetry(bundle.descriptor),
             "poincare_duality": check_pd_identity(bundle.descriptor),
             "polynomial_consequences": check_polynomial_consequences(bundle.descriptor),
         },
-        "negative_at": [f"{p},{q}" for p, q in report.negative],
+        "negative_at": [_PQ_KEYS[pq] for pq, h in sorted(h_st.items()) if h < 0],
     }
     if bundle.snc is not None:
         top = bundle.snc.max_level()

@@ -313,10 +313,23 @@ def exact_divide_test(f: StringyFunction) -> Optional[BivariatePoly]:
     is the quotient row Q, keyed like p (p - D*Q has degree at most N and
     equals D times a series starting at w^{N+1}).  Returns None when f is
     not a polynomial.
+
+    Before any expansion, each row is tested against each distinct factor
+    w^m - 1 from its nonzero entries alone: w^m - 1 is squarefree with the
+    m-th roots of unity as its roots, so it divides a row iff the row's
+    entries summed per residue of their index mod m all vanish.  A row that
+    fails proves f is not a polynomial, whatever the size of m.
     """
     if not f.denominator.factors:
         return f.numerator
     factors = f.denominator.factors
+    for m in set(factors):
+        for row in f._slices.values():
+            sums: Dict[int, int] = {}
+            for k in compress(range(len(row)), row):
+                sums[k % m] = sums.get(k % m, 0) + row[k]
+            if any(sums.values()):
+                return None
     quotients: Dict[Tuple[int, int], List[int]] = {}
     for pq, row in f._slices.items():
         series = _over(row, factors, len(row))

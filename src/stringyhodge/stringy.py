@@ -257,10 +257,6 @@ class StringyReport:
     def h_st_table(self) -> Dict[Tuple[int, int], int]:
         return {pq: self.h_st(*pq) for pq in self.coefficients}
 
-    @property
-    def negative(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(pq for pq, h in self.h_st_table().items() if h < 0))
-
 
 def check_symmetry(d: ResolutionDescriptor) -> bool:
     """E_st(u, v) = E_st(v, u): the numerator is u <-> v invariant."""

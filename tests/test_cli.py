@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stringyhodge import cli, stringy
-from stringyhodge.cli import main
+from stringyhodge.cli import _dumps, main
 
 
 def run(capsys, *argv):
@@ -242,6 +245,42 @@ class TestParserBuiltOnce:
         assert code == 0 and json.loads(out)["dim"] == 3
         assert builds["build_parser"] == 1
         assert computes["cmd_compute"] == 2
+
+
+json_keys = st.one_of(
+    st.text(max_size=6),
+    st.builds("{},{}".format, st.integers(-2, 12), st.integers(-2, 12)),
+    st.sampled_from(["", '"', "\\", "\n", "\x00\x1f", "\x7f", "é", "\u2028", "\U0001f600"]),
+)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)), st.text(max_size=6), json_keys,
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_keys, children, max_size=4),
+        st.dictionaries(json_keys, children, max_size=4).map(OrderedDict),  # a dict subclass
+    ),
+    max_leaves=24,
+)
+
+
+class TestMachineEncoding:
+    @settings(max_examples=300)
+    @example({"a": [{}, [], ()], "": {"b": {"c": []}}, "0,1": ()})
+    @example([[[[]]], [{}], [[{"x": [()]}]]])
+    @example({"2,10": -(2**70), "2,2": 2**64, "10,2": True, "é\"\n": None})
+    @given(json_trees)
+    def test_same_bytes_as_indented_json_dumps(self, tree):
+        assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    def test_kept_key_spellings_are_bounded(self):
+        table = {(p, 10**6 - p): p for p in range(3000)}
+        assert list(cli._pq_map(table)) == [f"{p},{10**6 - p}" for p in range(3000)]
+        assert len(cli._PQ_KEYS) <= 1024
 
 
 WRONG_CLOSED_FORM = """

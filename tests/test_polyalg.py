@@ -182,6 +182,14 @@ class TestExactDivideTest:
         f = StringyFunction(P({(1, 1): 1}), DenominatorSpec((2,)))
         assert exact_divide_test(f) is None
 
+    def test_each_factor_divides_yet_not_their_product(self):
+        # (w^3 - 1)(w + 2) has residue sums 0 mod 3, and no quotient over (w^3 - 1)^2
+        f = StringyFunction(P({(4, 4): 1, (3, 3): 2, (1, 1): -1, (0, 0): -2}),
+                            DenominatorSpec((3, 3)))
+        assert exact_divide_test(f) is None
+        assert exact_divide_test(StringyFunction(f.numerator, DenominatorSpec((3,)))) == P(
+            {(1, 1): 1, (0, 0): 2})
+
     @given(polys, st.lists(st.integers(2, 5), max_size=3))
     def test_quotient_times_denominator_is_numerator(self, quotient, factors):
         den = DenominatorSpec(tuple(factors))

@@ -208,6 +208,28 @@ class TestPolynomialConsequences:
         assert exact_divide_test(stringy_e(non_poly)) is None
         assert check_polynomial_consequences(non_poly) == {"applicable": False}
 
+    def test_rejected_from_the_nonzero_entries(self):
+        # a = 10^6 and 10^6 + 1: one row of 2,000,007 entries, seven of them
+        # nonzero, over (w^(a+1) - 1)(w^(a+2) - 1); mod w^(a+1) - 1 the row is
+        # 1 - 2w^2 + w^4, not 0, which its nonzero entries show without an
+        # expansion of the row (a dense one peaks near 50 MB)
+        a = 10**6
+        d = ResolutionDescriptor(
+            3,
+            (("E1", a), ("E2", a + 1)),
+            {(): diag(1, 3, 3, 1), ("E1",): quadric_surface(), ("E2",): quadric_surface(),
+             ("E1", "E2"): diag(1, 1)},
+        )
+        f = stringy_e(d)
+        tracemalloc.start()
+        try:
+            result = exact_divide_test(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result is None
+        assert peak < 1_000_000
+
 
 class TestClosedForms:
     def test_burkhardt(self, burkhardt):
