@@ -57,7 +57,10 @@ class ExceptionalFiberDescriptor(_ValidOnce):
                 problems.append(
                     f"component {c.comp_id!r} must be a surface, got dim {c.diamond.dim}"
                 )
-            if c.discrepancy < 0:
+            if type(c.discrepancy) is not int:
+                problems.append(
+                    f"component {c.comp_id!r} has non-integer discrepancy {c.discrepancy!r}")
+            elif c.discrepancy < 0:
                 problems.append(f"component {c.comp_id!r} has negative discrepancy")
             problems.extend(
                 f"component {c.comp_id!r}: {msg}" for msg in hodge.validate(c.diamond)
@@ -69,7 +72,9 @@ class ExceptionalFiberDescriptor(_ValidOnce):
                 problems.append(f"intersection pair {pair!r} names unknown components")
             elif tuple(sorted(pair)) != pair:
                 problems.append(f"intersection pair {pair!r} is not sorted")
-            if count < 0:
+            if type(count) is not int:
+                problems.append(f"non-integer intersection count {count!r} for pair {pair!r}")
+            elif count < 0:
                 problems.append(f"negative intersection count for pair {pair!r}")
         return self._kept(problems)
 

@@ -12,8 +12,6 @@ finds the first mismatch exactly, with no bound (`first_coefficient_difference`)
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import sys
 from itertools import repeat
@@ -80,13 +78,11 @@ def _emit(doc: Dict[str, object], fmt: str, text_renderer) -> None:
     if fmt == "machine":
         sys.stdout.write(_dumps(doc) + "\n")
         return
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
-        text_renderer(doc)
+    text = "".join(f"{line}\n" for line in text_renderer(doc))
     # what the output encoding cannot hold (a label under an ASCII locale) is
     # written as a backslash escape, as Python's stderr does, not an error
     encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
-    sys.stdout.write(text.getvalue().encode(encoding, "backslashreplace").decode(encoding))
+    sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
 class _Spellings(dict):
@@ -138,27 +134,27 @@ def cmd_compute(args) -> int:
         }
 
     def render(doc):
-        print(f"== {doc['label'] or args.path} (dim {doc['dim']}) ==")
-        print(f"E_st = {report.e_function}")
+        yield f"== {doc['label'] or args.path} (dim {doc['dim']}) =="
+        yield f"E_st = {report.e_function}"
         if report.polynomial is not None:
-            print(f"polynomial: {report.polynomial}")
+            yield f"polynomial: {report.polynomial}"
         else:
-            print("not a polynomial; coefficients below are expansion coefficients")
-        print(f"({doc['expansion_point']}, bound {doc['expansion_bound']})")
-        print("stringy Hodge numbers h^{p,q}_st:")
+            yield "not a polynomial; coefficients below are expansion coefficients"
+        yield f"({doc['expansion_point']}, bound {doc['expansion_bound']})"
+        yield "stringy Hodge numbers h^{p,q}_st:"
         for key, value in doc["stringy_hodge_numbers"].items():
-            print(f"  h^{{{key}}}_st = {value}")
+            yield f"  h^{{{key}}}_st = {value}"
         checks = doc["checks"]
-        print(f"u<->v symmetry: {checks['symmetry']}")
+        yield f"u<->v symmetry: {checks['symmetry']}"
         pd = checks["poincare_duality"]
-        print(f"Poincare duality identity: {'inconclusive' if pd is None else pd}")
+        yield f"Poincare duality identity: {'inconclusive' if pd is None else pd}"
         if "snc_h0_weight_dims" in doc:
             dims = ", ".join(
                 f"Gr^W_0 H^{l}(D) = {v}" for l, v in doc["snc_h0_weight_dims"].items()
             )
-            print(f"SNC dual-complex weights (H^0 row): {dims}")
+            yield f"SNC dual-complex weights (H^0 row): {dims}"
         if doc["negative_at"]:
-            print(f"NEGATIVE stringy Hodge numbers at: {doc['negative_at']}")
+            yield f"NEGATIVE stringy Hodge numbers at: {doc['negative_at']}"
 
     _emit(doc, args.format, render)
     return 0
@@ -182,19 +178,19 @@ def cmd_check(args) -> int:
     }
 
     def render(doc):
-        print(f"== {doc['label'] or args.path} (dim {doc['dim']}) ==")
-        print(f"polynomial stringy E-function: {doc['polynomial']}")
+        yield f"== {doc['label'] or args.path} (dim {doc['dim']}) =="
+        yield f"polynomial stringy E-function: {doc['polynomial']}"
         if doc["all_nonnegative"]:
-            print(f"all stringy Hodge numbers with p+q <= {doc['expansion_bound']} are nonnegative")
+            yield f"all stringy Hodge numbers with p+q <= {doc['expansion_bound']} are nonnegative"
         else:
             for key, detail in doc["negative_details"].items():
-                print(
+                yield (
                     f"NEGATIVE h^{{{key}}}_st = {detail['h_st']} "
                     f"(a_pq = {detail['a_pq']}, "
                     f"discrepancy-1 count = {detail['discrepancy_one_count']})"
                 )
         if doc["threefold_inequality"] is not None:
-            print(f"threefold h^{{2,2}}_st >= h^{{1,1}}_st: {doc['threefold_inequality']}")
+            yield f"threefold h^{{2,2}}_st >= h^{{1,1}}_st: {doc['threefold_inequality']}"
 
     _emit(doc, args.format, render)
     return 0 if report.all_nonnegative() else 1
@@ -217,10 +213,10 @@ def cmd_defect(args) -> int:
     doc = {"label": bundle.descriptor.label, "fibers": rows}
 
     def render(doc):
-        print(f"== {doc['label'] or args.path}: local defects ==")
+        yield f"== {doc['label'] or args.path}: local defects =="
         for row in doc["fibers"]:
             status = "ok" if row["bound_satisfied"] else "VIOLATED (not geometrically realizable)"
-            print(
+            yield (
                 f"  {row['point']}: sigma = {row['local_defect']}, "
                 f"discrepancy-1 bound {row['discrepancy_one_count']}: {status}"
             )
@@ -245,10 +241,10 @@ def cmd_compare(args) -> int:
 
     def render(doc):
         if doc["equal"]:
-            print("stringy E-functions are EQUAL (exact rational-function identity)")
+            yield "stringy E-functions are EQUAL (exact rational-function identity)"
         else:
             d = doc["first_difference"]
-            print(
+            yield (
                 "stringy E-functions DIFFER: first mismatch at "
                 f"u^{d['p']} v^{d['q']} ({d['b_a']} vs {d['b_b']})"
             )

@@ -56,6 +56,8 @@ class HodgeDiamond:
         table: Dict[Tuple[int, int], int] = {}
         if h:
             for (p, q), n in h.items():
+                if type(n) is not int:  # bool included, as in the loader
+                    raise DiamondError(f"h^{{{p},{q}}} = {n!r} is not an integer")
                 if n == 0:
                     continue
                 if not (0 <= p <= dim and 0 <= q <= dim):

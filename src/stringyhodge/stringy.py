@@ -76,13 +76,14 @@ class ResolutionDescriptor(_ValidOnce):
         if len(set(ids)) != len(ids):
             problems.append("duplicate component ids")
         for cid, a in self.components:
-            if a < 0:
+            if type(a) is not int:
+                problems.append(f"component {cid!r} has non-integer discrepancy {a!r}")
+            elif a < 0:
                 problems.append(f"component {cid!r} has negative discrepancy {a}")
         if () not in self.strata:
             problems.append("missing Y stratum (empty subset)")
         known = set(ids)
         present = self.strata.__contains__
-        invalid = None
         found_in: Dict[int, List[str]] = {}  # by id of the diamond
         for subset, diamond in self.strata.items():
             # one test for sorted, unique and known ids; messages only on failure
@@ -106,15 +107,12 @@ class ResolutionDescriptor(_ValidOnce):
                 found = found_in[id(diamond)] = hodge.validate(diamond)
             if found:
                 problems.extend(f"stratum {subset!r}: {msg}" for msg in found)
-                if invalid is None:
-                    invalid = subset
             if subset and not all(map(present, combinations(subset, len(subset) - 1))):
                 for sub in combinations(subset, len(subset) - 1):
                     if sub not in self.strata:
                         problems.append(
                             f"downward closure broken: {subset!r} present but {sub!r} missing"
                         )
-        object.__setattr__(self, "_invalid_stratum", invalid)
         return self._kept(problems)
 
     @cached_property
@@ -134,18 +132,14 @@ class ResolutionDescriptor(_ValidOnce):
 
     @cached_property
     def _pd_failure(self) -> Optional[Subset]:
-        # the first stratum failing hodge.validate(s, smooth_projective=True);
-        # validate() keeps the first that fails the plain check, so up to that
-        # one only duality is left to test, once per distinct diamond
-        if "_invalid_stratum" not in vars(self):
-            self.validate()
-        invalid = self._invalid_stratum
-        broken: Dict[int, bool] = {}  # by id of the diamond
+        # the first stratum failing hodge.validate(s, smooth_projective=True),
+        # one test per distinct diamond; after a passed validate() only
+        # duality is left to test
+        broken: Dict[int, List[str]] = {}  # by id of the diamond
         for J, s in self.strata.items():
-            if J == invalid:
-                return J
             if id(s) not in broken:
-                broken[id(s)] = bool(hodge._duality_problems(s))
+                broken[id(s)] = (hodge._duality_problems(s) if self._valid
+                                 else hodge.validate(s, smooth_projective=True))
             if broken[id(s)]:
                 return J
         return None
@@ -154,8 +148,8 @@ class ResolutionDescriptor(_ValidOnce):
         """Whether every stratum passes `hodge.validate(d, smooth_projective=True)`.
 
         The first failing stratum (or None) is found on the first call, which
-        `check_pd_identity` makes, and kept; beyond what validate() records it
-        only tests duality, validating first if nothing did yet.
+        `check_pd_identity` makes, and kept; once validate() has passed, only
+        duality is tested.
         """
         return self._pd_failure is None
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from stringyhodge import (
     CrossCheckError,
     DescriptorError,
+    DiamondError,
     ExceptionalFiberDescriptor,
     FiberComponent,
     HodgeDiamond,
@@ -110,6 +111,40 @@ class TestFiberValidatedOnce:
         assert fd.validate() == ["intersection pair ('F2', 'F1') is not sorted"]
         with pytest.raises(DescriptorError, match=r"\('F2', 'F1'\) is not sorted"):
             local_defect(fd)
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1"], ids=repr)
+class TestIntegerRule:
+    """Data built in code is held to the loader's rule: an entry, discrepancy
+    or count is an `int` (a bool is not one), and a non-int is reported as a
+    problem, not taken as a number or met by a TypeError later."""
+
+    def test_diamond_entry(self, value):
+        with pytest.raises(DiamondError, match=r"h\^\{1,1\} = .* is not an integer"):
+            HodgeDiamond(1, {(0, 0): 1, (1, 1): value})
+
+    def test_descriptor_discrepancy(self, value):
+        d = ResolutionDescriptor(
+            2, (("E", value),), {(): diag(1, 2, 1), ("E",): projective_space(1)})
+        message = f"component 'E' has non-integer discrepancy {value!r}"
+        assert d.validate() == [message]
+        with pytest.raises(DescriptorError, match="non-integer discrepancy"):
+            stringy_e(d)
+
+    def test_fiber_discrepancy(self, value):
+        fd = ExceptionalFiberDescriptor("x1", (FiberComponent("F1", Q, value),), {})
+        assert fd.validate() == [f"component 'F1' has non-integer discrepancy {value!r}"]
+        with pytest.raises(DescriptorError, match="non-integer discrepancy"):
+            local_defect(fd)
+
+    def test_fiber_pair_count(self, value):
+        fd = ExceptionalFiberDescriptor(
+            "x1", (FiberComponent("F1", Q, 1), FiberComponent("F2", Q, 1)), {("F1", "F2"): value}
+        )
+        message = f"non-integer intersection count {value!r} for pair ('F1', 'F2')"
+        assert fd.validate() == [message]
+        with pytest.raises(DescriptorError, match="non-integer intersection count"):
+            defect_bound_check(fd)
 
 
 class TestDefectBound:

@@ -44,6 +44,13 @@ class TestCompute:
         assert code == 2
         assert "missing Y stratum" in err
 
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_path_is_input_error(self, name, tmp_path, capsys):
+        path = tmp_path / name  # a file that is not there, then a directory
+        code, out, err = run(capsys, "compute", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: cannot read: ")
+
     def test_max_degree_flag(self, corpus, capsys):
         code, out, _ = run(
             capsys,
@@ -273,9 +280,18 @@ class TestMachineEncoding:
     @example({"a": [{}, [], ()], "": {"b": {"c": []}}, "0,1": ()})
     @example([[[[]]], [{}], [[{"x": [()]}]]])
     @example({"2,10": -(2**70), "2,2": 2**64, "10,2": True, "é\"\n": None})
+    @example(1.5)
+    @example({"a": [0.25, -0.0, 1e300], "b": float("inf")})
     @given(json_trees)
     def test_same_bytes_as_indented_json_dumps(self, tree):
         assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("tree", [{1, 2}, {"a": [set()]}])
+    def test_what_json_cannot_hold_raises_as_json_dumps_does(self, tree):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(tree, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match=str(expected.value)):
+            _dumps(tree)
 
     def test_kept_key_spellings_are_bounded(self):
         table = {(p, 10**6 - p): p for p in range(3000)}

@@ -4,9 +4,11 @@ A check written as a bare `assert` would vanish under -O and let a call exit
 0 where it should exit 1 or 2; running a few pinned cases of cli_golden.json
 in optimized subprocesses catches that.  The cases cover a failed check
 (exit 1 on a negative stringy Hodge number), a defect on a file without
-fibers (exit 2), a comparison, an SNC file and a fiber file.
+fibers (exit 2), a comparison, an SNC file and a fiber file.  Beyond those
+cases, no module of the package may hold an `assert` statement at all.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -40,3 +42,14 @@ def test_optimized_cli_matches_the_pinned_digests():
         out, err = proc.communicate(timeout=60)
         got = {"exit": proc.returncode, "stdout": sha256(out), "stderr": sha256(err)}
         assert got == golden[case_id(*case)], (case_id(*case), err)
+
+
+def test_no_module_of_the_package_asserts():
+    paths = sorted((ROOT / "src" / "stringyhodge").rglob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert paths and found == []

@@ -82,6 +82,24 @@ class TestValidate:
         assert any("duality" in p for p in validate(bad, smooth_projective=True))
 
 
+class TestRejectedArguments:
+    def test_negative_dimension(self):
+        with pytest.raises(DiamondError, match="dimension must be nonnegative"):
+            HodgeDiamond(-1)
+
+    def test_entry_outside_the_range(self):
+        with pytest.raises(DiamondError, match=r"h\^\{2,0\} outside the 1-dimensional range"):
+            HodgeDiamond(1, {(0, 0): 1, (2, 0): 1})
+
+    def test_negative_copy_count(self):
+        with pytest.raises(DiamondError, match="copy count must be nonnegative"):
+            projective_space(1) * -1
+
+    def test_negative_genus(self):
+        with pytest.raises(DiamondError, match="genus must be nonnegative"):
+            curve(-1)
+
+
 class TestImmutableValue:
     def test_fields_cannot_be_reassigned_or_deleted(self):
         d = projective_space(2)

@@ -37,6 +37,10 @@ class TestPolyMul:
     def test_annihilator(self):
         assert not (P({(2, 3): 7}) * BivariatePoly()).terms
 
+    def test_empty_values_print_as_units(self):
+        assert str(BivariatePoly()) == "0"
+        assert str(DenominatorSpec()) == "1"
+
     def test_difference_of_squares(self):
         a = P({(0, 0): 1, (1, 0): -1})
         b = P({(0, 0): 1, (1, 0): 1})

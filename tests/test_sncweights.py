@@ -91,6 +91,10 @@ class TestCoboundaryH0:
         data = complex_from_faces(["A"], [])
         assert coboundary_h0(data, 1) == []
 
+    def test_levels_start_at_one(self):
+        with pytest.raises(SncDataError, match="levels start at r = 1"):
+            coboundary_h0(complex_from_faces(*CHAIN), 0)
+
     def test_triangle_matches_hollow_triangle_boundary(self):
         data = complex_from_faces(*TRIANGLE)
         mat = coboundary_h0(data, 1)
@@ -141,6 +145,10 @@ class TestWeightGradedDims:
     def test_chain_contractible(self):
         data = complex_from_faces(*CHAIN)
         assert weight_graded_dims(data, 0, 1, 0, 0) == 0
+
+    def test_negative_l_rejected(self):
+        with pytest.raises(SncDataError, match="l must be nonnegative"):
+            weight_graded_dims(complex_from_faces(*CHAIN), 0, -1, 0, 0)
 
     @pytest.mark.parametrize(
         "triangles, betti",
