@@ -51,6 +51,8 @@ class HodgeDiamond:
     __slots__ = ("dim", "h")
 
     def __init__(self, dim: int, h: Optional[Mapping[Tuple[int, int], int]] = None):
+        if type(dim) is not int:  # bool included, as for the entries
+            raise DiamondError(f"dimension {dim!r} is not an integer")
         if dim < 0:
             raise DiamondError("dimension must be nonnegative")
         table: Dict[Tuple[int, int], int] = {}

@@ -11,16 +11,17 @@ Matrices are integer matrices.  The loader reads an integral entry as an
 int, and a map of ints is copied as it is; only a map with a non-integral
 entry is scaled by the lcm of its denominators, once, when SncComplexData is
 built, which changes neither its rank nor whether consecutive maps compose
-to zero.  Ranks come from fraction-free elimination on sparse rows, each
-divided by its content; products of maps, formed to check that they
-compose to zero, skip zeros.
+to zero.  Ranks come from fraction-free elimination on sparse rows, along
+the shorter side of the matrix: each row is updated in place, loses an
+entry the moment it becomes 0 and is divided by its content.  Products of
+maps, formed to check that they compose to zero, skip zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations, compress
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -45,7 +46,7 @@ def _integral(m) -> Matrix:
 
 def _sparse(rows: Matrix) -> List[Dict[int, int]]:
     """Each row as {column: entry} of its nonzero entries."""
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+    return [dict(compress(enumerate(row), row)) for row in rows]
 
 
 def _primitive(row: Dict[int, int]) -> Dict[int, int]:
@@ -59,29 +60,48 @@ def _primitive(row: Dict[int, int]) -> Dict[int, int]:
 def exact_rank(rows: Matrix, ncols: int) -> int:
     """Rank of an integer matrix by fraction-free elimination on sparse rows.
 
-    Each row is kept as its nonzero entries {column: int}, divided by its
-    content.  A pivot row p is taken out, with its entry of least absolute
-    value in column c, and every row r with an entry in column c becomes
-    p[c]*r - r[c]*p, divided by its content; rows with no entry in column c
-    are not touched.  Each pivot adds one to the rank.
+    Each row is kept as its nonzero entries {column: int}.  When there are
+    more nonzero rows than columns the matrix is transposed once (rank A =
+    rank A^T), so elimination runs along the shorter side.  Rows are divided
+    by their content.  A pivot row p is taken out, with its entry of least
+    absolute value in column c, and every row r with an entry in column c
+    becomes p[c]*r - r[c]*p in place, an entry deleted as soon as it is 0,
+    then divided by its content; rows with no entry in column c are not
+    touched.  Each pivot adds one to the rank.
     """
     if any(len(row) != ncols for row in rows):
         raise SncDataError("ragged matrix")
-    pending = [_primitive(row) for row in _sparse(rows) if row]
+    pending = [row for row in _sparse(rows) if row]
+    if len(pending) > ncols:
+        columns: Dict[int, Dict[int, int]] = {}
+        for i, row in enumerate(pending):
+            for j, v in row.items():
+                columns.setdefault(j, {})[i] = v
+        pending = list(columns.values())
+    pending = list(map(_primitive, pending))
     rank = 0
     while pending:
         pivot = pending.pop()
         col, head = min(pivot.items(), key=lambda item: abs(item[1]))
         rank += 1
-        for i, row in enumerate(pending):
+        kept = []
+        for row in pending:
             factor = row.get(col)
-            if factor is None:
-                continue
-            new = {j: head * v for j, v in row.items()}
-            for j, v in pivot.items():
-                new[j] = new.get(j, 0) - factor * v
-            pending[i] = _primitive({j: v for j, v in new.items() if v})
-        pending = [row for row in pending if row]
+            if factor is not None:
+                if head != 1:
+                    for j in row:
+                        row[j] *= head
+                for j, v in pivot.items():
+                    entry = row.get(j, 0) - factor * v
+                    if entry:
+                        row[j] = entry
+                    else:
+                        del row[j]
+                if not row:
+                    continue
+                row = _primitive(row)
+            kept.append(row)
+        pending = kept
     return rank
 
 
@@ -96,9 +116,9 @@ def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = len(b[0]) if b else 0
     b_rows = _sparse(b)
     out: Matrix = []
-    for a_row in _sparse(a):
+    for a_row in a:
         acc = [0] * cols
-        for i, x in a_row.items():
+        for i, x in compress(enumerate(a_row), a_row):
             for j, y in b_rows[i].items():
                 acc[j] += x * y
         out.append(acc)
@@ -255,17 +275,28 @@ def _face_problems(data: SncComplexData, r: int, idx: int) -> List[str]:
     """Problems with the faces of component idx of D(r), by the one face rule.
 
     A component of D(1) has no faces; one of D(r), r >= 2, has r, and face t
-    indexes the component of D(r-1) whose subset drops the t-th id.
+    indexes the component of D(r-1) whose subset drops the t-th id.  One
+    test passes a component that keeps the rule; only one that breaks it is
+    walked face by face for the messages.
     """
     comp = data.components(r)[idx]
     count = r if r >= 2 else 0
     if len(comp.faces) != count:
         return [f"level {r} component {idx}: expected {count} faces, got {len(comp.faces)}"]
+    if not count:  # no face to test, and combinations rejects r - 1 < 0
+        return []
     below = data.components(r - 1)
+    n = len(below)
+    # combinations drop the last id first, so face t is the t-th from the end;
+    # a face index out of range lands in no subset
+    if [below[f].subset if 0 <= f < n else None for f in reversed(comp.faces)] == list(
+        combinations(comp.subset, r - 1)
+    ):
+        return []
     problems = []
     for t, fidx in enumerate(comp.faces):
         expected = comp.subset[:t] + comp.subset[t + 1 :]
-        if not (0 <= fidx < len(below)):
+        if not (0 <= fidx < n):
             problems.append(f"face index {fidx} out of range")
         elif below[fidx].subset != expected:
             problems.append(

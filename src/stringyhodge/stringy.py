@@ -71,6 +71,8 @@ class ResolutionDescriptor(_ValidOnce):
         identity: the loader gives all strata that spell one alike the same
         object, and identity costs no hashing of entries.
         """
+        if type(self.n) is not int:  # every stratum's dimension is compared with n
+            return self._kept([f"dimension n = {self.n!r} is not an integer"])
         problems = []
         ids = [cid for cid, _ in self.components]
         if len(set(ids)) != len(ids):

@@ -87,6 +87,11 @@ class TestRejectedArguments:
         with pytest.raises(DiamondError, match="dimension must be nonnegative"):
             HodgeDiamond(-1)
 
+    @pytest.mark.parametrize("dim", [1.5, 1.0, True, False, "1", None])
+    def test_dimension_that_is_not_an_int(self, dim):
+        with pytest.raises(DiamondError, match=f"dimension {dim!r} is not an integer"):
+            HodgeDiamond(dim, {(0, 0): 1})
+
     def test_entry_outside_the_range(self):
         with pytest.raises(DiamondError, match=r"h\^\{2,0\} outside the 1-dimensional range"):
             HodgeDiamond(1, {(0, 0): 1, (2, 0): 1})

@@ -1,7 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 import sympy
@@ -135,6 +135,54 @@ class TestCoboundaryH0:
     def test_level_one_has_no_faces(self):
         data = SncComplexData(levels={1: (SncComponent(("A",), faces=(5, 7)),)})
         assert data.validate() == ["level 1 component 0: expected 0 faces, got 2"]
+
+
+def triangle_with(level_2=None, level_3=None):
+    """Components A, B, C of D(1) (indices 0, 1, 2), with the given D(2) and D(3)."""
+    levels = {1: tuple(SncComponent((i,)) for i in "ABC")}
+    if level_2:
+        levels[2] = tuple(SncComponent(tuple(subset), faces=faces) for subset, faces in level_2)
+    if level_3:
+        levels[3] = tuple(SncComponent(tuple(subset), faces=faces) for subset, faces in level_3)
+    return SncComplexData(levels=levels)
+
+
+EDGES = [("AB", (1, 0)), ("AC", (2, 0)), ("BC", (2, 1))]  # as the face rule wants
+
+
+class TestFaceRuleMessages:
+    """A component that breaks the face rule is reported face by face, in order."""
+
+    def test_face_index_out_of_range_is_not_wrapped(self):
+        # -1 would index C, the face BC wants, and 3 would raise
+        data = triangle_with([("AB", (1, 0)), ("AC", (2, 3)), ("BC", (-1, 1))])
+        assert data.validate() == [
+            "level 2 component 1: face index 3 out of range",
+            "level 2 component 2: face index -1 out of range",
+        ]
+
+    def test_faces_in_the_wrong_order_are_reported_at_each_wrong_face(self):
+        data = triangle_with([("AB", (0, 1)), *EDGES[1:]], [("ABC", (2, 0, 1))])
+        assert data.validate() == [
+            "level 2 component 0: face 0 lands in subset ('A',), expected ('B',)",
+            "level 2 component 0: face 1 lands in subset ('B',), expected ('A',)",
+            "level 3 component 0: face 1 lands in subset ('A', 'B'), expected ('A', 'C')",
+            "level 3 component 0: face 2 lands in subset ('A', 'C'), expected ('A', 'B')",
+        ]
+
+    def test_subset_of_the_wrong_size_keeps_its_face_messages(self):
+        data = triangle_with([("ABC", (1, 0)), ("A", (0, 1))])
+        assert data.validate() == [
+            "level 2 component 0: subset size 3 != 2",
+            "level 2 component 0: face 0 lands in subset ('B',), expected ('B', 'C')",
+            "level 2 component 0: face 1 lands in subset ('A',), expected ('A', 'C')",
+            "level 2 component 1: subset size 1 != 2",
+            "level 2 component 1: face 0 lands in subset ('A',), expected ()",
+            "level 2 component 1: face 1 lands in subset ('B',), expected ('A',)",
+        ]
+
+    def test_the_filled_triangle_keeps_the_rule(self):
+        assert triangle_with(EDGES, [("ABC", (2, 1, 0))]).validate() == []
 
 
 class TestWeightGradedDims:
@@ -378,10 +426,18 @@ sparse_entries = st.one_of(
 )
 
 
+# mostly zeros, then +-1, then integers of any size up to 1000
+mostly_zero_ints = st.one_of(
+    *[st.just(Fraction(0))] * 4,
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-1000, 1000)),
+)
+
+
 @st.composite
-def matrices(draw, nrows=st.integers(0, 7), ncols=st.integers(0, 7)):
+def matrices(draw, nrows=st.integers(0, 7), ncols=st.integers(0, 7), entries=sparse_entries):
     rows, cols = draw(nrows), draw(ncols)
-    entry_rows = st.lists(sparse_entries, min_size=cols, max_size=cols)
+    entry_rows = st.lists(entries, min_size=cols, max_size=cols)
     return draw(st.lists(entry_rows, min_size=rows, max_size=rows)), cols
 
 
@@ -424,6 +480,28 @@ class TestSparseKernels:
         mat = dense_product(left, right) if right else [[Fraction(0)] * cols for _ in left]
         assert exact_rank(cleared(mat), cols) == sympy_rank(mat, cols)
         assert exact_rank(cleared(mat), cols) <= inner
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_rank_of_tall_and_wide_matrices_matches_sympy(self, data):
+        # a tall matrix is eliminated along its columns, a wide one along its rows
+        long, short = data.draw(st.integers(13, 40)), data.draw(st.integers(1, 12))
+        nrows, ncols = (long, short) if data.draw(st.booleans()) else (short, long)
+        mat, _ = data.draw(matrices(st.just(nrows), st.just(ncols), mostly_zero_ints))
+        zero_rows = data.draw(st.sets(st.integers(0, nrows - 1), max_size=nrows // 2))
+        zero_cols = data.draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 2))
+        mat = [
+            [Fraction(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(mat)
+        ]
+        assert exact_rank(cleared(mat), ncols) == sympy_rank(mat, ncols)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_rank_of_cech_coboundaries_of_the_full_simplex(self, k):
+        # the augmented cochain complex of a simplex is exact, so delta_r,
+        # from the r-subsets to the (r+1)-subsets of k vertices, has rank C(k-1, r)
+        for r, delta in enumerate(cech(range(k), k), start=1):
+            assert exact_rank(cleared(delta), comb(k, r)) == comb(k - 1, r)
 
     def test_rank_edge_shapes(self):
         assert exact_rank([], 4) == 0

@@ -108,6 +108,16 @@ class TestStringyE:
             "downward closure broken: ('A', 'B', 'C') present but ('B', 'C') missing",
         ]
 
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_dimension_that_is_not_an_int_is_the_one_problem(self, n):
+        # reported before any stratum's dimension is compared with n
+        d = ResolutionDescriptor(n, (("E", 1),), {(): diag(1, 1, 1), ("E",): diag(1, 1)})
+        message = f"dimension n = {n!r} is not an integer"
+        assert d.validate() == [message]
+        for call in (stringy_e, stringy_hodge_table):
+            with pytest.raises(DescriptorError, match=message):
+                call(d)
+
     def test_discrepancy_zero_subsets_vanish(self, node):
         # adding a crepant component changes nothing
         with_crepant = ResolutionDescriptor(
