@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import chain, compress
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -275,28 +275,17 @@ def _face_problems(data: SncComplexData, r: int, idx: int) -> List[str]:
     """Problems with the faces of component idx of D(r), by the one face rule.
 
     A component of D(1) has no faces; one of D(r), r >= 2, has r, and face t
-    indexes the component of D(r-1) whose subset drops the t-th id.  One
-    test passes a component that keeps the rule; only one that breaks it is
-    walked face by face for the messages.
+    indexes the component of D(r-1) whose subset drops the t-th id.
     """
     comp = data.components(r)[idx]
     count = r if r >= 2 else 0
     if len(comp.faces) != count:
         return [f"level {r} component {idx}: expected {count} faces, got {len(comp.faces)}"]
-    if not count:  # no face to test, and combinations rejects r - 1 < 0
-        return []
     below = data.components(r - 1)
-    n = len(below)
-    # combinations drop the last id first, so face t is the t-th from the end;
-    # a face index out of range lands in no subset
-    if [below[f].subset if 0 <= f < n else None for f in reversed(comp.faces)] == list(
-        combinations(comp.subset, r - 1)
-    ):
-        return []
     problems = []
     for t, fidx in enumerate(comp.faces):
         expected = comp.subset[:t] + comp.subset[t + 1 :]
-        if not (0 <= fidx < n):
+        if not (0 <= fidx < len(below)):
             problems.append(f"face index {fidx} out of range")
         elif below[fidx].subset != expected:
             problems.append(

@@ -181,6 +181,17 @@ class TestFaceRuleMessages:
             "level 2 component 1: face 1 lands in subset ('B',), expected ('A',)",
         ]
 
+    @pytest.mark.parametrize("subset", [["A", "B"], "AB"], ids=["list", "str"])
+    def test_subset_that_is_not_a_tuple_keeps_its_face_messages(self, subset):
+        # built in code, not loaded: each face's expected slice is a list or a string
+        levels = {1: (SncComponent(("A",)), SncComponent(("B",))),
+                  2: (SncComponent(subset, faces=(1, 0)),)}
+        assert SncComplexData(levels=levels).validate() == [
+            "level 2 component 0: subset not sorted",
+            f"level 2 component 0: face 0 lands in subset ('B',), expected {subset[1:]}",
+            f"level 2 component 0: face 1 lands in subset ('A',), expected {subset[:1]}",
+        ]
+
     def test_the_filled_triangle_keeps_the_rule(self):
         assert triangle_with(EDGES, [("ABC", (2, 1, 0))]).validate() == []
 
