@@ -60,11 +60,10 @@ class HodgeDiamond:
             for (p, q), n in h.items():
                 if type(n) is not int:  # bool included, as in the loader
                     raise DiamondError(f"h^{{{p},{q}}} = {n!r} is not an integer")
-                if n == 0:
-                    continue
                 if not (0 <= p <= dim and 0 <= q <= dim):
                     raise DiamondError(f"h^{{{p},{q}}} outside the {dim}-dimensional range")
-                table[(p, q)] = n
+                if n:
+                    table[(p, q)] = n
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "h", MappingProxyType(table))
 
@@ -159,13 +158,18 @@ def _duality_problems(d: HodgeDiamond) -> List[str]:
     return problems
 
 
-def e_polynomial(d: HodgeDiamond, check: bool = True) -> BivariatePoly:
-    """Hodge-Deligne polynomial sum (-1)^{p+q} h^{p,q} u^p v^q."""
-    if check:
-        problems = validate(d)
-        if problems:
-            raise DiamondError("; ".join(problems))
-    return BivariatePoly({(p, q): (-1) ** (p + q) * n for (p, q), n in d.h.items()})
+def _signed(table: Mapping[Tuple[int, int], int], odd: int = 0) -> Dict[Tuple[int, int], int]:
+    """Each entry h^{p,q} times (-1)^{p+q+odd}: the one home of the Hodge-Deligne sign."""
+    return {(p, q): (-1) ** (p + q + odd) * n for (p, q), n in table.items()}
+
+
+def e_polynomial(d: HodgeDiamond) -> BivariatePoly:
+    """Hodge-Deligne polynomial sum (-1)^{p+q} h^{p,q} u^p v^q of a diamond;
+    a DiamondError names every problem `validate` finds."""
+    problems = validate(d)
+    if problems:
+        raise DiamondError("; ".join(problems))
+    return BivariatePoly(_signed(d.h))
 
 
 def kunneth(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:

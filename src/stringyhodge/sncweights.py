@@ -20,6 +20,7 @@ maps, formed to check that they compose to zero, skip zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
 from math import gcd, lcm
@@ -37,9 +38,20 @@ class SncDataError(ValueError):
 
 def _integral(m) -> Matrix:
     """The rational matrix m as fresh integer rows: a matrix of ints is copied,
-    one holding a Fraction is multiplied by the lcm of its denominators."""
-    if {int}.issuperset(map(type, chain.from_iterable(m))):  # the type test runs in C
+    one holding a Fraction is multiplied by the lcm of its denominators.
+
+    As for a diamond's entries, a row that is not a list, or an entry that is
+    neither an int nor a Fraction (a bool included), raises SncDataError.
+    """
+    if not {list}.issuperset(map(type, m)):
+        bad = next(row for row in m if type(row) is not list)
+        raise SncDataError(f"row {bad!r} is not a list")
+    types = set(map(type, chain.from_iterable(m)))  # the type tests run in C
+    if {int}.issuperset(types):
         return list(map(list, m))
+    if not {int, Fraction}.issuperset(types):
+        bad = next(x for row in m for x in row if type(x) not in (int, Fraction))
+        raise SncDataError(f"entry {bad!r} is neither an int nor a Fraction")
     scale = lcm(*(x.denominator for row in m for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in m]
 
@@ -162,7 +174,12 @@ class SncComplexData(_ValidOnce):
     def __post_init__(self):
         levels = {r: tuple(cs) for r, cs in dict(self.levels).items()}
         object.__setattr__(self, "levels", MappingProxyType(levels))
-        maps = {key: tuple(map(_integral, mats)) for key, mats in dict(self.user_maps).items()}
+        maps = {}
+        for (k, p, q), mats in dict(self.user_maps).items():
+            try:
+                maps[(k, p, q)] = tuple(map(_integral, mats))
+            except SncDataError as exc:
+                raise SncDataError(f"user map ({k},{p},{q}): {exc}") from None
         object.__setattr__(self, "user_maps", MappingProxyType(maps))
         object.__setattr__(self, "_ranked_rows", {})
 

@@ -181,11 +181,8 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
 
     The factor of a stratum depends only on its signature, the sorted m_j
     over J, so the raw h^{p,q} of the strata sharing a signature are summed
-    into one table first, and `hodge.e_polynomial`, the one home of the sign
-    (-1)^{p+q}, turns each group's table into its E-polynomial once.  The
-    sign reads only (p, q), so a group may mix dimensions, as unvalidated
-    controls with a = -1 do.  The common denominator holds each w^m - 1 as
-    often as the most demanding signature needs it.  Over it, a group's
+    into one plain table first.  The common denominator holds each w^m - 1
+    as often as the most demanding signature needs it.  Over it, a group's
     factor is its cofactor times prod (w - w^m) = (-w)^{|sig|} prod
     (w^{m-1} - 1).  Components with a < 1 give no denominator factor; a = 0
     makes the numerator factor w - w vanish, so its strata are skipped.
@@ -194,8 +191,9 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     are points and curves with a handful of entries, so counting repeated
     (signature, diamond) pairs first would cost more than it saves.
 
-    `polyalg._binomial_sum` forms the sum of these products, with the sign
-    (-1)^{|sig|} put into each group's E-terms.
+    `hodge._signed`, the one home of the sign, gives each entry h^{p,q} of a
+    group's table the sign (-1)^{p+q+|sig|}: its E-terms times the (-1)^{|sig|}
+    of (-w)^{|sig|}.  `polyalg._binomial_sum` forms the sum of the products.
     """
     m_of = {cid: a + 1 for cid, a in d.components}
     groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
@@ -215,10 +213,7 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     common = DenominatorSpec(tuple(m for m, k in need.items() for _ in range(k)))
     products = []
     for signature, h_sum in groups.items():
-        # wrapped as is: e_polynomial(check=False) reads the entries and nothing else
-        terms = hodge.e_polynomial(HodgeDiamond._trusted(d.n, h_sum), check=False).terms
-        if len(signature) % 2:
-            terms = {pq: -c for pq, c in terms.items()}
+        terms = hodge._signed(h_sum, len(signature))
         exponents = [m for m, k in need.items() for _ in range(k - signature.count(m))]
         exponents += [m - 1 for m in signature]
         products.append((terms, exponents, len(signature)))
@@ -251,7 +246,7 @@ class StringyReport:
         return (-1) ** (p + q) * self.coefficients.get((p, q), 0)
 
     def h_st_table(self) -> Dict[Tuple[int, int], int]:
-        return {pq: self.h_st(*pq) for pq in self.coefficients}
+        return hodge._signed(self.coefficients)
 
 
 def check_symmetry(d: ResolutionDescriptor) -> bool:

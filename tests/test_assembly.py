@@ -24,7 +24,6 @@ from stringyhodge import (
     closed_form_h,
     conjecture_report,
     crepant_compare,
-    e_polynomial,
     exact_divide_test,
     h22st_fourfold,
     load_bundle,
@@ -53,7 +52,7 @@ def reference_assemble(d):
     for subset, diamond in d.strata.items():
         if any(discrepancies[cid] == 0 for cid in subset):
             continue
-        term = e_polynomial(diamond, check=False)
+        term = BivariatePoly({(p, q): (-1) ** (p + q) * n for (p, q), n in diamond.h.items()})
         for cid, a in positive:
             m = a + 1
             if cid in subset:
@@ -76,7 +75,7 @@ def grouped_reference_assemble(d):
         if 0 in a:
             continue
         signature = tuple(sorted(x + 1 for x in a if x >= 1))
-        term = hodge.e_polynomial(diamond, check=False)
+        term = BivariatePoly({(p, q): (-1) ** (p + q) * n for (p, q), n in diamond.h.items()})
         groups[signature] = groups[signature] + term if signature in groups else term
     common = DenominatorSpec()
     for signature in groups:

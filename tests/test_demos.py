@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the package in src/ and
-prints the same bytes as when demos_golden.json was recorded.
+"""Every demo script runs to completion against the package in src/, with
+every warning an error, and prints the same bytes as when demos_golden.json
+was recorded.
 
 The file holds the SHA-256 of each demo's stdout.  To record it anew after
 a deliberate change of output, run `PYTHONPATH=src python tests/test_demos.py`
@@ -23,8 +24,10 @@ GOLDEN = Path(__file__).resolve().parent / "demos_golden.json"
 
 @cache
 def run_demo(demo):
+    """The demo's run with every warning an error, default encodings included."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True)
+    flags = ["-X", "dev", "-X", "warn_default_encoding", "-W", "error"]
+    return subprocess.run([sys.executable, *flags, str(demo)], cwd=ROOT, env=env, capture_output=True)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

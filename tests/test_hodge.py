@@ -96,6 +96,13 @@ class TestRejectedArguments:
         with pytest.raises(DiamondError, match=r"h\^\{2,0\} outside the 1-dimensional range"):
             HodgeDiamond(1, {(0, 0): 1, (2, 0): 1})
 
+    @pytest.mark.parametrize("pq", [(3, 0), (-1, 0), (0, 3)])
+    def test_zero_entry_outside_the_range(self, pq):
+        # the range rule reads the key whatever the entry, as the loader does
+        with pytest.raises(DiamondError) as err:
+            HodgeDiamond(2, {(0, 0): 1, pq: 0})
+        assert str(err.value) == "h^{%d,%d} outside the 2-dimensional range" % pq
+
     def test_negative_copy_count(self):
         with pytest.raises(DiamondError, match="copy count must be nonnegative"):
             projective_space(1) * -1

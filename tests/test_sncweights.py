@@ -473,6 +473,19 @@ class TestIntegral:
         m.append([5, 5, 5])
         assert data.user_maps[(1, 1, 0)] == (expected,)
 
+    @pytest.mark.parametrize("x", [0.5, 1.0, "1", None, True])
+    def test_an_entry_that_is_not_an_int_or_a_fraction_is_rejected(self, x):
+        # a bool is not an int here, as for a diamond's entries
+        with pytest.raises(SncDataError) as err:
+            SncComplexData(levels={}, user_maps={(2, 1, 1): [[[x, 1]]]})
+        assert str(err.value) == f"user map (2,1,1): entry {x!r} is neither an int nor a Fraction"
+
+    @pytest.mark.parametrize("row", [(1, 1), "11", None])
+    def test_a_row_that_is_not_a_list_is_rejected(self, row):
+        with pytest.raises(SncDataError) as err:
+            SncComplexData(levels={}, user_maps={(2, 1, 1): [[[1, 1], row]]})
+        assert str(err.value) == f"user map (2,1,1): row {row!r} is not a list"
+
 
 class TestSparseKernels:
     @settings(max_examples=150, deadline=None)

@@ -218,6 +218,20 @@ class TestPolynomialConsequences:
         assert exact_divide_test(stringy_e(non_poly)) is None
         assert check_polynomial_consequences(non_poly) == {"applicable": False}
 
+    def test_terms_outside_the_diamond_are_named(self):
+        # no descriptor assembles such a quotient, so the kept one is set by
+        # hand: degree 4 = 2n and dual under (p, q) -> (2 - p, 2 - q)
+        surface = ResolutionDescriptor(2, (), {(): projective_space(2)}, "P^2")
+        surface.__dict__["_e_st_polynomial"] = BivariatePoly({(3, 1): 1, (-1, 1): 1})
+        assert check_polynomial_consequences(surface) == {
+            "applicable": True,
+            "passed": False,
+            "failures": [
+                "nonzero coefficient outside the diamond at (-1,1)",
+                "nonzero coefficient outside the diamond at (3,1)",
+            ],
+        }
+
     def test_rejected_from_the_nonzero_entries(self):
         # a = 10^6 and 10^6 + 1: one row of 2,000,007 entries, seven of them
         # nonzero, over (w^(a+1) - 1)(w^(a+2) - 1); mod w^(a+1) - 1 the row is
