@@ -174,6 +174,7 @@ def conjecture_report(
     and the number of discrepancy-1 divisors; the two need not add up to it.
     """
     report = stringy_hodge_table(d, bound)
+    h_st = report.h_st_table()
     terminal = all(a >= 1 for _, a in d.components)
     verdicts: Dict[Tuple[int, int], str] = {}
     values: Dict[Tuple[int, int], int] = {}
@@ -181,8 +182,7 @@ def conjecture_report(
     negative_details: Dict[Tuple[int, int], Dict[str, int]] = {}
     for p in range(report.bound + 1):
         for q in range(report.bound + 1 - p):
-            value = report.h_st(p, q)
-            values[(p, q)] = value
+            value = values[(p, q)] = h_st.get((p, q), 0)
             verdicts[(p, q)] = "nonnegative" if value >= 0 else "negative"
             if q <= 2 and (q == 0 or terminal):
                 closed = closed_form_h(d, p, q)

@@ -52,24 +52,21 @@ def _parse_diamond(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]
 
     `diamonds` maps (dim, keys, values) as written of every sparse map that
     parsed in the document to its diamond, and every later map spelled alike
-    gets that same object.  What it holds parsed, so its values are ints; a
-    match is taken only if the map's values are ints too, since true and 1.0
-    equal 1.  Anything else is parsed, so a bad diamond raises at its first
-    occurrence.  `keys` holds the (p,q) of every well-formed sparse key met
-    so far in the document.
+    gets that same object.  What it holds parsed, so its values are ints,
+    and only a map of ints is looked up, since true and 1.0 equal 1 and a
+    list cannot be hashed.  Anything else is parsed, so a bad diamond raises
+    at its first occurrence.  `keys` holds the (p,q) of every well-formed
+    sparse key met so far in the document.
 
     Key paths are spelled out only to raise, below `location`, which is ""
     for a caller that roots the path itself.  JSON true/false load as bool, a
     subclass of int, so integers are tested with `type(value) is int`.
     """
     spelled = None
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and _INTS.issuperset(map(type, obj.values())):
         spelled = (dim, tuple(obj), tuple(obj.values()))
-        try:
-            diamond = diamonds.get(spelled)
-        except TypeError:  # an entry is a list or an object, which is parsed to raise
-            diamond = spelled = None
-        if diamond is not None and _INTS.issuperset(map(type, spelled[2])):
+        diamond = diamonds.get(spelled)
+        if diamond is not None:
             return diamond
     h: Dict[Tuple[int, int], int] = {}
     if isinstance(obj, list):

@@ -42,8 +42,9 @@ class ResolutionDescriptor(_ValidOnce):
     union of divisors sharing one discrepancy: its stratum diamond is then
     the entrywise sum and h^{0,0} counts the pieces.
 
-    The fields never change after construction (strata is a read-only
-    mapping), so derived data is computed once per instance and kept: the
+    The fields never change after construction (strata is a read-only copy,
+    its keys as written, so a key "E" is reported by validate(), not read as
+    ("E",)), so derived data is computed once per instance and kept: the
     outcome of a successful validation, the first stratum that fails
     Poincare duality, the level sums and E_st.
     """
@@ -57,11 +58,7 @@ class ResolutionDescriptor(_ValidOnce):
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(
-            self,
-            "strata",
-            MappingProxyType({tuple(k): v for k, v in self.strata.items()}),
-        )
+        object.__setattr__(self, "strata", MappingProxyType(dict(self.strata)))
 
     def validate(self) -> List[str]:
         """Every violated invariant, stratum by stratum in strata order.
@@ -88,8 +85,12 @@ class ResolutionDescriptor(_ValidOnce):
         present = self.strata.__contains__
         found_in: Dict[int, List[str]] = {}  # by id of the diamond
         for subset, diamond in self.strata.items():
-            # one test for sorted, unique and known ids; messages only on failure
-            if not (known.issuperset(subset) and all(map(lt, subset, subset[1:]))):
+            # one test for a tuple of sorted, unique and known ids; messages only on failure
+            if not (type(subset) is tuple and known.issuperset(subset)
+                    and all(map(lt, subset, subset[1:]))):
+                if type(subset) is not tuple:  # the other rules read the key as a tuple
+                    problems.append(f"stratum key {subset!r} is not a tuple")
+                    continue
                 if tuple(sorted(subset)) != subset:
                     problems.append(f"stratum key {subset!r} is not sorted")
                 if len(set(subset)) != len(subset):
@@ -243,7 +244,7 @@ class StringyReport:
     coefficients: Mapping[Tuple[int, int], int]  # b_{p,q}, p+q <= bound
 
     def h_st(self, p: int, q: int) -> int:
-        return (-1) ** (p + q) * self.coefficients.get((p, q), 0)
+        return self.h_st_table().get((p, q), 0)
 
     def h_st_table(self) -> Dict[Tuple[int, int], int]:
         return hodge._signed(self.coefficients)
@@ -283,7 +284,7 @@ def stringy_hodge_table(d: ResolutionDescriptor, bound: Optional[int] = None) ->
     if bound is None:
         bound = 2 * d.n
     if bound < 0:
-        raise ValueError("expansion bound must be nonnegative")
+        raise DescriptorError("expansion bound must be nonnegative")
     return StringyReport(
         label=d.label,
         n=d.n,

@@ -108,6 +108,15 @@ class TestStringyE:
             "downward closure broken: ('A', 'B', 'C') present but ('B', 'C') missing",
         ]
 
+    @pytest.mark.parametrize("key", ["E", frozenset({"E"}), 0], ids=["str", "frozenset", "int"])
+    def test_stratum_key_that_is_not_a_tuple_is_reported(self, key):
+        # kept as written, not read as ("E",): the other key rules read a tuple
+        d = ResolutionDescriptor(2, (("E", 1),), {(): diag(1, 1, 1), key: diag(1, 1)})
+        assert list(d.strata) == [(), key]
+        assert d.validate() == [f"stratum key {key!r} is not a tuple"]
+        with pytest.raises(DescriptorError, match="is not a tuple"):
+            stringy_e(d)
+
     @pytest.mark.parametrize("n", [2.0, True, "2"])
     def test_dimension_that_is_not_an_int_is_the_one_problem(self, n):
         # reported before any stratum's dimension is compared with n
