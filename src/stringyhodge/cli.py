@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success (and all-nonnegative for `check`), 1 when `check`
 finds a negative stringy Hodge number or `compare` finds a mismatch, 2 on
-input or validation errors, 3 when a closed form disagrees with the series
-expansion (a defect of the library, reported on one line).
+input or validation errors (the package's four input error classes), 3 on
+any other exception, such as a closed form that disagrees with the series
+expansion: a defect of the library, reported on one line.
 
 `--max-degree` bounds the expansion of `compute` and `check` only; `compare`
 finds the first mismatch exactly, with no bound (`first_coefficient_difference`).
@@ -20,8 +21,10 @@ from typing import Dict
 
 from .analysis import CrossCheckError, conjecture_report, defect_bound_check, local_defect
 from .descriptors import DescriptorFileError, load_bundle
-from .sncweights import weight_graded_dims
+from .hodge import DiamondError
+from .sncweights import SncDataError, weight_graded_dims
 from .stringy import (
+    DescriptorError,
     check_pd_identity,
     check_polynomial_consequences,
     check_symmetry,
@@ -289,11 +292,12 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so that a rebound cmd_* takes effect with the cached parser
         return globals()[f"cmd_{args.command}"](args)
-    except ValueError as exc:  # every input error class of the package subclasses it
+    except (DiamondError, DescriptorError, SncDataError, DescriptorFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CrossCheckError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a defect of the library, which exit 1 would read as a verdict
+        name = "" if isinstance(exc, CrossCheckError) else f"{type(exc).__name__}: "
+        print(f"internal error: {name}{exc}".replace("\n", " "), file=sys.stderr)
         return 3
 
 

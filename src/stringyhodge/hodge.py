@@ -40,7 +40,8 @@ class _ValidOnce:
 
 
 class HodgeDiamond:
-    """Table h^{p,q}, 0 <= p, q <= dim, for a smooth projective variety.
+    """Table h^{p,q}, 0 <= p, q <= dim, for a smooth projective variety,
+    keyed by pairs (p, q) of ints (a bool is no int, as for the entries).
 
     An immutable value: `h` is a read-only mapping that holds no zero entry,
     neither field can be reassigned, and two diamonds are equal, and hash
@@ -57,7 +58,10 @@ class HodgeDiamond:
             raise DiamondError("dimension must be nonnegative")
         table: Dict[Tuple[int, int], int] = {}
         if h:
-            for (p, q), n in h.items():
+            for pq, n in h.items():
+                if not (type(pq) is tuple and len(pq) == 2 and type(pq[0]) is type(pq[1]) is int):
+                    raise DiamondError(f"key {pq!r} is not a pair (p, q) of integers")
+                p, q = pq
                 if type(n) is not int:  # bool included, as in the loader
                     raise DiamondError(f"h^{{{p},{q}}} = {n!r} is not an integer")
                 if not (0 <= p <= dim and 0 <= q <= dim):

@@ -27,13 +27,18 @@ def _over(p: Sequence[int], factors: Sequence[int], length: int) -> List[int]:
     """The first `length` series coefficients of p / prod (w^m - 1) at w = 0.
 
     Per factor, p = q * (w^m - 1) gives q_k = q_{k-m} - p_k, with q_k = 0
-    for k < 0 (the zeros in front of the working list).
+    for k < 0 (the zeros in front of the working list).  A factor m >= length
+    reads only those zeros, so it flips the sign and no more, and the list
+    is padded by the largest factor below length.
     """
-    pad = max(factors, default=0)
+    small = [m for m in factors if m < length]
+    pad = max(small, default=0)
     q = [0] * pad + list(p[:length]) + [0] * (length - len(p))
-    for m in factors:
+    for m in small:
         for k in range(pad, pad + length):
             q[k] = q[k - m] - q[k]
+    if (len(factors) - len(small)) % 2:
+        return [-c for c in q[pad:]]
     return q[pad:]
 
 

@@ -42,7 +42,9 @@ def _integral(m) -> Matrix:
 
     As for a diamond's entries, a row that is not a list, or an entry that is
     neither an int nor a Fraction (a bool included), raises SncDataError.
+    The rows are listed first, so a one-shot iterator of them is read once.
     """
+    m = list(m)
     if not {list}.issuperset(map(type, m)):
         bad = next(row for row in m if type(row) is not list)
         raise SncDataError(f"row {bad!r} is not a list")

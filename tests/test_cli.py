@@ -333,3 +333,30 @@ class TestCrossCheckFailure:
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+class TestCrashIsNotAVerdict:
+    """Exit 2 is for the package's input errors and exit 1 for verdicts; any
+    other exception is a defect of the library and exits 3 on one line."""
+
+    @pytest.mark.parametrize("command", ["compute", "check"])
+    @pytest.mark.parametrize("doc", [
+        {"dim": 2**70, "strata": {"": {"0,0": 1, "1,1": 3, "2,2": 3, "3,3": 1}}},
+        {"dim": 2, "components": [{"id": "E", "discrepancy": 2**70}],
+         "strata": {"": [[1, 0, 0], [0, 2, 0], [0, 0, 1]], "E": [[1, 0], [0, 1]]}},
+    ], ids=["dim", "discrepancy"])
+    def test_too_large_an_integer_exits_3(self, command, doc, tmp_path, capsys):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, command, str(path), "--format", "machine")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: OverflowError: ") and err.count("\n") == 1
+
+    def test_a_value_error_of_the_library_is_no_input_error(self, corpus, capsys, monkeypatch):
+        def broken(d, p, q):
+            raise ValueError("two\nlines")
+
+        monkeypatch.setattr("stringyhodge.analysis.closed_form_h", broken)
+        code, out, err = run(capsys, "check", str(corpus / "burkhardt_x0.json"))
+        assert (code, out, err) == (3, "", "internal error: ValueError: two lines\n")
+

@@ -103,6 +103,12 @@ class TestRejectedArguments:
             HodgeDiamond(2, {(0, 0): 1, pq: 0})
         assert str(err.value) == "h^{%d,%d} outside the 2-dimensional range" % pq
 
+    @pytest.mark.parametrize("key", [("a", 0), (0,), (0, 0, 0)], ids=["str", "one", "three"])
+    def test_key_that_is_not_a_pair_of_ints_is_named(self, key):
+        with pytest.raises(DiamondError) as err:
+            HodgeDiamond(2, {(0, 0): 1, key: 1})
+        assert str(err.value) == f"key {key!r} is not a pair (p, q) of integers"
+
     def test_negative_copy_count(self):
         with pytest.raises(DiamondError, match="copy count must be nonnegative"):
             projective_space(1) * -1

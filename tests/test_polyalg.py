@@ -9,7 +9,7 @@ from stringyhodge.polyalg import (
     _spread,
     exact_divide_test,
 )
-from conftest import cross_multiplied_equal, expand_w, from_w
+from conftest import cross_multiplied_equal, expand_w, from_w, w_mul
 
 
 def P(terms):
@@ -158,6 +158,20 @@ class TestSlices:
         # one row per diagonal, trimmed at both ends
         assert len(rows) == len({a - b for a, b in p.terms})
         assert all(row[0] and row[-1] for row in rows.values())
+
+
+class TestOver:
+    @example([1, 2, 3], [1000, 2, 40], 5)
+    @given(st.lists(st.integers(-9, 9), max_size=12),
+           st.lists(st.sampled_from([2, 3, 5, 7, 40, 1000]), max_size=4),
+           st.integers(0, 20))
+    def test_series_times_the_denominator_is_the_row(self, row, factors, length):
+        # in any order, and whether a factor reaches past `length` or not
+        series = _over(row, factors, length)
+        assert len(series) == length
+        product = w_mul(dict(enumerate(series)), expand_w(DenominatorSpec(tuple(factors))),
+                        bound=length - 1)
+        assert product == {k: c for k, c in enumerate(row[:length]) if c}
 
 
 class TestOneCoefficient:

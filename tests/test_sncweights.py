@@ -487,6 +487,13 @@ class TestIntegral:
         assert str(err.value) == f"user map (2,1,1): row {row!r} is not a list"
 
 
+    def test_a_one_shot_iterator_of_rows_is_kept(self):
+        data = SncComplexData(levels={}, user_maps={(2, 1, 1): [(r for r in [[1, 2]])]})
+        assert data.user_maps[(2, 1, 1)] == ([[1, 2]],)
+        assert data.validate() == [
+            "user map (2,1,1) delta_1: shape 1x2 does not match declared dimensions 0x0"
+        ]
+
 class TestSparseKernels:
     @settings(max_examples=150, deadline=None)
     @given(matrices())

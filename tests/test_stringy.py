@@ -208,6 +208,17 @@ class TestPdIdentity:
         assert check_pd_identity(d) is True
 
 
+def two_quadrics(a):
+    """A threefold resolved by two quadric surfaces of discrepancies a and
+    a + 1 that meet in a P^1."""
+    return ResolutionDescriptor(
+        3,
+        (("E1", a), ("E2", a + 1)),
+        {(): diag(1, 3, 3, 1), ("E1",): quadric_surface(), ("E2",): quadric_surface(),
+         ("E1", "E2"): diag(1, 1)},
+    )
+
+
 class TestPolynomialConsequences:
     def test_smooth(self, smooth):
         result = check_polynomial_consequences(smooth)
@@ -246,14 +257,7 @@ class TestPolynomialConsequences:
         # nonzero, over (w^(a+1) - 1)(w^(a+2) - 1); mod w^(a+1) - 1 the row is
         # 1 - 2w^2 + w^4, not 0, which its nonzero entries show without an
         # expansion of the row (a dense one peaks near 50 MB)
-        a = 10**6
-        d = ResolutionDescriptor(
-            3,
-            (("E1", a), ("E2", a + 1)),
-            {(): diag(1, 3, 3, 1), ("E1",): quadric_surface(), ("E2",): quadric_surface(),
-             ("E1", "E2"): diag(1, 1)},
-        )
-        f = stringy_e(d)
+        f = stringy_e(two_quadrics(10**6))
         tracemalloc.start()
         try:
             result = exact_divide_test(f)
@@ -261,6 +265,20 @@ class TestPolynomialConsequences:
         finally:
             tracemalloc.stop()
         assert result is None
+        assert peak < 1_000_000
+
+    def test_expansion_is_bounded_by_its_length_not_its_factors(self):
+        # to p + q <= 6 each row needs at most four entries, and the factors
+        # w^(10^6 + 1) - 1 and w^(10^6 + 2) - 1 only flip their sign there:
+        # E_st = E(Y) - w E(E1) - w E(E2) + w^2 E(E1 E2) + O(w^(10^6))
+        f = stringy_e(two_quadrics(10**6))
+        tracemalloc.start()
+        try:
+            coefficients = f.series_coefficients(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coefficients == {(0, 0): 1, (1, 1): 1}
         assert peak < 1_000_000
 
 
