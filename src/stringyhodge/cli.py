@@ -296,8 +296,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect of the library, which exit 1 would read as a verdict
-        name = "" if isinstance(exc, CrossCheckError) else f"{type(exc).__name__}: "
-        print(f"internal error: {name}{exc}".replace("\n", " "), file=sys.stderr)
+        from traceback import format_exception_only  # kept off the import time of every call
+
+        detail = exc if isinstance(exc, CrossCheckError) else "".join(format_exception_only(exc))
+        print(f"internal error: {detail}".strip().replace("\n", " "), file=sys.stderr)
         return 3
 
 

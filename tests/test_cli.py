@@ -352,11 +352,16 @@ class TestCrashIsNotAVerdict:
         assert (code, out) == (3, "")
         assert err.startswith("internal error: OverflowError: ") and err.count("\n") == 1
 
-    def test_a_value_error_of_the_library_is_no_input_error(self, corpus, capsys, monkeypatch):
+    @pytest.mark.parametrize("exc, line", [
+        (ValueError("two\nlines"), "ValueError: two lines"),  # no input error of the package
+        (MemoryError(), "MemoryError"),
+    ], ids=["ValueError", "MemoryError"])
+    def test_any_other_exception_is_named_on_one_line(self, exc, line, corpus, capsys,
+                                                       monkeypatch):
         def broken(d, p, q):
-            raise ValueError("two\nlines")
+            raise exc
 
         monkeypatch.setattr("stringyhodge.analysis.closed_form_h", broken)
         code, out, err = run(capsys, "check", str(corpus / "burkhardt_x0.json"))
-        assert (code, out, err) == (3, "", "internal error: ValueError: two lines\n")
+        assert (code, out, err) == (3, "", f"internal error: {line}\n")
 

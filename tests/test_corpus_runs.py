@@ -21,7 +21,8 @@ FLAGS = ("-X", "dev", "-X", "warn_default_encoding", "-W", "error")
 SINGLE = [
     *((command, (path.name,)) for path in sorted((ROOT / "corpus").glob("*.json"))
       for command in ("compute", "check")),
-    *(("defect", (name,)) for name in ("fiber_node.json", "fiber_p2.json", "fiber_two_quadrics.json")),
+    *(("defect", (name,))
+      for name in ("fiber_node.json", "fiber_p2.json", "fiber_two_quadrics.json")),
 ]
 PAIRS = [
     ("node3fold_blowup.json", "node3fold_small.json"),
