@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from typing import Dict
 
 from .analysis import CrossCheckError, conjecture_report, defect_bound_check, local_defect
@@ -35,51 +33,9 @@ from .stringy import (
 EXPANSION_NOTE = "series expansion taken at the origin (u = v = 0)"
 
 
-_CONTAINERS = (dict, list, tuple)
-_LITERALS = {None: "null", True: "true", False: "false"}
-_ENCODERS: Dict[str, json.JSONEncoder] = {}  # by the line break and indent of an item
-
-
-def _dumps(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
-
-    Any indent sends json to its pure-Python encoder.  So a container of
-    scalars alone is encoded by one call of the C encoder, its items
-    separated by a line break and the indent of their level, and only its
-    brackets are re-spaced; a container that holds containers is joined
-    here, and so are the literals, ints and strings among its items.
-    """
-    if obj is None or obj is True or obj is False:
-        return _LITERALS[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if any(map(isinstance, obj.values(), repeat(_CONTAINERS))):
-            items = (f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
-            return "{" + inner + ("," + inner).join(items) + pad + "}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if any(map(isinstance, obj, repeat(_CONTAINERS))):
-            return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in obj) + pad + "]"
-    encoder = _ENCODERS.get(inner)
-    if encoder is None:
-        encoder = _ENCODERS[inner] = json.JSONEncoder(
-            sort_keys=True, check_circular=False, separators=("," + inner, ": "))
-    flat = encoder.encode(obj)
-    if not isinstance(obj, _CONTAINERS):
-        return flat  # a float, or a TypeError for what JSON cannot hold
-    return flat[0] + inner + flat[1:-1] + pad + flat[-1]
-
-
 def _emit(doc: Dict[str, object], fmt: str, text_renderer) -> None:
     if fmt == "machine":
-        sys.stdout.write(_dumps(doc) + "\n")
+        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
         return
     text = "".join(f"{line}\n" for line in text_renderer(doc))
     # what the output encoding cannot hold (a label under an ASCII locale) is

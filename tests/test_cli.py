@@ -2,15 +2,12 @@ import json
 import os
 import subprocess
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from stringyhodge import cli, stringy
-from stringyhodge.cli import _dumps, main
+from stringyhodge.cli import main
 
 
 def run(capsys, *argv):
@@ -254,45 +251,7 @@ class TestParserBuiltOnce:
         assert computes["cmd_compute"] == 2
 
 
-json_keys = st.one_of(
-    st.text(max_size=6),
-    st.builds("{},{}".format, st.integers(-2, 12), st.integers(-2, 12)),
-    st.sampled_from(["", '"', "\\", "\n", "\x00\x1f", "\x7f", "é", "\u2028", "\U0001f600"]),
-)
-json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64),
-    st.integers(max_value=-(2**64)), st.text(max_size=6), json_keys,
-)
-json_trees = st.recursive(
-    json_scalars,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(json_keys, children, max_size=4),
-        st.dictionaries(json_keys, children, max_size=4).map(OrderedDict),  # a dict subclass
-    ),
-    max_leaves=24,
-)
-
-
 class TestMachineEncoding:
-    @settings(max_examples=300)
-    @example({"a": [{}, [], ()], "": {"b": {"c": []}}, "0,1": ()})
-    @example([[[[]]], [{}], [[{"x": [()]}]]])
-    @example({"2,10": -(2**70), "2,2": 2**64, "10,2": True, "é\"\n": None})
-    @example(1.5)
-    @example({"a": [0.25, -0.0, 1e300], "b": float("inf")})
-    @given(json_trees)
-    def test_same_bytes_as_indented_json_dumps(self, tree):
-        assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize("tree", [{1, 2}, {"a": [set()]}])
-    def test_what_json_cannot_hold_raises_as_json_dumps_does(self, tree):
-        with pytest.raises(TypeError) as expected:
-            json.dumps(tree, indent=2, sort_keys=True)
-        with pytest.raises(TypeError, match=str(expected.value)):
-            _dumps(tree)
-
     def test_kept_key_spellings_are_bounded(self):
         table = {(p, 10**6 - p): p for p in range(3000)}
         assert list(cli._pq_map(table)) == [f"{p},{10**6 - p}" for p in range(3000)]

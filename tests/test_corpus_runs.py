@@ -2,7 +2,8 @@
 error, default encodings included, exits 0 or 1 with nothing on stderr.
 
 Exit 1 is a verdict of `check` or `compare`.  Machine output must be the
-bytes of json.dumps(indent=2, sort_keys=True) of itself.  Text output runs
+bytes of json.dumps(sort_keys=True) of itself and a line break: one line, keys
+sorted, ASCII-escaped, as the standard library writes it.  Text output runs
 under the C locale with UTF-8 mode off, so stdout is ASCII and what it cannot
 hold must come out as a backslash escape.  The processes run eight at a time,
 which keeps the test's memory small and its wall time near that of all at once
@@ -57,8 +58,8 @@ def problem(call):
     if fmt == "text":
         return None if proc.stdout.isascii() else f"{label}: stdout is not ASCII"
     out = proc.stdout.decode("utf-8")
-    if out != json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n":
-        return f"{label}: machine output differs from json.dumps(indent=2, sort_keys=True)"
+    if out != json.dumps(json.loads(out), sort_keys=True) + "\n":
+        return f"{label}: machine output differs from json.dumps(sort_keys=True)"
     return None
 
 
