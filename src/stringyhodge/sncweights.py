@@ -27,6 +27,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from . import hodge
 from .hodge import HodgeDiamond, _ValidOnce
 
 Matrix = List[List[int]]  # rows x cols
@@ -193,8 +194,14 @@ class SncComplexData(_ValidOnce):
 
     def validate(self) -> List[str]:
         problems = []
+        found_in: Dict[int, List[str]] = {}  # by id of the diamond, as for strata
         for r, comps in self.levels.items():
             for idx, comp in enumerate(comps):
+                if comp.diamond is not None:
+                    found = found_in.get(id(comp.diamond))
+                    if found is None:
+                        found = found_in[id(comp.diamond)] = hodge.validate(comp.diamond)
+                    problems += (f"level {r} component {idx}: {msg}" for msg in found)
                 if len(comp.subset) != r:
                     problems.append(
                         f"level {r} component {idx}: subset size {len(comp.subset)} != {r}"

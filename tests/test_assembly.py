@@ -524,14 +524,20 @@ class TestDualityRecord:
 
     @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
     def test_cli_compute_validates_each_diamond_once(self, path, capsys, count_calls):
-        # once per sparse map of the file as written, at its dimension: the
+        # once per sparse map of the strata as written, at its dimension: the
         # loader gives all strata that spell it so one object (a dense matrix
-        # is never shared); and once per fiber component
+        # is never shared); the same for the SNC components, whose data
+        # validates its own diamonds; and once per fiber component
         doc = json.loads(path.read_text(encoding="utf-8"))
         spellings = {(key.count(",") + bool(key), json.dumps(spelled))
                      if isinstance(spelled, dict) else key
                      for key, spelled in doc["strata"].items()}
-        diamonds = len(spellings) + sum(len(f["components"]) for f in doc.get("fibers", []))
+        snc_spellings = {(r, json.dumps(c["diamond"])) if isinstance(c["diamond"], dict)
+                         else (r, i)
+                         for r, comps in doc.get("snc", {}).get("levels", {}).items()
+                         for i, c in enumerate(comps) if "diamond" in c}
+        diamonds = (len(spellings) + len(snc_spellings)
+                    + sum(len(f["components"]) for f in doc.get("fibers", [])))
         calls = count_calls(hodge, "validate")
         assert main(["compute", str(path)]) == 0
         capsys.readouterr()

@@ -347,6 +347,46 @@ class TestUserMaps:
             ]
 
 
+ASYMMETRIC = {"0,0": 1, "1,0": 1, "1,1": 2, "2,2": 1}  # h^{1,0} = 1 but h^{0,1} = 0
+NEGATIVE = {"0,0": -1, "1,1": 2, "2,2": 1}
+
+
+class TestComponentDiamonds:
+    """A component diamond passes `hodge.validate`, as a stratum's does."""
+
+    @pytest.mark.parametrize("diamond, problem", [
+        (ASYMMETRIC, "conjugation symmetry broken: h^{1,0} = 1 but h^{0,1} = 0"),
+        (NEGATIVE, "negative entry h^{0,0} = -1"),
+    ], ids=["asymmetric", "negative"])
+    def test_bad_diamond_in_a_corpus_file_exits_2(self, diamond, problem, corpus, tmp_path,
+                                                   capsys):
+        from stringyhodge.cli import main
+
+        doc = json.loads((corpus / "chain_snc.json").read_text(encoding="utf-8"))
+        doc["snc"]["levels"]["1"][0]["diamond"] = diamond
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["compute", str(path), "--format", "machine"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}.snc: level 1 component 0: {problem}\n"
+
+    def test_each_distinct_diamond_is_validated_once(self, count_calls):
+        bad = HodgeDiamond(2, {(0, 0): 1, (1, 0): 1, (1, 1): 2, (2, 2): 1})
+        data = SncComplexData(levels={
+            1: (SncComponent(("A",), bad), SncComponent(("B",), bad), SncComponent(("C",))),
+            2: (SncComponent(("A", "B"), diag(1, 1), faces=(1, 0)),),
+        })
+        calls = count_calls(sncweights.hodge, "validate")
+        problem = "conjugation symmetry broken: h^{1,0} = 1 but h^{0,1} = 0"
+        assert data.validate() == [
+            f"level 1 component 0: {problem}", f"level 1 component 1: {problem}"
+        ]
+        assert calls["validate"] == 2  # bad and the curve's; none for the missing diamond
+        with pytest.raises(SncDataError, match="level 1 component 0: conjugation"):
+            weight_graded_dims(data, 0, 1, 0, 0)
+
+
 class TestPurityConsequence:
     def test_zero_row_trivially_exact(self):
         # isolated surface singularity on a threefold: nothing in degree >= 3
