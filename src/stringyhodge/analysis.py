@@ -63,7 +63,7 @@ class ExceptionalFiberDescriptor(_ValidOnce):
             elif c.discrepancy < 0:
                 problems.append(f"component {c.comp_id!r} has negative discrepancy")
             problems.extend(
-                f"component {c.comp_id!r}: {msg}" for msg in hodge.validate(c.diamond)
+                f"component {c.comp_id!r}: {msg}" for msg in hodge._verdict(c.diamond)
             )
         for pair, count in self.pairwise_counts.items():
             if len(pair) != 2 or pair[0] == pair[1]:

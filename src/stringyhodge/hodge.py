@@ -46,10 +46,10 @@ class HodgeDiamond:
     An immutable value: `h` is a read-only mapping that holds no zero entry,
     neither field can be reassigned, and two diamonds are equal, and hash
     alike, when their dim and entries are.  So one object may stand for
-    every stratum with the same diamond.
+    every stratum with the same diamond and keep one verdict (`_verdict`).
     """
 
-    __slots__ = ("dim", "h")
+    __slots__ = ("dim", "h", "_verdicts")
 
     def __init__(self, dim: int, h: Optional[Mapping[Tuple[int, int], int]] = None):
         if type(dim) is not int:  # bool included, as for the entries
@@ -70,6 +70,7 @@ class HodgeDiamond:
                     table[(p, q)] = n
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "h", MappingProxyType(table))
+        object.__setattr__(self, "_verdicts", [None, None])  # by smooth_projective
 
     @classmethod
     def _trusted(cls, dim: int, h: Dict[Tuple[int, int], int]) -> "HodgeDiamond":
@@ -78,6 +79,7 @@ class HodgeDiamond:
         diamond = object.__new__(cls)
         object.__setattr__(diamond, "dim", dim)
         object.__setattr__(diamond, "h", MappingProxyType(h))
+        object.__setattr__(diamond, "_verdicts", [None, None])
         return diamond
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -131,21 +133,31 @@ def validate(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:
     """List of violated invariants; empty iff valid under the requested flag.
 
     `smooth_projective` enforces Poincare duality for a possibly disconnected
-    variety.
+    variety.  The list is a fresh copy of the verdict the diamond keeps.
     """
-    problems = []
-    h = d.h
-    for (p, q), n in h.items():
-        if n < 0:
-            problems.append(f"negative entry h^{{{p},{q}}} = {n}")
-        if n != h.get((q, p), 0):
-            problems.append(
-                f"conjugation symmetry broken: h^{{{p},{q}}} = {n} "
-                f"but h^{{{q},{p}}} = {h.get((q, p), 0)}"
-            )
-    if smooth_projective:
-        problems += _duality_problems(d)
-    return sorted(set(problems)) if problems else problems
+    return list(_verdict(d, smooth_projective))
+
+
+def _verdict(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:
+    """`validate`'s list itself, which its readers must not write: each diamond
+    is scanned on the first read for each flag, and the list kept on it."""
+    found = d._verdicts[smooth_projective]
+    if found is None:
+        h = d.h
+        if smooth_projective:
+            problems = _verdict(d) + _duality_problems(d)
+        else:
+            problems = []
+            for (p, q), n in h.items():
+                if n < 0:
+                    problems.append(f"negative entry h^{{{p},{q}}} = {n}")
+                if n != h.get((q, p), 0):
+                    problems.append(
+                        f"conjugation symmetry broken: h^{{{p},{q}}} = {n} "
+                        f"but h^{{{q},{p}}} = {h.get((q, p), 0)}"
+                    )
+        found = d._verdicts[smooth_projective] = sorted(set(problems)) if problems else problems
+    return found
 
 
 def _duality_problems(d: HodgeDiamond) -> List[str]:
@@ -170,9 +182,8 @@ def _signed(table: Mapping[Tuple[int, int], int], odd: int = 0) -> Dict[Tuple[in
 def e_polynomial(d: HodgeDiamond) -> BivariatePoly:
     """Hodge-Deligne polynomial sum (-1)^{p+q} h^{p,q} u^p v^q of a diamond;
     a DiamondError names every problem `validate` finds."""
-    problems = validate(d)
-    if problems:
-        raise DiamondError("; ".join(problems))
+    if _verdict(d):
+        raise DiamondError("; ".join(_verdict(d)))
     return BivariatePoly(_signed(d.h))
 
 

@@ -194,14 +194,11 @@ class SncComplexData(_ValidOnce):
 
     def validate(self) -> List[str]:
         problems = []
-        found_in: Dict[int, List[str]] = {}  # by id of the diamond, as for strata
         for r, comps in self.levels.items():
             for idx, comp in enumerate(comps):
                 if comp.diamond is not None:
-                    found = found_in.get(id(comp.diamond))
-                    if found is None:
-                        found = found_in[id(comp.diamond)] = hodge.validate(comp.diamond)
-                    problems += (f"level {r} component {idx}: {msg}" for msg in found)
+                    problems += (f"level {r} component {idx}: {msg}"
+                                 for msg in hodge._verdict(comp.diamond))
                 if len(comp.subset) != r:
                     problems.append(
                         f"level {r} component {idx}: subset size {len(comp.subset)} != {r}"

@@ -63,10 +63,9 @@ class ResolutionDescriptor(_ValidOnce):
     def validate(self) -> List[str]:
         """Every violated invariant, stratum by stratum in strata order.
 
-        `hodge.validate` runs once per distinct diamond, and its messages are
-        repeated for each stratum that holds it.  Diamonds are told apart by
-        identity: the loader gives all strata that spell one alike the same
-        object, and identity costs no hashing of entries.
+        A diamond keeps its own verdict, so one that the loader gives to all
+        strata that spell it alike is scanned once, and its messages are
+        repeated for each stratum that holds it.
         """
         if type(self.n) is not int:  # every stratum's dimension is compared with n
             return self._kept([f"dimension n = {self.n!r} is not an integer"])
@@ -83,7 +82,6 @@ class ResolutionDescriptor(_ValidOnce):
             problems.append("missing Y stratum (empty subset)")
         known = set(ids)
         present = self.strata.__contains__
-        found_in: Dict[int, List[str]] = {}  # by id of the diamond
         for subset, diamond in self.strata.items():
             # one test for a tuple of sorted, unique and known ids; messages only on failure
             if not (type(subset) is tuple and known.issuperset(subset)
@@ -105,9 +103,7 @@ class ResolutionDescriptor(_ValidOnce):
                 problems.append(
                     f"stratum {subset!r} has dimension {diamond.dim}, expected {expected}"
                 )
-            found = found_in.get(id(diamond))
-            if found is None:
-                found = found_in[id(diamond)] = hodge.validate(diamond)
+            found = hodge._verdict(diamond)
             if found:
                 problems.extend(f"stratum {subset!r}: {msg}" for msg in found)
             if subset and not all(map(present, combinations(subset, len(subset) - 1))):
@@ -135,24 +131,14 @@ class ResolutionDescriptor(_ValidOnce):
 
     @cached_property
     def _pd_failure(self) -> Optional[Subset]:
-        # the first stratum failing hodge.validate(s, smooth_projective=True),
-        # one test per distinct diamond; after a passed validate() only
-        # duality is left to test
-        broken: Dict[int, List[str]] = {}  # by id of the diamond
-        for J, s in self.strata.items():
-            if id(s) not in broken:
-                broken[id(s)] = (hodge._duality_problems(s) if self._valid
-                                 else hodge.validate(s, smooth_projective=True))
-            if broken[id(s)]:
-                return J
-        return None
+        return next((J for J, s in self.strata.items() if hodge._verdict(s, True)), None)
 
     def strata_pd_consistent(self) -> bool:
         """Whether every stratum passes `hodge.validate(d, smooth_projective=True)`.
 
         The first failing stratum (or None) is found on the first call, which
-        `check_pd_identity` makes, and kept; once validate() has passed, only
-        duality is tested.
+        `check_pd_identity` makes, and kept; each diamond keeps the verdicts
+        of both flags, so one that validate() scanned adds only duality.
         """
         return self._pd_failure is None
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from stringyhodge import BivariatePoly, HodgeDiamond, ResolutionDescriptor
+from stringyhodge import BivariatePoly, HodgeDiamond, ResolutionDescriptor, hodge
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -29,6 +29,25 @@ def count_calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
         return calls
+
+    return install
+
+
+@pytest.fixture
+def count_scans(monkeypatch):
+    """count_scans() wraps hodge._verdict and returns its counter of diamond
+    scans by flag: a read scans when the diamond keeps no verdict for it yet."""
+
+    def install():
+        scans = Counter()
+        verdict = hodge._verdict
+
+        def counted(d, smooth_projective=False):
+            scans[smooth_projective] += d._verdicts[smooth_projective] is None
+            return verdict(d, smooth_projective)
+
+        monkeypatch.setattr(hodge, "_verdict", counted)
+        return scans
 
     return install
 

@@ -523,26 +523,27 @@ class TestDualityRecord:
         assert 0 < scans["_duality_problems"] <= strata
 
     @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
-    def test_cli_compute_validates_each_diamond_once(self, path, capsys, count_calls):
-        # once per sparse map of the strata as written, at its dimension: the
-        # loader gives all strata that spell it so one object (a dense matrix
-        # is never shared); the same for the SNC components, whose data
-        # validates its own diamonds; and once per fiber component
+    def test_cli_compute_validates_each_diamond_once(self, path, capsys, count_scans):
+        # once per diamond object, whoever holds it: the loader gives every
+        # sparse map spelled alike at one dimension one object, in strata, SNC
+        # components and fibers alike (a dense matrix is never shared); check
+        # scans no duality, compute at most once per object
         doc = json.loads(path.read_text(encoding="utf-8"))
-        spellings = {(key.count(",") + bool(key), json.dumps(spelled))
-                     if isinstance(spelled, dict) else key
-                     for key, spelled in doc["strata"].items()}
-        snc_spellings = {(r, json.dumps(c["diamond"])) if isinstance(c["diamond"], dict)
-                         else (r, i)
-                         for r, comps in doc.get("snc", {}).get("levels", {}).items()
-                         for i, c in enumerate(comps) if "diamond" in c}
-        diamonds = (len(spellings) + len(snc_spellings)
-                    + sum(len(f["components"]) for f in doc.get("fibers", [])))
-        calls = count_calls(hodge, "validate")
+        n = doc["dim"]
+        held = [(n - key.count(",") - bool(key), h) for key, h in doc["strata"].items()]
+        held += [(n - int(r), c["diamond"])
+                 for r, comps in doc.get("snc", {}).get("levels", {}).items()
+                 for c in comps if "diamond" in c]
+        held += [(2, c["diamond"]) for f in doc.get("fibers", []) for c in f["components"]]
+        diamonds = len({(dim, json.dumps(h)) if isinstance(h, dict) else i
+                        for i, (dim, h) in enumerate(held)})
+        scans = count_scans()
+        assert main(["check", str(path)]) in (0, 1)
+        assert scans == {False: diamonds}
+        scans.clear()
         assert main(["compute", str(path)]) == 0
         capsys.readouterr()
-        assert calls["validate"] == diamonds
-
+        assert scans[False] == diamonds and scans[True] <= len(doc["strata"])
 
 BROKEN = ResolutionDescriptor(
     3,
