@@ -53,7 +53,7 @@ class ExceptionalFiberDescriptor(_ValidOnce):
         if len(set(ids)) != len(ids):
             problems.append("duplicate fiber component ids")
         for c in self.components:
-            if c.diamond.dim != 2:
+            if isinstance(c.diamond, HodgeDiamond) and c.diamond.dim != 2:
                 problems.append(
                     f"component {c.comp_id!r} must be a surface, got dim {c.diamond.dim}"
                 )

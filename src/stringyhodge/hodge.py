@@ -6,8 +6,9 @@ connected components and h^{0,0} records the number of components.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .polyalg import BivariatePoly
 
@@ -56,6 +57,8 @@ class HodgeDiamond:
             raise DiamondError(f"dimension {dim!r} is not an integer")
         if dim < 0:
             raise DiamondError("dimension must be nonnegative")
+        if h is not None and not isinstance(h, Mapping):
+            raise DiamondError(f"h = {h!r} is not a mapping of pairs (p, q) to integers")
         table: Dict[Tuple[int, int], int] = {}
         if h:
             for pq, n in h.items():
@@ -140,8 +143,12 @@ def validate(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:
 
 def _verdict(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:
     """`validate`'s list itself, which its readers must not write: each diamond
-    is scanned on the first read for each flag, and the list kept on it."""
-    found = d._verdicts[smooth_projective]
+    is scanned on the first read for each flag, and the list kept on it.  A
+    value that is no diamond gets the one problem that says so."""
+    try:
+        found = d._verdicts[smooth_projective]
+    except AttributeError:
+        return [f"{d!r} is not a HodgeDiamond"]
     if found is None:
         h = d.h
         if smooth_projective:

@@ -280,7 +280,7 @@ class SncComplexData(_ValidOnce):
         """Dimension of the (p,q) piece of H^{p+q}(D(r)) from the diamonds."""
         total = 0
         for comp in self.components(r):
-            if comp.diamond is None:
+            if not isinstance(comp.diamond, HodgeDiamond):
                 raise SncDataError(
                     f"level {r} component {comp.subset} has no diamond; "
                     "cannot size the Hodge piece"

@@ -99,7 +99,7 @@ class ResolutionDescriptor(_ValidOnce):
                         f"stratum {subset!r} names unknown components {sorted(unknown)}"
                     )
             expected = self.n - len(subset)
-            if diamond.dim != expected:
+            if isinstance(diamond, HodgeDiamond) and diamond.dim != expected:
                 problems.append(
                     f"stratum {subset!r} has dimension {diamond.dim}, expected {expected}"
                 )

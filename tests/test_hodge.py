@@ -3,8 +3,15 @@ from hypothesis import given, strategies as st
 
 from stringyhodge import (
     BivariatePoly,
+    DescriptorError,
     DiamondError,
+    ExceptionalFiberDescriptor,
+    FiberComponent,
     HodgeDiamond,
+    ResolutionDescriptor,
+    SncComplexData,
+    SncComponent,
+    SncDataError,
     curve,
     e_polynomial,
     kunneth,
@@ -116,6 +123,72 @@ class TestRejectedArguments:
     def test_negative_genus(self):
         with pytest.raises(DiamondError, match="genus must be nonnegative"):
             curve(-1)
+
+
+# whatever may land where a diamond belongs: no diamond at all, a table that
+# is not one, a diamond of another dimension, a negative or asymmetric one
+SLOT_VALUES = st.one_of(
+    st.none(),
+    st.dictionaries(st.tuples(st.integers(-1, 3), st.integers(-1, 3)), st.integers(-2, 2),
+                    max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.integers(), max_size=3),
+    st.tuples(st.integers(), st.integers()),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2).map(lambda xs: (x for x in xs)),
+    st.integers(0, 4).map(projective_space),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-2, 3),
+                    max_size=5).map(lambda h: HodgeDiamond(2, h)),
+)
+
+HOLDERS = {
+    "stratum": lambda value: ResolutionDescriptor(2, (), {(): value}),
+    "snc component": lambda value: SncComplexData(levels={1: (SncComponent(("A",), value),)}),
+    "fiber component": lambda value: ExceptionalFiberDescriptor(
+        "p", (FiberComponent("A", value, 1),)),
+    "h argument": lambda value: HodgeDiamond(2, value),
+}
+
+
+class TestDiamondSlot:
+    @pytest.mark.parametrize("holder", HOLDERS)
+    @given(value=SLOT_VALUES)
+    def test_any_value_is_reported_or_rejected_by_the_package(self, holder, value):
+        try:
+            made = HOLDERS[holder](value)
+            problems = validate(made) if holder == "h argument" else made.validate()
+        except (DiamondError, DescriptorError, SncDataError):
+            return
+        assert type(problems) is list and all(type(p) is str for p in problems)
+        if problems and holder != "h argument":
+            with pytest.raises((DescriptorError, SncDataError)):
+                made.check_valid()
+
+    @pytest.mark.parametrize("holder, problem", [
+        ("stratum", "stratum (): {(0, 0): 1} is not a HodgeDiamond"),
+        ("snc component", "level 1 component 0: {(0, 0): 1} is not a HodgeDiamond"),
+        ("fiber component", "component 'A': {(0, 0): 1} is not a HodgeDiamond"),
+    ])
+    def test_a_table_in_a_diamond_slot_names_its_holder(self, holder, problem):
+        made = HOLDERS[holder]({(0, 0): 1})
+        assert made.validate() == [problem]
+        with pytest.raises((DescriptorError, SncDataError)) as err:
+            made.check_valid()
+        assert str(err.value) == problem
+
+    @pytest.mark.parametrize("h", [[((0, 0), 1)], "ab", 0, projective_space(2)],
+                             ids=["pairs", "str", "zero", "diamond"])
+    def test_entries_that_are_not_a_mapping_are_named(self, h):
+        with pytest.raises(DiamondError) as err:
+            HodgeDiamond(2, h)
+        assert str(err.value) == f"h = {h!r} is not a mapping of pairs (p, q) to integers"
+
+    def test_a_generator_is_not_a_mapping(self):
+        with pytest.raises(DiamondError, match="^h = <generator object .* is not a mapping"):
+            HodgeDiamond(2, (pq for pq in [(0, 0)]))
 
 
 class TestImmutableValue:
