@@ -545,6 +545,7 @@ class TestDualityRecord:
         capsys.readouterr()
         assert scans[False] == diamonds and scans[True] <= len(doc["strata"])
 
+
 BROKEN = ResolutionDescriptor(
     3,
     (("E", 1),),
