@@ -150,11 +150,11 @@ def _verdict(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:
     except AttributeError:
         return [f"{d!r} is not a HodgeDiamond"]
     if found is None:
+        h = d.h
         if smooth_projective:
             problems = _verdict(d) + _duality_problems(d)
         else:
             problems = []
-            h = d.h
             for (p, q), n in h.items():
                 if n < 0:
                     problems.append(f"negative entry h^{{{p},{q}}} = {n}")
