@@ -131,16 +131,15 @@ def product_stringy(d: ResolutionDescriptor, z: HodgeDiamond) -> ResolutionDescr
     by Z, one Kunneth product per distinct diamond, which the strata that
     share it share too.  The stringy E-function picks up the factor E(Z).
     """
-    problems = hodge.validate(z, smooth_projective=True)
+    problems = hodge._verdict(z, True)
     if problems:
         raise DescriptorError("product factor invalid: " + "; ".join(problems))
     d.check_valid()
-    distinct = {id(s): s for s in d.strata.values()}
-    times_z = {key: hodge.kunneth(s, z) for key, s in distinct.items()}
+    times_z = {s: hodge.kunneth(s, z) for s in set(d.strata.values())}
     return ResolutionDescriptor(
         n=d.n + z.dim,
         components=d.components,
-        strata={J: times_z[id(s)] for J, s in d.strata.items()},
+        strata={J: times_z[s] for J, s in d.strata.items()},
         label=f"{d.label} x (dim-{z.dim} factor)" if d.label else "",
     )
 

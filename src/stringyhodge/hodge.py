@@ -150,9 +150,16 @@ def _verdict(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:
     except AttributeError:
         return [f"{d!r} is not a HodgeDiamond"]
     if found is None:
-        h = d.h
-        if smooth_projective:
-            problems = _verdict(d) + _duality_problems(d)
+        n_dim, h = d.dim, d.h
+        if smooth_projective:  # duality and h^{0,0} >= 1 on top of the plain scan
+            problems = _verdict(d) + [
+                f"Poincare duality broken: h^{{{p},{q}}} = {n} "
+                f"but h^{{{n_dim - p},{n_dim - q}}} = {h.get((n_dim - p, n_dim - q), 0)}"
+                for (p, q), n in h.items()
+                if n != h.get((n_dim - p, n_dim - q), 0)
+            ]
+            if h.get((0, 0), 0) < 1:
+                problems.append("h^{0,0} must count at least one component")
         else:
             problems = []
             for (p, q), n in h.items():
@@ -165,20 +172,6 @@ def _verdict(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:
                     )
         found = d._verdicts[smooth_projective] = sorted(set(problems)) if problems else problems
     return found
-
-
-def _duality_problems(d: HodgeDiamond) -> List[str]:
-    """What `validate` adds for a smooth projective variety: duality and h^{0,0} >= 1."""
-    n_dim, h = d.dim, d.h
-    problems = [
-        f"Poincare duality broken: h^{{{p},{q}}} = {n} "
-        f"but h^{{{n_dim - p},{n_dim - q}}} = {h.get((n_dim - p, n_dim - q), 0)}"
-        for (p, q), n in h.items()
-        if n != h.get((n_dim - p, n_dim - q), 0)
-    ]
-    if h.get((0, 0), 0) < 1:
-        problems.append("h^{0,0} must count at least one component")
-    return problems
 
 
 def _signed(table: Mapping[Tuple[int, int], int], odd: int = 0) -> Dict[Tuple[int, int], int]:

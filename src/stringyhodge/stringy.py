@@ -334,7 +334,6 @@ def closed_form_h(d: ResolutionDescriptor, p: int, q: int) -> int:
     gives h^{p,1}(Y) - h^{p-1,0}(D(1)) and q = 2 gives
     h^{p,2}(Y) - h^{p-1,1}(D(1)) + h^{p-2,0}(D(2)) + that sum.
     """
-    d.check_valid()
     if q not in (0, 1, 2):
         raise ValueError("closed forms are only available for q in {0, 1, 2}")
     if q:

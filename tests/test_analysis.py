@@ -15,6 +15,7 @@ from stringyhodge import (
     conjecture_report,
     defect_bound_check,
     e_polynomial,
+    hodge,
     local_defect,
     product_stringy,
     projective_space,
@@ -232,6 +233,20 @@ class TestProductStringy:
         assert stringy_e(product_stringy(d, z)).equals(
             StringyFunction(f.numerator * e_polynomial(z), f.denominator)
         )
+
+    def test_one_kunneth_product_per_distinct_diamond_value(self, count_calls):
+        # two equal diamonds held as separate objects share one product
+        d = ResolutionDescriptor(
+            3,
+            (("E", 1), ("F", 1)),
+            {(): diag(1, 2, 2, 1), ("E",): quadric_surface(), ("F",): quadric_surface(),
+             ("E", "F"): projective_space(1)},
+        )
+        assert d.strata[("E",)] is not d.strata[("F",)]
+        products = count_calls(hodge, "kunneth")
+        prod = product_stringy(d, projective_space(1))
+        assert products["kunneth"] == 3
+        assert prod.strata[("E",)] is prod.strata[("F",)]
 
     def test_rejects_invalid_factor(self, burkhardt):
         bad = HodgeDiamond(1, {(0, 0): 1, (1, 0): 2, (0, 1): 2})  # no h^{1,1}

@@ -499,28 +499,28 @@ class TestDualityRecord:
         )
         if validated:
             assert d.validate() == ["stratum ('E',): negative entry h^{1,1} = -1"]
-        assert not hodge.validate(d.strata[("F",)]) and hodge._duality_problems(d.strata[("F",)])
+        assert not hodge.validate(d.strata[("F",)]) and hodge.validate(d.strata[("F",)], True)
         assert d._pd_failure == ("E",)
         assert check_pd_identity(d) is None
 
     @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
-    def test_duality_is_scanned_only_by_the_identity_check(self, path, capsys, count_calls):
+    def test_duality_is_scanned_only_by_the_identity_check(self, path, capsys, count_scans):
         # check and compare never read the record; compute builds it once, at
-        # most one duality test per stratum, and later reads keep it
-        scans = count_calls(hodge, "_duality_problems")
+        # most one duality scan per stratum, and later reads keep it
+        scans = count_scans()
         code = main(["check", str(path)])
         assert main(["compare", str(path), str(path)]) == 0
         capsys.readouterr()
-        assert code in (0, 1) and scans["_duality_problems"] == 0
+        assert code in (0, 1) and scans[True] == 0
         assert main(["compute", str(path)]) == 0
         capsys.readouterr()
         strata = len(json.loads(path.read_text(encoding="utf-8"))["strata"])
-        assert 0 < scans["_duality_problems"] <= strata
+        assert 0 < scans[True] <= strata
         d = load_bundle(str(path)).descriptor
         scans.clear()
         for _ in range(2):
             check_pd_identity(d)
-        assert 0 < scans["_duality_problems"] <= strata
+        assert 0 < scans[True] <= strata
 
     @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
     def test_cli_compute_validates_each_diamond_once(self, path, capsys, count_scans):
