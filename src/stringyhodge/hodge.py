@@ -91,6 +91,9 @@ class HodgeDiamond:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"HodgeDiamond is immutable: cannot delete {name!r}")
 
+    def __reduce__(self):  # copy and pickle rebuild the value, to be scanned anew
+        return (HodgeDiamond, (self.dim, dict(self.h)))
+
     def hpq(self, p: int, q: int) -> int:
         """h^{p,q}, with 0 outside the stored range."""
         return self.h.get((p, q), 0)

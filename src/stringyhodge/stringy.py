@@ -152,8 +152,12 @@ class ResolutionDescriptor(_ValidOnce):
 
     @cached_property
     def _e_st(self) -> StringyFunction:
-        # E_st without validation: the identity checks use it so that
-        # negative controls with broken diamonds still evaluate
+        # E_st without validation: the identity checks use it so that negative
+        # controls with broken diamonds still evaluate, but no other value does
+        if not self._valid:
+            for J, s in self.strata.items():
+                if not isinstance(s, HodgeDiamond):
+                    raise DescriptorError(f"stratum {J!r}: {hodge._verdict(s)[0]}")
         return _assemble(self)
 
     @cached_property

@@ -44,12 +44,23 @@ def test_optimized_cli_matches_the_pinned_digests():
         assert got == golden[case_id(*case)], (case_id(*case), err)
 
 
-def test_no_module_of_the_package_asserts():
+def _package_nodes(matches):
+    """file:line of each node in the package's source trees that `matches`."""
     paths = sorted((ROOT / "src" / "stringyhodge").rglob("*.py"))
-    found = [
+    assert paths
+    return [
         f"{path.name}:{node.lineno}"
         for path in paths
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.Assert)
+        if matches(node)
     ]
-    assert paths and found == []
+
+
+def test_no_module_of_the_package_asserts():
+    assert _package_nodes(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def test_no_module_of_the_package_calls_id():
+    # diamonds are hashable values: a memo keys them by value, never by object identity
+    assert _package_nodes(lambda node: isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Name) and node.func.id == "id") == []

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +15,8 @@ from stringyhodge import (
     SncComplexData,
     SncComponent,
     SncDataError,
+    check_pd_identity,
+    check_symmetry,
     curve,
     e_polynomial,
     kunneth,
@@ -163,6 +168,12 @@ class TestDiamondSlot:
         except (DiamondError, DescriptorError, SncDataError):
             return
         assert type(problems) is list and all(type(p) is str for p in problems)
+        if holder == "stratum":  # the identity checks read E_st with no validation
+            for check in (check_symmetry, check_pd_identity):
+                try:
+                    assert check(made) in (True, False, None)
+                except DescriptorError as err:
+                    assert str(err) in problems
         if problems and holder != "h argument":
             with pytest.raises((DescriptorError, SncDataError)):
                 made.check_valid()
@@ -178,6 +189,13 @@ class TestDiamondSlot:
         with pytest.raises((DescriptorError, SncDataError)) as err:
             made.check_valid()
         assert str(err.value) == problem
+
+    def test_the_identity_checks_name_a_table_in_a_stratum(self):
+        made = HOLDERS["stratum"]({(0, 0): 1})
+        with pytest.raises(DescriptorError) as err:
+            check_symmetry(made)
+        assert str(err.value) == "stratum (): {(0, 0): 1} is not a HodgeDiamond"
+        assert check_pd_identity(made) is None
 
     @pytest.mark.parametrize("h", [[((0, 0), 1)], "ab", 0, projective_space(2)],
                              ids=["pairs", "str", "zero", "diamond"])
@@ -229,6 +247,17 @@ class TestImmutableValue:
 
     def test_repr_shows_a_plain_table(self):
         assert repr(projective_space(1)) == "HodgeDiamond(dim=1, h={(0, 0): 1, (1, 1): 1})"
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_and_pickles_are_equal_values_scanned_anew(self, round_trip):
+        d = HodgeDiamond(2, {(0, 0): 1, (1, 0): 2, (2, 2): -1})
+        problems = validate(d, smooth_projective=True)
+        again = round_trip(d)
+        assert type(again) is HodgeDiamond and again == d and hash(again) == hash(d)
+        assert again._verdicts == [None, None]
+        assert validate(again, smooth_projective=True) == problems
 
     @given(pd_diamonds(2), st.randoms(use_true_random=False))
     def test_equal_diamonds_hash_equal_whatever_the_entry_order(self, d, rng):
