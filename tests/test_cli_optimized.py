@@ -45,7 +45,7 @@ def test_optimized_cli_matches_the_pinned_digests():
 
 
 def _package_nodes(matches):
-    """file:line of each node in the package's source trees that `matches`."""
+    """file:line of each AST node of the package's modules that `matches`."""
     paths = sorted((ROOT / "src" / "stringyhodge").rglob("*.py"))
     assert paths
     return [
