@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 from .analysis import ExceptionalFiberDescriptor, FiberComponent
@@ -43,28 +44,41 @@ def _expect(cond: bool, location: str, message: str) -> None:
         raise DescriptorFileError(location, message)
 
 
+def _fields(obj, location: str, message: str) -> dict:
+    """The fields of a decoded object read by name; a key written twice raises
+    at the later one, as do all keys that name one thing."""
+    _expect(type(obj) is tuple, location, message)
+    fields = dict(obj)
+    if len(fields) < len(obj):
+        seen = set()
+        for key, _ in obj:
+            _expect(key not in seen, f"{location}[{key!r}]", "repeats an earlier key")
+            seen.add(key)
+    return fields
+
+
 _INTS = frozenset((int,))
+_value = itemgetter(1)
 
 
 def _parse_diamond(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]],
                    diamonds: Dict[tuple, HodgeDiamond]) -> HodgeDiamond:
     """The diamond of one stratum or component, parsed once per spelling.
 
-    `diamonds` maps (dim, keys, values) as written of every sparse map that
-    parsed in the document to its diamond, and every later map spelled alike
-    gets that same object.  What it holds parsed, so its values are ints,
-    and only a map of ints is looked up, since true and 1.0 equal 1 and a
-    list cannot be hashed.  Anything else is parsed, so a bad diamond raises
-    at its first occurrence.  `keys` holds the (p,q) of every well-formed
-    sparse key met so far in the document.
+    `diamonds` maps the (dim, pairs) of every sparse map that parsed in the
+    document to its diamond, which every later map spelled alike gets.  What
+    it holds parsed, so its values are ints, and only a map of ints is looked
+    up, since true and 1.0 equal 1 and a list cannot be hashed.  Anything else
+    is parsed, so a bad diamond raises at its first occurrence.  `keys` holds
+    the (p,q) of every well-formed sparse key met so far in the document.
 
     Key paths are spelled out only to raise, below `location`, which is ""
     for a caller that roots the path itself.  JSON true/false load as bool, a
     subclass of int, so integers are tested with `type(value) is int`.
     """
     spelled = None
-    if isinstance(obj, dict) and _INTS.issuperset(map(type, obj.values())):
-        spelled = (dim, tuple(obj), tuple(obj.values()))
+    if type(obj) is tuple and _INTS.issuperset(map(type, map(_value, obj))):
+        spelled = (dim, obj)
         diamond = diamonds.get(spelled)
         if diamond is not None:
             return diamond
@@ -79,8 +93,8 @@ def _parse_diamond(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]
                     raise DescriptorFileError(f"{location}[{p}][{q}]", "entries must be integers")
                 if value:
                     h[(p, q)] = value
-    elif isinstance(obj, dict):
-        for key, value in obj.items():
+    elif type(obj) is tuple:
+        for key, value in obj:
             pq = keys.get(key)
             if pq is None:
                 left, _, right = key.partition(",")
@@ -98,8 +112,8 @@ def _parse_diamond(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]
                 continue
             raise DescriptorFileError(f"{location}[{key!r}]", problem)
         if len(h) < len(obj):  # zeros were dropped, or two keys name the same (p,q)
-            pqs = [keys[key] for key in obj]
-            for i, key in enumerate(obj):
+            pqs = [keys[key] for key, _ in obj]
+            for i, (key, _) in enumerate(obj):
                 _expect(pqs[i] not in pqs[:i], f"{location}[{key!r}]",
                         f"repeats an earlier (p,q) = {pqs[i]}")
     else:
@@ -112,15 +126,15 @@ def _parse_diamond(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]
     return diamond
 
 
-def _parse_component(comp, loc: str) -> Tuple[str, int]:
-    """The id and discrepancy of one component object."""
-    _expect(isinstance(comp, dict), loc, "component must be an object")
+def _parse_component(comp, loc: str) -> Tuple[str, int, dict]:
+    """The id and discrepancy of one component object, and its fields."""
+    comp = _fields(comp, loc, "component must be an object")
     cid = comp.get("id")  # stratum keys and fiber pairs join ids with ","; "" alone is Y
     _expect(isinstance(cid, str) and cid != "" and "," not in cid, f"{loc}.id",
             'id must be a nonempty string without ","')
     _expect(type(comp.get("discrepancy")) is int, f"{loc}.discrepancy",
             "discrepancy must be an integer")
-    return cid, comp["discrepancy"]
+    return cid, comp["discrepancy"], comp
 
 
 def _parse_rational(obj, location: str) -> Rational:
@@ -156,11 +170,11 @@ def _parse_matrix(obj, location: str, rationals: Dict[object, Rational]) -> List
 
 def _parse_snc(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]],
                diamonds: Dict[tuple, HodgeDiamond]) -> SncComplexData:
-    _expect(isinstance(obj, dict), location, "snc block must be an object")
-    levels_doc = obj.get("levels", {})
-    _expect(isinstance(levels_doc, dict), f"{location}.levels", "levels must be an object")
+    obj = _fields(obj, location, "snc block must be an object")
+    levels_doc = obj.get("levels", ())
+    _expect(type(levels_doc) is tuple, f"{location}.levels", "levels must be an object")
     levels: Dict[int, Tuple[SncComponent, ...]] = {}
-    for key, comps in levels_doc.items():
+    for key, comps in levels_doc:
         loc = f"{location}.levels[{key!r}]"
         _expect(str(key).isdecimal() and int(key) >= 1, loc, "level keys must be integers >= 1")
         r = int(key)
@@ -169,7 +183,7 @@ def _parse_snc(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]],
         _expect(isinstance(comps, list), loc, "must be a list")
         for i, comp in enumerate(comps):
             try:  # paths below the component come back relative, and are rooted only to raise
-                _expect(isinstance(comp, dict), "", "component must be an object")
+                comp = _fields(comp, "", "component must be an object")
                 subset = comp.get("subset")
                 _expect(isinstance(subset, list) and all(map(isinstance, subset, repeat(str))),
                         ".subset", "subset must be a list of component ids")
@@ -185,11 +199,11 @@ def _parse_snc(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]],
                 SncComponent(subset=tuple(subset), diamond=diamond, faces=tuple(faces))
             )
         levels[r] = tuple(parsed)
-    maps_doc = obj.get("user_maps", {})
-    _expect(isinstance(maps_doc, dict), f"{location}.user_maps", "user_maps must be an object")
+    maps_doc = obj.get("user_maps", ())
+    _expect(type(maps_doc) is tuple, f"{location}.user_maps", "user_maps must be an object")
     user_maps: Dict[Tuple[int, int, int], Tuple[List[List[Rational]], ...]] = {}
     rationals: Dict[object, Rational] = {}  # "1", "-1" and "0" recur in every matrix
-    for key, mats in maps_doc.items():
+    for key, mats in maps_doc:
         loc = f"{location}.user_maps[{key!r}]"
         parts = str(key).split(",")
         _expect(len(parts) == 3 and all(part.strip().isdecimal() for part in parts), loc,
@@ -205,7 +219,7 @@ def _parse_snc(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]],
 
 def _parse_fiber(obj, location: str, keys: Dict[str, Tuple[int, int]],
                  diamonds: Dict[tuple, HodgeDiamond]) -> ExceptionalFiberDescriptor:
-    _expect(isinstance(obj, dict), location, "fiber entry must be an object")
+    obj = _fields(obj, location, "fiber entry must be an object")
     point = obj.get("point")
     _expect(isinstance(point, str), f"{location}.point", "point label must be a string")
     comps = obj.get("components")
@@ -214,14 +228,14 @@ def _parse_fiber(obj, location: str, keys: Dict[str, Tuple[int, int]],
     parsed = []
     for i, comp in enumerate(comps):
         loc = f"{location}.components[{i}]"
-        cid, a = _parse_component(comp, loc)
+        cid, a, comp = _parse_component(comp, loc)
         diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond", keys, diamonds)
         parsed.append(FiberComponent(cid, diamond, a))
-    counts_doc = obj.get("pairwise_counts", {})
-    _expect(isinstance(counts_doc, dict), f"{location}.pairwise_counts",
+    counts_doc = obj.get("pairwise_counts", ())
+    _expect(type(counts_doc) is tuple, f"{location}.pairwise_counts",
             "pairwise_counts must be an object")
     counts: Dict[Tuple[str, str], int] = {}
-    for key, value in counts_doc.items():
+    for key, value in counts_doc:
         loc = f"{location}.pairwise_counts[{key!r}]"
         pair = tuple(sorted(key.split(",")))
         _expect(pair not in counts, loc, "repeats an earlier pair")
@@ -233,8 +247,16 @@ def _parse_fiber(obj, location: str, keys: Dict[str, Tuple[int, int]],
     return fd
 
 
+def _decoded(obj):
+    """A document built in code as load_bundle decodes one: each dict, in dicts
+    and lists, as its (key, value) pairs; a tuple is decoded already, kept as is."""
+    if isinstance(obj, dict):
+        return tuple((key, _decoded(value)) for key, value in obj.items())
+    return list(map(_decoded, obj)) if isinstance(obj, list) else obj
+
+
 def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
-    _expect(isinstance(doc, dict), location, "top level must be a JSON object")
+    doc = _fields(_decoded(doc), location, "top level must be a JSON object")
     dim = doc.get("dim")
     _expect(type(dim) is int and dim >= 0, f"{location}.dim",
             "dim must be a nonnegative integer")
@@ -243,15 +265,15 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     comps_doc = doc.get("components", [])
     _expect(isinstance(comps_doc, list), f"{location}.components", "must be a list")
     components = tuple(
-        _parse_component(comp, f"{location}.components[{i}]") for i, comp in enumerate(comps_doc)
+        _parse_component(c, f"{location}.components[{i}]")[:2] for i, c in enumerate(comps_doc)
     )
     strata_doc = doc.get("strata")
-    _expect(isinstance(strata_doc, dict) and strata_doc, f"{location}.strata",
+    _expect(type(strata_doc) is tuple and strata_doc, f"{location}.strata",
             "missing Y stratum: strata must contain at least the empty key")
     strata: Dict[Tuple[str, ...], HodgeDiamond] = {}
     keys: Dict[str, Tuple[int, int]] = {}  # sparse "p,q" keys, shared by every diamond
     diamonds: Dict[tuple, HodgeDiamond] = {}  # and the diamonds of sparse maps, by spelling
-    for key, value in strata_doc.items():
+    for key, value in strata_doc:
         subset = tuple(sorted(key.split(","))) if key else ()
         try:  # paths below the stratum come back relative, and are rooted only to raise
             if subset and not subset[0]:  # an empty id sorts first
@@ -281,33 +303,16 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     return DescriptorBundle(descriptor=descriptor, snc=snc, fibers=fibers)
 
 
-def _unique_keys(path: str):
-    """object_pairs_hook for json.load: a key written twice in one object raises."""
-
-    def hook(pairs):
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            seen = set()
-            for key, _ in pairs:
-                _expect(key not in seen, path, f"repeats an earlier key {key!r} in one object")
-                seen.add(key)
-        return obj
-
-    return hook
-
-
 def load_bundle(path: str) -> DescriptorBundle:
     try:
         with open(path, encoding="utf-8") as fh:  # RFC 8259, whatever the locale
-            doc = json.load(fh, object_pairs_hook=_unique_keys(path))
+            doc = json.load(fh, object_pairs_hook=tuple)  # an object as its (key, value) pairs
     except OSError as exc:
         raise DescriptorFileError(path, f"cannot read: {exc}")
     except UnicodeDecodeError as exc:
         raise DescriptorFileError(path, f"not valid UTF-8: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise DescriptorFileError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg)
-    except DescriptorFileError:  # from _unique_keys, a ValueError like the two above
-        raise
     except (ValueError, RecursionError) as exc:  # a too long integer literal, deep nesting
         raise DescriptorFileError(path, f"cannot parse: {exc}")
     return parse_bundle(doc, location=path)

@@ -69,6 +69,9 @@ class ResolutionDescriptor(_ValidOnce):
         """
         if type(self.n) is not int:  # every stratum's dimension is compared with n
             return self._kept([f"dimension n = {self.n!r} is not an integer"])
+        for comp in self.components:  # the rules below unpack a pair and sort ids in keys
+            if not (type(comp) is tuple and len(comp) == 2 and type(comp[0]) is str):
+                return self._kept([f"component {comp!r} is not a pair (str id, discrepancy)"])
         problems = []
         ids = [cid for cid, _ in self.components]
         if len(set(ids)) != len(ids):
@@ -89,6 +92,8 @@ class ResolutionDescriptor(_ValidOnce):
                 if type(subset) is not tuple:  # the other rules read the key as a tuple
                     problems.append(f"stratum key {subset!r} is not a tuple")
                     continue
+                if not all(type(cid) is str for cid in subset):  # they also sort its ids
+                    return self._kept([f"stratum key {subset!r} names an id that is not a string"])
                 if tuple(sorted(subset)) != subset:
                     problems.append(f"stratum key {subset!r} is not sorted")
                 if len(set(subset)) != len(subset):
@@ -254,9 +259,9 @@ def check_pd_identity(d: ResolutionDescriptor) -> Optional[bool]:
     Returns None (inconclusive) when a stratum fails per-stratum duality:
     the identity presupposes genuine geometric input.
     """
+    f = d._e_st  # raises first for a stratum that is no diamond, as check_symmetry does
     if not d.strata_pd_consistent():
         return None
-    f = d._e_st
     sign = (-1) ** len(f.denominator.factors)
     shift = d.n + sum(f.denominator.factors)
     terms = f.numerator.terms

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stringyhodge import DescriptorFileError, load_bundle
+from stringyhodge import DescriptorFileError, load_bundle, stringy_e
 from stringyhodge.descriptors import _parse_matrix, _parse_snc, parse_bundle
 
 ALL_CORPUS = [
@@ -337,7 +337,8 @@ def test_integral_rationals_parse_as_ints():
 
 
 def test_user_map_rationals_parsed_exactly():
-    snc = {"levels": {}, "user_maps": {"1,1,0": [[["1", 1, "-1"]], [["2/4", "-3/6", 0]]]}}
+    text = '{"levels": {}, "user_maps": {"1,1,0": [[["1", 1, "-1"]], [["2/4", "-3/6", 0]]]}}'
+    snc = json.loads(text, object_pairs_hook=tuple)  # decoded as the loader decodes
     maps = _parse_snc(snc, 2, "snc", {}, {}).user_maps[(1, 1, 0)]
     assert maps == ([[1, 1, -1]], [[1, -1, 0]])
     assert all(type(x) is int for mat in maps for row in mat for x in row)
@@ -365,11 +366,12 @@ def test_fiber_block_errors_exit_2_with_key_path(fibers, location, message, tmp_
 
 
 def _exit_2_at(doc, location, tmp_path, capsys):
-    """`stringy compute` on doc exits 2 and names the key path location."""
+    """`stringy compute` on doc, or on the JSON text doc, exits 2 and names the
+    key path location."""
     from stringyhodge.cli import main
 
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     assert main(["compute", str(path)]) == 2
     err, prefix = capsys.readouterr().err, f"error: {path}{location}: "
     assert err.startswith(prefix), err
@@ -439,22 +441,76 @@ def test_empty_or_comma_id_exits_2_at_its_path(doc, location, message, tmp_path,
     assert _exit_2_at(doc, location, tmp_path, capsys) == message + "\n"
 
 
-def test_key_written_twice_in_one_object_exits_2(corpus, tmp_path, capsys):
-    """json.load keeps the last of two equal keys; the loader rejects the pair.
+# one document with every kind of object the loader reads; each case below
+# writes one key of one object twice, and json.load would keep only the last
+EVERY_OBJECT = """{"dim": 3, "label": "x",
+ "components": [{"id": "E", "discrepancy": 1}],
+ "strata": {"": {"0,0": 1, "1,1": 2, "2,2": 2, "3,3": 1}, "E": {"0,0": 1, "1,1": 1, "2,2": 1}},
+ "snc": {"levels": {"1": [{"subset": ["E"], "diamond": {"0,0": 1, "1,1": 1, "2,2": 1}}]},
+         "user_maps": {}},
+ "fibers": [{"point": "x", "components": [{"id": "F", "discrepancy": 1, "diamond": {"0,0": 1}}],
+             "pairwise_counts": {}}]}"""
 
-    A second "E" stratum would otherwise replace the first and give
-    h^{2,2}_st = -3 for the node threefold.
-    """
-    from stringyhodge.cli import main
 
-    text = (corpus / "node3fold_blowup.json").read_text(encoding="utf-8")
+def test_the_document_with_every_object_loads(tmp_path):
     path = tmp_path / "doc.json"
-    second_e = '"E": {"0,0": 1, "1,1": 7, "2,2": 1},'
-    path.write_text(text.replace('"strata": {', '"strata": {' + second_e, 1), encoding="utf-8")
-    assert main(["compute", str(path), "--format", "machine"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {path}: repeats an earlier key 'E' in one object\n"
+    path.write_text(EVERY_OBJECT, encoding="utf-8")
+    bundle = load_bundle(str(path))
+    assert len(bundle.descriptor.strata) == 2 and len(bundle.snc.levels[1]) == 1
+    assert len(bundle.fibers) == 1
+
+
+@pytest.mark.parametrize(
+    "written, twice, location, message",
+    [
+        ('"dim": 3,', '"dim": 3, "dim": 3,', "['dim']", "repeats an earlier key"),
+        ('{"id": "E",', '{"id": "E", "id": "E",', ".components[0]['id']",
+         "repeats an earlier key"),
+        ('"E": {', '"E": {"0,0": 1}, "E": {', ".strata['E']", "repeats an earlier stratum"),
+        ('"1,1": 2,', '"1,1": 2, "1,1": 2,', ".strata['']['1,1']",
+         "repeats an earlier (p,q) = (1, 1)"),
+        ('"user_maps": {}}', '"user_maps": {}, "user_maps": {}}', ".snc['user_maps']",
+         "repeats an earlier key"),
+        ('"levels": {', '"levels": {"1": [], ', ".snc.levels['1']", "repeats an earlier level"),
+        ('{"subset": ["E"],', '{"subset": ["E"], "subset": ["E"],', ".snc.levels['1'][0]['subset']",
+         "repeats an earlier key"),
+        ('"user_maps": {}', '"user_maps": {"1,1,0": [], "1,1,0": []}', ".snc.user_maps['1,1,0']",
+         "repeats an earlier row"),
+        ('{"point": "x",', '{"point": "x", "point": "x",', ".fibers[0]['point']",
+         "repeats an earlier key"),
+        ('{"id": "F",', '{"id": "F", "id": "F",', ".fibers[0].components[0]['id']",
+         "repeats an earlier key"),
+        ('"pairwise_counts": {}', '"pairwise_counts": {"E,F": 1, "E,F": 1}',
+         ".fibers[0].pairwise_counts['E,F']", "repeats an earlier pair"),
+    ],
+    ids=["top level", "component", "strata", "diamond map", "snc", "levels", "level component",
+         "user_maps", "fiber", "fiber component", "pairwise_counts"],
+)
+def test_key_written_twice_exits_2_at_the_later_key(written, twice, location, message,
+                                                      tmp_path, capsys):
+    """One rule for every object: the later of two keys that name one thing
+    is rejected with its path, a key written twice as any other pair.
+
+    A second "E" stratum kept alone would give h^{2,2}_st = -3 for the node
+    threefold, and a second "dim" would change the dimension unseen.
+    """
+    assert EVERY_OBJECT.count(written) == 1
+    text = EVERY_OBJECT.replace(written, twice)
+    assert _exit_2_at(text, location, tmp_path, capsys) == message + "\n"
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS)
+def test_a_document_built_in_code_parses_as_its_file_loads(corpus, name):
+    path = corpus / name
+    built = parse_bundle(json.loads(path.read_text(encoding="utf-8")))
+    loaded = load_bundle(str(path))
+    d, e = built.descriptor, loaded.descriptor
+    assert list(d.strata) == list(e.strata)
+    assert list(d.strata.values()) == list(e.strata.values())
+    assert built.snc == loaded.snc and built.fibers == loaded.fibers
+    f, g = stringy_e(d), stringy_e(e)
+    assert f.numerator.terms == g.numerator.terms
+    assert f.denominator.factors == g.denominator.factors
 
 
 def test_swapped_fiber_pair_exits_2(corpus, tmp_path, capsys):

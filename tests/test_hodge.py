@@ -191,11 +191,13 @@ class TestDiamondSlot:
         assert str(err.value) == problem
 
     def test_the_identity_checks_name_a_table_in_a_stratum(self):
+        # check_pd_identity gives no inconclusive verdict that blames stratum ()
+        # for a duality failure
         made = HOLDERS["stratum"]({(0, 0): 1})
-        with pytest.raises(DescriptorError) as err:
-            check_symmetry(made)
-        assert str(err.value) == "stratum (): {(0, 0): 1} is not a HodgeDiamond"
-        assert check_pd_identity(made) is None
+        for check in (check_symmetry, check_pd_identity):
+            with pytest.raises(DescriptorError) as err:
+                check(made)
+            assert str(err.value) == "stratum (): {(0, 0): 1} is not a HodgeDiamond"
 
     @pytest.mark.parametrize("h", [[((0, 0), 1)], "ab", 0, projective_space(2)],
                              ids=["pairs", "str", "zero", "diamond"])

@@ -127,6 +127,21 @@ class TestStringyE:
             with pytest.raises(DescriptorError, match=message):
                 call(d)
 
+    @pytest.mark.parametrize("components, key, message", [
+        ([("A",)], (), "component ('A',) is not a pair (str id, discrepancy)"),
+        (["A1"], (), "component 'A1' is not a pair (str id, discrepancy)"),
+        ([(1, 1)], (), "component (1, 1) is not a pair (str id, discrepancy)"),
+        ([("A", 1)], ("A", 1), "stratum key ('A', 1) names an id that is not a string"),
+    ], ids=["one field", "str", "int id", "int id in a key"])
+    def test_a_component_or_id_of_another_shape_is_the_one_problem(self, components, key,
+                                                                    message):
+        # each once raised ValueError on unpacking or TypeError from <
+        d = ResolutionDescriptor(2, components, {(): diag(1, 1, 1), key: diag(1)})
+        assert d.validate() == [message]
+        with pytest.raises(DescriptorError) as err:
+            stringy_e(d)
+        assert str(err.value) == message
+
     def test_discrepancy_zero_subsets_vanish(self, node):
         # adding a crepant component changes nothing
         with_crepant = ResolutionDescriptor(
@@ -136,6 +151,41 @@ class TestStringyE:
             "node + crepant divisor",
         )
         assert stringy_e(with_crepant).equals(stringy_e(node))
+
+
+# whatever may land in a component or a stratum key built in code
+ANY_ID = st.one_of(st.text(max_size=2), st.integers(-1, 2), st.none(), st.floats(),
+                   st.booleans())
+COMPONENTS = st.lists(st.one_of(
+    st.tuples(ANY_ID, st.one_of(st.integers(-1, 3), st.floats(), st.booleans(), st.none(),
+                                st.text(max_size=1))),
+    st.tuples(ANY_ID),
+    st.tuples(ANY_ID, st.integers(), st.integers()),
+    st.lists(st.integers(), max_size=2),
+    st.text(max_size=2),
+    st.integers(),
+    st.none(),
+), max_size=3)
+STRATUM_KEYS = st.one_of(st.lists(ANY_ID, max_size=3).map(tuple), ANY_ID,
+                         st.frozensets(st.text(max_size=1), max_size=2))
+ONE_PROBLEM = ("is not a pair (str id, discrepancy)", "names an id that is not a string")
+
+
+class TestDescriptorFields:
+    @given(components=COMPONENTS, keys=st.lists(STRATUM_KEYS, max_size=4))
+    def test_any_component_or_stratum_key_is_reported(self, components, keys):
+        strata = {(): projective_space(2), **{key: projective_space(1) for key in keys}}
+        made = ResolutionDescriptor(2, components, strata)
+        problems = made.validate()
+        assert type(problems) is list and all(type(p) is str for p in problems)
+        for problem in problems:
+            if problem.endswith(ONE_PROBLEM):
+                assert problems == [problem]
+        if problems:
+            with pytest.raises(DescriptorError):
+                made.check_valid()
+        else:
+            stringy_e(made)
 
 
 class TestStringyHodgeTable:
