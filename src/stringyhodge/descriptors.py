@@ -248,15 +248,15 @@ def _parse_fiber(obj, location: str, keys: Dict[str, Tuple[int, int]],
 
 
 def _decoded(obj):
-    """A document built in code as load_bundle decodes one: each dict, in dicts
-    and lists, as its (key, value) pairs; a tuple is decoded already, kept as is."""
+    """What load_bundle decodes from the file that json.dump writes of obj."""
     if isinstance(obj, dict):
         return tuple((key, _decoded(value)) for key, value in obj.items())
-    return list(map(_decoded, obj)) if isinstance(obj, list) else obj
+    return list(map(_decoded, obj)) if isinstance(obj, (list, tuple)) else obj
 
 
 def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
-    doc = _fields(_decoded(doc), location, "top level must be a JSON object")
+    doc = _fields(doc if type(doc) is tuple else _decoded(doc), location,  # decoded already
+                  "top level must be a JSON object")
     dim = doc.get("dim")
     _expect(type(dim) is int and dim >= 0, f"{location}.dim",
             "dim must be a nonnegative integer")

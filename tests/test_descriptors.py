@@ -513,6 +513,18 @@ def test_a_document_built_in_code_parses_as_its_file_loads(corpus, name):
     assert f.denominator.factors == g.denominator.factors
 
 
+def test_tuples_built_in_code_read_as_json_arrays():
+    # as json.dump writes them: a tuple inside a document is never taken for
+    # a decoded object, so a tuple component is no object
+    doc = {"dim": 1, "components": [("E", 1)], "strata": {"": ((1, 0), (0, 1))}}
+    with pytest.raises(DescriptorFileError) as err:
+        parse_bundle(doc)
+    assert str(err.value) == "<document>.components[0]: component must be an object"
+    del doc["components"]
+    assert parse_bundle(doc).descriptor.strata == {(): parse_bundle(
+        json.loads(json.dumps(doc))).descriptor.strata[()]}
+
+
 def test_swapped_fiber_pair_exits_2(corpus, tmp_path, capsys):
     from stringyhodge.cli import main
 
