@@ -44,10 +44,14 @@ class ExceptionalFiberDescriptor(_ValidOnce):
     _error = DescriptorError
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "pairwise_counts", MappingProxyType(dict(self.pairwise_counts)))
+        object.__setattr__(self, "components", self._read("components", tuple))
+        counts = MappingProxyType(self._read("pairwise_counts", dict))
+        object.__setattr__(self, "pairwise_counts", counts)
 
     def validate(self) -> List[str]:
+        for c in self.components:  # the rules below read a component's fields and sort ids
+            if not (type(c) is FiberComponent and type(c.comp_id) is str):
+                return self._kept([f"component {c!r} is not a FiberComponent with a str id"])
         problems = []
         ids = [c.comp_id for c in self.components]
         if len(set(ids)) != len(ids):
@@ -66,7 +70,7 @@ class ExceptionalFiberDescriptor(_ValidOnce):
                 f"component {c.comp_id!r}: {msg}" for msg in hodge._verdict(c.diamond)
             )
         for pair, count in self.pairwise_counts.items():
-            if len(pair) != 2 or pair[0] == pair[1]:
+            if type(pair) is not tuple or len(pair) != 2 or pair[0] == pair[1]:
                 problems.append(f"malformed intersection pair {pair!r}")
             elif not set(pair) <= set(ids):
                 problems.append(f"intersection pair {pair!r} names unknown components")

@@ -39,6 +39,13 @@ class _ValidOnce:
         if problems:
             raise self._error("; ".join(problems))
 
+    def _read(self, name: str, kind: type):
+        """kind(field `name`); a value kind cannot read (None, say) raises `_error`."""
+        try:
+            return kind(getattr(self, name))
+        except (TypeError, ValueError):
+            raise self._error(f"{name} {getattr(self, name)!r} is not a {kind.__name__}") from None
+
 
 class HodgeDiamond:
     """Table h^{p,q}, 0 <= p, q <= dim, for a smooth projective variety,

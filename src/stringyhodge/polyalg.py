@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -204,16 +204,20 @@ class DenominatorSpec:
         return " * ".join(f"((uv)^{m} - 1)" for m in self.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StringyFunction:
-    """numerator / prod_j ((uv)^{m_j} - 1), kept unreduced.
+    """numerator / prod_j ((uv)^{m_j} - 1), unreduced, kept as built: a numerator,
+    or rows alone (`_binomial_sum`); the other form is made on its first read.
 
     Equality brings both sides to the union of the two denominators (see
     `_lifted`); equal denominators are compared numerator to numerator.
     """
 
-    numerator: BivariatePoly
-    denominator: DenominatorSpec = field(default_factory=DenominatorSpec)
+    numerator: BivariatePoly = cached_property(lambda self: _spread(self._slices))  # or __init__'s
+    denominator: DenominatorSpec
+
+    def __init__(self, numerator: BivariatePoly, denominator: DenominatorSpec = DenominatorSpec()):
+        self.__dict__.update(numerator=numerator, denominator=denominator)
 
     def _lifted(self, other: "StringyFunction") -> List[BivariatePoly]:
         """Both numerators over D, the union of the two denominators, each times
@@ -272,14 +276,14 @@ class StringyFunction:
 def _binomial_sum(products: Sequence[Tuple[Mapping[Tuple[int, int], int], Sequence[int], int]],
                   denominator: DenominatorSpec) -> StringyFunction:
     """sum terms * w^shift * prod (w^e - 1) over the (terms, exponents, shift)
-    of `products`, over denominator, with its rows kept as its `_slices`.
+    of `products`, over denominator, kept as its rows (`_slices`) alone.
 
     Kronecker-packed: w becomes 2^b, a row the one integer sum c_k 2^{bk},
     and w^e - 1 the shift-and-subtract F << be - F.  The rows of a diagonal
     are merged, row (p, q) shifted by b(p - p0) from the lowest (p0, q0).
     A product of k binomials has coefficients at most 2^k in size, so b holds
     the sum of sum |c| * 2^k over the products.  Each diagonal is unpacked
-    once, without its zero ends; the numerator is never split back into rows.
+    once, without its zero ends, and spread into the numerator only if read.
     """
     size = _digit_bytes(sum(sum(map(abs, terms.values())) << len(exponents)
                             for terms, exponents, _ in products))
@@ -304,8 +308,8 @@ def _binomial_sum(products: Sequence[Tuple[Mapping[Tuple[int, int], int], Sequen
             # every digit is below 2^(b-1) in size, so with digit h the last
             # nonzero one |row| lies in (2^(bh-1), 2^(bh+b-1)): bh to bh+b-1 bits
             rows[p + k, p + k - diagonal] = _unpack(row, size, abs(row).bit_length() // b + 1)
-    f = StringyFunction(_spread(rows), denominator)
-    object.__setattr__(f, "_slices", rows)
+    f = object.__new__(StringyFunction)
+    f.__dict__.update(denominator=denominator, _slices=rows)
     return f
 
 

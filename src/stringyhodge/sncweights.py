@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
 from math import gcd, lcm
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -175,14 +176,16 @@ class SncComplexData(_ValidOnce):
     _error = SncDataError
 
     def __post_init__(self):
-        levels = {r: tuple(cs) for r, cs in dict(self.levels).items()}
+        levels = {r: tuple(cs) for r, cs in self._read("levels", dict).items()}
         object.__setattr__(self, "levels", MappingProxyType(levels))
         maps = {}
-        for (k, p, q), mats in dict(self.user_maps).items():
+        for key, mats in self._read("user_maps", dict).items():
+            if not (type(key) is tuple and len(key) == 3 and {int}.issuperset(map(type, key))):
+                raise SncDataError(f"user map key {key!r} is not a triple (k, p, q) of ints")
             try:
-                maps[(k, p, q)] = tuple(map(_integral, mats))
+                maps[key] = tuple(map(_integral, mats))
             except SncDataError as exc:
-                raise SncDataError(f"user map ({k},{p},{q}): {exc}") from None
+                raise SncDataError("user map ({},{},{}): {}".format(*key, exc)) from None
         object.__setattr__(self, "user_maps", MappingProxyType(maps))
         object.__setattr__(self, "_ranked_rows", {})
 
@@ -193,6 +196,12 @@ class SncComplexData(_ValidOnce):
         return self.levels.get(r, ())
 
     def validate(self) -> List[str]:
+        subsets = map(attrgetter("subset"), chain.from_iterable(self.levels.values()))
+        if not {str}.issuperset(map(type, chain.from_iterable(subsets))):  # the rules sort ids
+            r, i = next((r, i) for r, cs in self.levels.items() for i, c in enumerate(cs)
+                        if not {str}.issuperset(map(type, c.subset)))
+            return self._kept([f"level {r} component {i}: subset names an id that is not "
+                               "a string"])
         problems = []
         for r, comps in self.levels.items():
             for idx, comp in enumerate(comps):
@@ -308,8 +317,8 @@ def _face_problems(data: SncComplexData, r: int, idx: int) -> List[str]:
     problems = []
     for t, fidx in enumerate(comp.faces):
         expected = comp.subset[:t] + comp.subset[t + 1 :]
-        if not (0 <= fidx < len(below)):
-            problems.append(f"face index {fidx} out of range")
+        if not (type(fidx) is int and 0 <= fidx < len(below)):
+            problems.append(f"face index {fidx!r} out of range")
         elif below[fidx].subset != expected:
             problems.append(
                 f"face {t} lands in subset {below[fidx].subset}, expected {expected}"

@@ -417,6 +417,45 @@ class TestOncePerDescriptor:
         assert splits["func"] == 0
         assert unpacks["_unpack"] == len(diagonals) > 0
 
+    @pytest.mark.parametrize(
+        "name, denominator",
+        [("burkhardt_times_p1.json", True), ("synthetic_negative_fourfold.json", True),
+         ("node3fold_blowup.json", True), ("smooth_p3.json", False)],
+    )
+    def test_cli_forms_the_numerator_only_where_it_is_read(self, name, denominator, corpus,
+                                                           capsys, count_calls):
+        # E_st is kept as its rows: compute prints the numerator and both identity
+        # checks read it, formed once; check reads rows alone, unless E_st has
+        # no denominator and its numerator is the polynomial check reports
+        spreads = count_calls(polyalg.StringyFunction.__dict__["numerator"], "func")
+        for command, formed in (("compute", 1), ("check", 0 if denominator else 1)):
+            d = load_bundle(str(corpus / name)).descriptor
+            assert bool(stringy_e(d).denominator.factors) is denominator
+            spreads.clear()
+            assert main([command, str(corpus / name), "--format", "machine"]) in (0, 1)
+            capsys.readouterr()
+            assert spreads["func"] == formed
+
+    def test_compare_forms_numerators_only_for_unequal_rows(self, corpus, capsys, count_calls):
+        path = str(corpus / "burkhardt_times_p1.json")
+        d = load_bundle(path).descriptor
+        ids = {cid: f"R{len(d.components) - i}" for i, (cid, _) in enumerate(d.components)}
+        relabelled = ResolutionDescriptor(
+            d.n, tuple((ids[cid], a) for cid, a in d.components),
+            {tuple(sorted(map(ids.get, J))): s for J, s in d.strata.items()})
+        ambient = dict(d.strata[()].h)
+        for pq in ((1, 1), (d.n - 1, d.n - 1)):
+            ambient[pq] += 1
+        perturbed = ResolutionDescriptor(
+            d.n, d.components, {**d.strata, (): HodgeDiamond(d.n, ambient)})
+        spreads = count_calls(polyalg.StringyFunction.__dict__["numerator"], "func")
+        assert main(["compare", path, path, "--format", "machine"]) == 0
+        assert json.loads(capsys.readouterr().out)["equal"] is True
+        assert first_coefficient_difference(d, relabelled) is None
+        assert spreads["func"] == 0  # equal denominators and rows: equal numerators
+        assert first_coefficient_difference(d, perturbed) == (1, 1, 17, 18)  # h^{1,1}_st + 1
+        assert spreads["func"] == 2  # each side formed once, for the lift
+
     def test_level_sums_computed_once(self, count_calls):
         d = ResolutionDescriptor(
             3,

@@ -196,6 +196,48 @@ class TestFaceRuleMessages:
         assert triangle_with(EDGES, [("ABC", (2, 1, 0))]).validate() == []
 
 
+class TestValuesBuiltInCode:
+    """Values that once raised a bare TypeError or ValueError, or passed."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SncComplexData(levels=None), "levels None is not a dict"),
+        (lambda: SncComplexData({}, None), "user_maps None is not a dict"),
+        (lambda: SncComplexData({}, {"2,1,1": []}),
+         "user map key '2,1,1' is not a triple (k, p, q) of ints"),
+        (lambda: SncComplexData({}, {(2, 1): []}),
+         "user map key (2, 1) is not a triple (k, p, q) of ints"),
+        (lambda: SncComplexData({}, {(2, 1, True): []}),
+         "user map key (2, 1, True) is not a triple (k, p, q) of ints"),
+    ], ids=["levels None", "user_maps None", "key as written in JSON", "pair", "bool"])
+    def test_the_constructor_names_the_field(self, make, message):
+        with pytest.raises(SncDataError) as err:
+            make()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("levels, message", [
+        ({1: (SncComponent(("A",)), SncComponent((1,)))},
+         "level 1 component 1: subset names an id that is not a string"),
+        ({1: (SncComponent(("A",)),), 2: (SncComponent(("A", 1), faces=(0, 0)),)},
+         "level 2 component 0: subset names an id that is not a string"),
+    ], ids=["level 1", "mixed with a str"])
+    def test_an_id_that_is_not_a_string_is_the_one_problem(self, levels, message):
+        # ("A",) and (1,) once validated to [], ("A", 1) raised TypeError from <
+        data = SncComplexData(levels)
+        assert data.validate() == [message]
+        with pytest.raises(SncDataError) as err:
+            weight_graded_dims(data, 0, 0, 0, 0)
+        assert str(err.value) == message
+
+    def test_a_face_that_is_not_an_int_is_out_of_range(self):
+        # "x" once raised TypeError from <=; True would index level 1 as 1
+        levels = {1: (SncComponent(("A",)), SncComponent(("B",))),
+                  2: (SncComponent(("A", "B"), faces=("x", True)),)}
+        assert SncComplexData(levels).validate() == [
+            "level 2 component 0: face index 'x' out of range",
+            "level 2 component 0: face index True out of range",
+        ]
+
+
 class TestWeightGradedDims:
     def test_triangle_circle(self):
         data = complex_from_faces(*TRIANGLE)

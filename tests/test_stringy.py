@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -8,6 +9,8 @@ from stringyhodge import (
     BivariatePoly,
     DenominatorSpec,
     DescriptorError,
+    ExceptionalFiberDescriptor,
+    FiberComponent,
     HodgeDiamond,
     ResolutionDescriptor,
     StringyFunction,
@@ -19,6 +22,8 @@ from stringyhodge import (
     crepant_compare,
     e_polynomial,
     exact_divide_test,
+    hodge,
+    local_defect,
     projective_space,
     quadric_surface,
     stringy_e,
@@ -186,6 +191,166 @@ class TestDescriptorFields:
                 made.check_valid()
         else:
             stringy_e(made)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ResolutionDescriptor(2, (), None), "strata None is not a dict"),
+        (lambda: ResolutionDescriptor(2, (), [1]), "strata [1] is not a dict"),
+        (lambda: ResolutionDescriptor(2, None, {(): projective_space(2)}),
+         "components None is not a tuple"),
+        (lambda: ExceptionalFiberDescriptor("x", None), "components None is not a tuple"),
+        (lambda: ExceptionalFiberDescriptor("x", (), None), "pairwise_counts None is not a dict"),
+    ], ids=["strata None", "strata list", "components None", "fiber components None",
+            "fiber counts None"])
+    def test_a_field_that_is_no_collection_is_named(self, make, message):
+        # each once raised TypeError or ValueError from tuple() or dict()
+        with pytest.raises(DescriptorError) as err:
+            make()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("component", [("E", projective_space(1), 1),
+                                           FiberComponent(1, quadric_surface(), 1)],
+                             ids=["plain tuple", "int id"])
+    def test_a_fiber_component_of_another_shape_is_the_one_problem(self, component):
+        # a plain tuple once raised AttributeError on .comp_id
+        fd = ExceptionalFiberDescriptor("x", (FiberComponent("F", quadric_surface(), 1),
+                                              component), {("E", "F"): 1})
+        message = f"component {component!r} is not a FiberComponent with a str id"
+        assert fd.validate() == [message]
+        with pytest.raises(DescriptorError) as err:
+            local_defect(fd)
+        assert str(err.value) == message
+
+
+def per_stratum_validate(d):
+    """validate() as it was before its bulk key tests, kept as the reference:
+    every key rule and the downward closure are tested stratum by stratum."""
+    if type(d.n) is not int:
+        return [f"dimension n = {d.n!r} is not an integer"]
+    for comp in d.components:
+        if not (type(comp) is tuple and len(comp) == 2 and type(comp[0]) is str):
+            return [f"component {comp!r} is not a pair (str id, discrepancy)"]
+    problems = []
+    ids = [cid for cid, _ in d.components]
+    if len(set(ids)) != len(ids):
+        problems.append("duplicate component ids")
+    for cid, a in d.components:
+        if type(a) is not int:
+            problems.append(f"component {cid!r} has non-integer discrepancy {a!r}")
+        elif a < 0:
+            problems.append(f"component {cid!r} has negative discrepancy {a}")
+    if () not in d.strata:
+        problems.append("missing Y stratum (empty subset)")
+    known = set(ids)
+    for subset, diamond in d.strata.items():
+        if type(subset) is not tuple:
+            problems.append(f"stratum key {subset!r} is not a tuple")
+            continue
+        if not all(type(cid) is str for cid in subset):
+            return [f"stratum key {subset!r} names an id that is not a string"]
+        if tuple(sorted(subset)) != subset:
+            problems.append(f"stratum key {subset!r} is not sorted")
+        if len(set(subset)) != len(subset):
+            problems.append(f"stratum key {subset!r} repeats a component")
+        unknown = set(subset) - known
+        if unknown:
+            problems.append(f"stratum {subset!r} names unknown components {sorted(unknown)}")
+        expected = d.n - len(subset)
+        if isinstance(diamond, HodgeDiamond) and diamond.dim != expected:
+            problems.append(f"stratum {subset!r} has dimension {diamond.dim}, expected {expected}")
+        problems.extend(f"stratum {subset!r}: {msg}" for msg in hodge.validate(diamond))
+        for sub in itertools.combinations(subset, len(subset) - 1) if subset else ():
+            if sub not in d.strata:
+                problems.append(f"downward closure broken: {subset!r} present but {sub!r} missing")
+    return problems
+
+
+MUTATIONS = {  # each with the least number of ids of a tuple key it applies to
+    "swap two ids": 2, "repeat an id": 1, "add an unknown id": 0, "make it no tuple": 1,
+    "add an id that is no string": 0, "drop a facet": 2, "wrong dimension": 0,
+    "invalid diamond": 0, "drop Y": 0,
+}
+
+
+@st.composite
+def mutated_descriptors(draw):
+    """A valid random descriptor with one to three of MUTATIONS applied in
+    place, so that the strata keep their order; a changed key may also come
+    in after the one it was made from, which stays."""
+    d = draw(descriptors(max_components=5))
+    strata = list(d.strata.items())
+    for kind in draw(st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1, max_size=3)):
+        if kind == "drop Y":
+            strata = [(J, s) for J, s in strata if J != ()]
+            continue
+        fits = [i for i, (J, _) in enumerate(strata)
+                if type(J) is tuple and len(J) >= MUTATIONS[kind]]
+        if not fits:
+            continue
+        i = draw(st.sampled_from(fits))
+        J, s = strata[i]
+        at = draw(st.integers(0, len(J)))  # where an id goes in
+        if kind == "swap two ids":
+            a, b = sorted(draw(st.lists(st.integers(0, len(J) - 1), min_size=2, max_size=2,
+                                        unique=True)))
+            J = J[:a] + J[b:b + 1] + J[a + 1:b] + J[a:a + 1] + J[b + 1:]
+        elif kind == "repeat an id":
+            at = min(at, len(J) - 1)
+            J = J[:at + 1] + J[at:]
+        elif kind == "add an unknown id":
+            J = J[:at] + (draw(st.sampled_from(["A", "Z", "D9"])),) + J[at:]
+        elif kind == "make it no tuple":
+            J = draw(st.sampled_from(["".join(map(str, J)), frozenset(J), J[0]]))
+        elif kind == "add an id that is no string":
+            J = J[:at] + (draw(st.sampled_from([0, 1, None, 1.5])),) + J[at:]
+        elif kind == "drop a facet":
+            # any facet, the middle ones included: ("A", "C") under ("A", "B", "C")
+            at = draw(st.integers(0, len(J) - 1))
+            strata = [(K, t) for K, t in strata if K != J[:at] + J[at + 1:]]
+            continue
+        elif kind == "wrong dimension" and isinstance(s, HodgeDiamond):
+            s = projective_space(s.dim + draw(st.sampled_from([1, 2])))
+        elif kind == "invalid diamond":
+            s = draw(st.sampled_from([HodgeDiamond(0, {(0, 0): -1}),
+                                      HodgeDiamond(1, {(0, 0): 1, (1, 0): 1, (1, 1): 1}),
+                                      {(0, 0): 1}, None]))
+        if J != strata[i][0] and draw(st.booleans()):
+            strata.insert(i + 1, (J, s))
+        else:
+            strata[i] = (J, s)
+    return ResolutionDescriptor(d.n, d.components, dict(strata), "mutated")
+
+
+class TestBulkKeyTests:
+    """validate() accepts valid keys with a few tests in C and names the faults
+    of the others stratum by stratum, with the messages, in the order, that
+    testing every key rule on every stratum gives."""
+
+    @settings(max_examples=300)
+    @given(mutated_descriptors())
+    def test_every_message_list_is_the_per_stratum_one(self, made):
+        assert made.validate() == per_stratum_validate(made)
+
+    @settings(max_examples=50)
+    @given(descriptors(max_components=5))
+    def test_valid_descriptors_stay_valid(self, d):
+        assert d.validate() == per_stratum_validate(d) == []
+
+    @pytest.mark.parametrize("keys, message", [
+        ([("A", "B", "C"), ("A", "B"), ("B", "C")],
+         "downward closure broken: ('A', 'B', 'C') present but ('A', 'C') missing"),
+        ([("A", "C", "B"), ("A", "C"), ("A", "B"), ("C", "B")],
+         "stratum key ('C', 'B') is not sorted"),
+        ([("A", "A", "B"), ("A", "A"), ("A", "B")],
+         "stratum key ('A', 'A') repeats a component"),
+    ], ids=["middle facet", "three ids out of order", "repeated id"])
+    def test_a_fault_in_a_key_of_three_ids_is_named(self, keys, message):
+        # every 1-id key is there, so only the fault named breaks the bulk tests
+        strata = {(): projective_space(3), ("A",): diag(1, 1, 1), ("B",): diag(1, 1, 1),
+                  ("C",): diag(1, 1, 1)}
+        strata.update((J, projective_space(3 - len(J))) for J in keys)
+        d = ResolutionDescriptor(3, (("A", 1), ("B", 1), ("C", 2)), strata)
+        assert message in d.validate()
+        assert d.validate() == per_stratum_validate(d)
 
 
 class TestStringyHodgeTable:
