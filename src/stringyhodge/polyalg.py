@@ -213,7 +213,7 @@ class StringyFunction:
     `_lifted`); equal denominators are compared numerator to numerator.
     """
 
-    numerator: BivariatePoly = cached_property(lambda self: _spread(self._slices))  # or __init__'s
+    numerator: BivariatePoly = cached_property(lambda self: _spread(self._slices))
     denominator: DenominatorSpec
 
     def __init__(self, numerator: BivariatePoly, denominator: DenominatorSpec = DenominatorSpec()):
