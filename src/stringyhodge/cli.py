@@ -8,6 +8,12 @@ expansion: a defect of the library, reported on one line.
 
 `--max-degree` bounds the expansion of `compute` and `check` only; `compare`
 finds the first mismatch exactly, with no bound (`first_coefficient_difference`).
+
+A plain argv is read without argparse (`_plain`): a command, its positionals
+(none empty or starting with `-`), `--format text|machine` and, for `compute`
+and `check`, `--max-degree` with ASCII digits, in any order, a repeated option
+keeping its last value. Any other argv (help, `--form`, `--opt=value`, `--`, a
+`-1`) goes to argparse, with its messages and exit codes.
 """
 
 from __future__ import annotations
@@ -212,6 +218,15 @@ def cmd_compare(args) -> int:
     return 0 if diff is None else 1
 
 
+_COMMANDS = {
+    "compute": (("path",), True, "full stringy report for one descriptor"),
+    "check": (("path",), True, "nonnegativity verdicts (exit 1 on a negative)"),
+    "defect": (("path",), False, "per-point local defect table"),
+    "compare": (("path_a", "path_b"), False,
+                "exact equality of two stringy E-functions, and their first mismatch"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stringy",
@@ -220,13 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, paths, bounded, help_text in (
-        ("compute", ("path",), True, "full stringy report for one descriptor"),
-        ("check", ("path",), True, "nonnegativity verdicts (exit 1 on a negative)"),
-        ("defect", ("path",), False, "per-point local defect table"),
-        ("compare", ("path_a", "path_b"), False,
-         "exact equality of two stringy E-functions, and their first mismatch"),
-    ):
+    for command, (paths, bounded, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name in paths:
             p.add_argument(name)
@@ -237,6 +246,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain(argv):
+    """The Namespace the parser builds from a plain argv, or None for any other argv."""
+    if not (argv and {str}.issuperset(map(type, argv)) and argv[0] in _COMMANDS):
+        return None
+    paths, bounded, _ = _COMMANDS[argv[0]]
+    options = {"format": "text", **({"max_degree": None} if bounded else {})}
+    values, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token == "--format" and (value := next(tokens, "")) in ("text", "machine"):
+            options["format"] = value
+        elif (token == "--max-degree" and bounded and (value := next(tokens, "")).isascii()
+              and value.isdigit() and len(value) <= 640):  # no int() digit limit is below 640
+            options["max_degree"] = int(value)
+        elif token[:1] in ("", "-"):
+            return None
+        else:
+            values.append(token)
+    if len(values) != len(paths):
+        return None
+    return argparse.Namespace(command=argv[0], **dict(zip(paths, values)), **options)
+
+
 _PARSER = None  # built by the first main() call, reused by later in-process calls
 
 
@@ -244,7 +275,8 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain(argv) or _PARSER.parse_args(argv)
     try:
         # looked up per call, so that a rebound cmd_* takes effect with the cached parser
         return globals()[f"cmd_{args.command}"](args)

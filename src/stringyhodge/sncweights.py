@@ -19,14 +19,15 @@ maps, formed to check that they compose to zero, skip zeros.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import hodge
 from .hodge import HodgeDiamond, _ValidOnce
@@ -155,6 +156,21 @@ class SncComponent:
     faces: Tuple[int, ...] = ()
 
 
+_SUBSET, _FIELDS = attrgetter("subset"), attrgetter("subset", "faces")
+
+
+def _unreadable(comp) -> Optional[str]:
+    """Why the rules of `SncComplexData.validate` cannot read a level entry, or None."""
+    if not isinstance(comp, SncComponent):
+        return f"{comp!r} is not an SncComponent"
+    for name, value in zip(("subset", "faces"), _FIELDS(comp)):
+        if not isinstance(value, Sequence):
+            return f"{name} {value!r} is not a sequence"
+    if not {str}.issuperset(map(type, comp.subset)):  # the rules sort ids
+        return "subset names an id that is not a string"
+    return None
+
+
 @dataclass(frozen=True)
 class SncComplexData(_ValidOnce):
     """Components of each D(r), r >= 1, plus optional restriction matrices.
@@ -176,7 +192,14 @@ class SncComplexData(_ValidOnce):
     _error = SncDataError
 
     def __post_init__(self):
-        levels = {r: tuple(cs) for r, cs in self._read("levels", dict).items()}
+        levels = self._read("levels", dict)
+        for r, cs in levels.items():
+            if type(r) is not int:
+                raise SncDataError(f"level key {r!r} is not an int")
+            try:
+                levels[r] = tuple(cs)
+            except TypeError:
+                raise SncDataError(f"level {r} {cs!r} is not a tuple") from None
         object.__setattr__(self, "levels", MappingProxyType(levels))
         maps = {}
         for key, mats in self._read("user_maps", dict).items():
@@ -196,12 +219,14 @@ class SncComplexData(_ValidOnce):
         return self.levels.get(r, ())
 
     def validate(self) -> List[str]:
-        subsets = map(attrgetter("subset"), chain.from_iterable(self.levels.values()))
-        if not {str}.issuperset(map(type, chain.from_iterable(subsets))):  # the rules sort ids
-            r, i = next((r, i) for r, cs in self.levels.items() for i, c in enumerate(cs)
-                        if not {str}.issuperset(map(type, c.subset)))
-            return self._kept([f"level {r} component {i}: subset names an id that is not "
-                               "a string"])
+        comps = tuple(chain.from_iterable(self.levels.values()))
+        if not (all(map(isinstance, comps, repeat(SncComponent)))  # _unreadable's tests, in C
+                and {tuple}.issuperset(map(type, chain.from_iterable(map(_FIELDS, comps))))
+                and {str}.issuperset(map(type, chain.from_iterable(map(_SUBSET, comps))))):
+            bad = next(((r, i, p) for r, cs in self.levels.items()
+                        for i, c in enumerate(cs) if (p := _unreadable(c))), None)
+            if bad:
+                return self._kept(["level {} component {}: {}".format(*bad)])
         problems = []
         for r, comps in self.levels.items():
             for idx, comp in enumerate(comps):

@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stringyhodge import cli, stringy
 from stringyhodge.cli import main
+from conftest import CORPUS
 
 
 def run(capsys, *argv):
@@ -249,6 +251,116 @@ class TestParserBuiltOnce:
         assert code == 0 and json.loads(out)["dim"] == 3
         assert builds["build_parser"] == 1
         assert computes["cmd_compute"] == 2
+
+
+PARSER = cli.build_parser()
+POSITIONALS = {"compute": 1, "check": 1, "defect": 1, "compare": 2}
+BOUNDED = ("compute", "check")
+TOKENS = ["a.json", "b.json", "--format", "text", "machine", "MACHINE", "--max-degree", "3",
+          "007", "-1", "\u0663", "9" * 5000, "--form", "--format=machine", "-h", "--", "-", "",
+          "x y"]
+
+
+@st.composite
+def plain_argvs(draw):
+    """An argv of the plain grammar, options in any order, and the Namespace it means."""
+    command = draw(st.sampled_from(sorted(POSITIONALS)))
+    paths = draw(st.lists(st.sampled_from(["a.json", "x y", "text", "machine", "compute", "3",
+                                           "\u0663", "corpus/b.json"]),
+                          min_size=POSITIONALS[command], max_size=POSITIONALS[command]))
+    flags = ["--format", "--max-degree"] if command in BOUNDED else ["--format"]
+    bounds = st.sampled_from(["0", "3", "007", "9" * 640]) | st.integers(0, 10**30).map(str)
+    options = [
+        (flag, draw(st.sampled_from(["text", "machine"]) if flag == "--format" else bounds))
+        for flag in draw(st.lists(st.sampled_from(flags), max_size=4))
+    ]
+    argv = [command]
+    expected = {"command": command, "format": "text"}
+    if command in BOUNDED:
+        expected["max_degree"] = None
+    positionals = iter(paths)
+    for item in draw(st.permutations([None] * len(paths) + options)):
+        if item is None:
+            argv.append(next(positionals))
+        else:  # the last value of a repeated option is kept
+            argv += item
+            flag, value = item
+            expected[flag[2:].replace("-", "_")] = int(value) if flag == "--max-degree" else value
+    names = ["path_a", "path_b"] if command == "compare" else ["path"]
+    return argv, {**expected, **dict(zip(names, paths))}
+
+
+class TestPlainArgv:
+    """`main` reads a plain argv without argparse, into argparse's own Namespace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(POSITIONALS)) | st.sampled_from(TOKENS),
+           st.lists(st.sampled_from(TOKENS), max_size=6))
+    def test_an_accepted_argv_reads_as_argparse_reads_it(self, first, rest):
+        args = cli._plain([first, *rest])
+        if args is not None:
+            assert vars(args) == vars(PARSER.parse_args([first, *rest]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(plain_argvs(), st.lists(st.tuples(st.integers(0, 9), st.sampled_from(TOKENS),
+                                             st.booleans()), min_size=1, max_size=2))
+    def test_a_plain_argv_with_tokens_put_in_reads_as_argparse_reads_it(self, case, edits):
+        # near the edge of the grammar: one or two tokens of the alphabet put in or swapped in
+        argv = case[0]
+        for index, token, insert in edits:
+            index %= len(argv) + 1
+            argv[index:index + (not insert)] = [token]
+        args = cli._plain(argv)
+        if args is not None:
+            assert vars(args) == vars(PARSER.parse_args(argv))
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_argvs())
+    def test_every_plain_argv_is_accepted(self, case):
+        argv, expected = case
+        args = cli._plain(argv)
+        assert args is not None and vars(args) == expected
+        assert vars(PARSER.parse_args(argv)) == expected
+
+    @pytest.mark.parametrize("argv", [
+        [], ["compute"], ["compute", "a", "b"], ["compare", "a"], ["compute", ""],
+        ["compute", "-"], ["compute", "a", "--"], ["compute", "a", "--format"],
+        ["compute", "a", "--format", "MACHINE"], ["compute", "a", "--format=machine"],
+        ["compute", "a", "--form", "machine"], ["compute", "a", "--max-degree"],
+        ["compute", "a", "--max-degree", "-1"], ["compute", "a", "--max-degree", "\u0663"],
+        ["compute", "a", "--max-degree", "9" * 5000], ["compute", "a", "--max-degree", " 3"],
+        ["compare", "a", "b", "--max-degree", "3"], ["defect", "a", "-h"], ["stringy", "a"],
+        ["compute", Path("a")],
+    ])
+    def test_any_other_argv_goes_to_argparse(self, argv):
+        assert cli._plain(argv) is None
+
+
+class TestArgparseRoute:
+    """What the plain reader leaves to argparse still works, end to end."""
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "usage: stringy [-h]"),
+        (["compute", "--help"], "usage: stringy compute [-h]"),
+    ])
+    def test_help_exits_0_with_its_usage(self, argv, usage, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
+
+    @pytest.mark.parametrize("command", ["compute", "check"])
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.json")))
+    def test_argparse_spellings_give_the_plain_output(self, command, name, corpus, capsys):
+        path = str(corpus / name)
+        for plain, spellings in (
+            (["--format", "machine"], (["--format=machine"], ["--form", "machine"])),
+            (["--max-degree", "2"], (["--max-degree=2"], ["--max", "2"])),
+        ):
+            expected = run(capsys, command, path, *plain)
+            for spelling in spellings:
+                assert cli._plain([command, path, *spelling]) is None
+                assert run(capsys, command, path, *spelling) == expected
 
 
 class TestMachineEncoding:

@@ -228,6 +228,60 @@ class TestValuesBuiltInCode:
             weight_graded_dims(data, 0, 0, 0, 0)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("levels, message", [
+        ({1: None}, "level 1 None is not a tuple"),
+        ({1: 3}, "level 1 3 is not a tuple"),
+        ({"1": (SncComponent(("A",)),)}, "level key '1' is not an int"),
+        ({True: ()}, "level key True is not an int"),
+    ], ids=["None", "int", "key as written in JSON", "bool key"])
+    def test_a_level_the_constructor_cannot_read_is_named(self, levels, message):
+        # None and 3 once raised TypeError here; the key '1' raised TypeError from validate()
+        with pytest.raises(SncDataError) as err:
+            SncComplexData(levels)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("levels, message", [
+        ({1: (SncComponent(None),)}, "level 1 component 0: subset None is not a sequence"),
+        ({1: (SncComponent(("A",)), SncComponent(("B",))),
+          2: (SncComponent(("A", "B"), faces=None),)},
+         "level 2 component 0: faces None is not a sequence"),
+        ({1: (SncComponent(("A",)), "B")}, "level 1 component 1: 'B' is not an SncComponent"),
+        ({1: (("A",),)}, "level 1 component 0: ('A',) is not an SncComponent"),
+    ], ids=["subset None", "faces None", "a str", "a tuple"])
+    def test_an_entry_the_rules_cannot_read_is_the_one_problem(self, levels, message):
+        # these once raised TypeError or AttributeError from validate()
+        data = SncComplexData(levels)
+        assert data.validate() == [message]
+        with pytest.raises(SncDataError) as err:
+            weight_graded_dims(data, 0, 0, 0, 0)
+        assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.integers(-1, 4) | st.sampled_from(["1", True, None, (1,)]),
+        st.lists(st.builds(
+            SncComponent,
+            subset=st.lists(st.sampled_from(["A", "B", "C"]) | st.sampled_from([0, None, ["A"]]),
+                            max_size=3).map(tuple) | st.sampled_from([None, 0, ["A"], "AB"]),
+            diamond=st.sampled_from([None, diag(1), diag(1, 1), "x"]),
+            faces=st.lists(st.integers(-1, 3) | st.sampled_from([None, True, "x"]),
+                           max_size=3).map(tuple) | st.sampled_from([None, 0, [0], "0"]),
+        ) | st.sampled_from([None, "A", ("A",), 1]), max_size=4).map(tuple)
+        | st.sampled_from([None, 3, "AB", [], [SncComponent(("A",))]]),
+        max_size=4,
+    ))
+    def test_arbitrary_levels_raise_only_snc_data_error(self, levels):
+        try:
+            data = SncComplexData(levels)
+        except SncDataError:
+            return
+        problems = data.validate()
+        assert type(problems) is list and {str}.issuperset(map(type, problems))
+        try:
+            weight_graded_dims(data, 0, 0, 0, 0)
+        except SncDataError as exc:
+            assert problems and str(exc) == "; ".join(problems)
+
     def test_a_face_that_is_not_an_int_is_out_of_range(self):
         # "x" once raised TypeError from <=; True would index level 1 as 1
         levels = {1: (SncComponent(("A",)), SncComponent(("B",))),
