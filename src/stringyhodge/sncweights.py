@@ -2,10 +2,10 @@
 
 The combinatorial input is the collection of connected components of the
 multiple-intersection loci D(r), together with face data saying which
-component of D(r) each component of D(r+1) maps into.  The H^0 row of the
-weight spectral complex is assembled from this incidence data alone; higher
-rows need user-supplied restriction-map matrices, which the source data
-offers no algorithm for.
+component of D(r) each component of D(r+1) maps into; validation tests it
+a level at a time in bulk.  The H^0 row of the weight spectral complex is
+built from it alone, and composes to zero by the simplicial identities once
+no subset names two components; higher rows need user-supplied matrices.
 
 Matrices are integer matrices.  The loader reads an integral entry as an
 int, and a map of ints is copied as it is; only a map with a non-integral
@@ -14,7 +14,7 @@ built, which changes neither its rank nor whether consecutive maps compose
 to zero.  Ranks come from fraction-free elimination on sparse rows, along
 the shorter side of the matrix: each row is updated in place, loses an
 entry the moment it becomes 0 and is divided by its content.  Products of
-maps, formed to check that they compose to zero, skip zeros.
+maps, formed where no proof says a row composes to zero, skip zeros.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, is_not
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -157,6 +157,7 @@ class SncComponent:
 
 
 _SUBSET, _FIELDS = attrgetter("subset"), attrgetter("subset", "faces")
+_DIAMOND, _FACES = attrgetter("diamond"), attrgetter("faces")
 
 
 def _unreadable(comp) -> Optional[str]:
@@ -219,6 +220,10 @@ class SncComplexData(_ValidOnce):
         return self.levels.get(r, ())
 
     def validate(self) -> List[str]:
+        """Problems in order, [] for sound data.  Only a level that fails `_level_sound`
+        meets the per-component rules; simplicial incidence proves its H^0 row."""
+        if (low := min(self.levels, default=1)) < 1:
+            return self._kept([f"level {low}: level keys must be integers >= 1"])
         comps = tuple(chain.from_iterable(self.levels.values()))
         if not (all(map(isinstance, comps, repeat(SncComponent)))  # _unreadable's tests, in C
                 and {tuple}.issuperset(map(type, chain.from_iterable(map(_FIELDS, comps))))
@@ -229,6 +234,8 @@ class SncComplexData(_ValidOnce):
                 return self._kept(["level {} component {}: {}".format(*bad)])
         problems = []
         for r, comps in self.levels.items():
+            if _level_sound(self, r, comps):
+                continue
             for idx, comp in enumerate(comps):
                 if comp.diamond is not None:
                     problems += (f"level {r} component {idx}: {msg}"
@@ -242,8 +249,13 @@ class SncComplexData(_ValidOnce):
                 if len(set(comp.subset)) != len(comp.subset):
                     problems.append(f"level {r} component {idx}: subset repeats an id")
                 problems += _face_problems(self, r, idx)
-        # the H^0 row once the incidence is sound, then every supplied row
-        rows = [] if problems else [(0, 0, 0)]
+        # Simplicial incidence proves the H^0 row: its shape is declared by
+        # construction, and in delta_{r+1} . delta_r the term (t, s), s < t, of
+        # dropping the t-th id and then the s-th cancels (s, t-1): both drop
+        # S_s and S_t, with signs (-1)^(t+s) and (-1)^(s+t-1), into the one
+        # component naming that subset.  A repeated subset still multiplies.
+        rows = [] if problems or all(len(set(map(_SUBSET, cs))) == len(cs)
+                                     for cs in self.levels.values()) else [(0, 0, 0)]
         if (0, 0, 0) in self.user_maps:
             problems.append("user map (0,0,0): the H^0 row is built from the incidence data")
         rows += [key for key in self.user_maps if key != (0, 0, 0)]
@@ -326,6 +338,26 @@ class SncComplexData(_ValidOnce):
 def _shape(mat: Matrix) -> str:
     """rows x columns of mat; a ragged matrix shows each width, as 2x3/4."""
     return f"{len(mat)}x" + ("/".join(map(str, sorted({len(row) for row in mat}))) or "0")
+
+
+def _level_sound(data: SncComplexData, r: int, comps) -> bool:
+    """Whether level r passes `validate`'s per-component rules, by tests run in C:
+    the faces of each component, read in reversed order, must land in the
+    subsets that `combinations` lists, each dropping one id."""
+    diamonds, subsets = list(map(_DIAMOND, comps)), list(map(_SUBSET, comps))
+    if (any(map(hodge._verdict, compress(diamonds, map(is_not, diamonds, repeat(None)))))
+            or not {r}.issuperset(map(len, subsets))
+            or subsets != list(map(tuple, map(sorted, map(set, subsets))))):
+        return False
+    faces = list(map(_FACES, comps))
+    if r < 2:
+        return not any(faces)
+    flat = list(chain.from_iterable(map(reversed, faces)))
+    below = list(map(_SUBSET, data.components(r - 1)))
+    return ({r}.issuperset(map(len, faces)) and {int}.issuperset(map(type, flat))
+            and set(flat).issubset(range(len(below)))
+            and list(map(below.__getitem__, flat))
+            == list(chain.from_iterable(map(combinations, subsets, repeat(r - 1)))))
 
 
 def _face_problems(data: SncComplexData, r: int, idx: int) -> List[str]:

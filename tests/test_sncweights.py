@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -247,9 +248,15 @@ class TestValuesBuiltInCode:
          "level 2 component 0: faces None is not a sequence"),
         ({1: (SncComponent(("A",)), "B")}, "level 1 component 1: 'B' is not an SncComponent"),
         ({1: (("A",),)}, "level 1 component 0: ('A',) is not an SncComponent"),
-    ], ids=["subset None", "faces None", "a str", "a tuple"])
+        ({0: (SncComponent(()),)}, "level 0: level keys must be integers >= 1"),
+        ({-1: ()}, "level -1: level keys must be integers >= 1"),
+        ({1: (SncComponent(("A",)),), 0: (None,), -2: ()},
+         "level -2: level keys must be integers >= 1"),
+    ], ids=["subset None", "faces None", "a str", "a tuple", "level 0", "level -1",
+            "the lowest key before an unreadable entry"])
     def test_an_entry_the_rules_cannot_read_is_the_one_problem(self, levels, message):
-        # these once raised TypeError or AttributeError from validate()
+        # these once raised TypeError or AttributeError from validate(), or
+        # passed, as the level keys below 1 did, which the loader rejects
         data = SncComplexData(levels)
         assert data.validate() == [message]
         with pytest.raises(SncDataError) as err:
@@ -757,10 +764,17 @@ class TestRankedOnce:
         assert data.validate() == ["user map (2,1,1): delta_2 . delta_1 != 0"]
 
     def test_validate_rejects_h0_row_that_does_not_compose(self, monkeypatch):
-        # the filled triangle's incidence gives delta^2 = 0, so the check on
-        # the H^0 row is exercised here with one face sign flipped in the
-        # built chain (TestUserMaps.test_composition_must_vanish shows
-        # incidence that passes the face rule and still fails it)
+        # the H^0 row of simplicial incidence is proved, not multiplied, so the
+        # check is exercised on the filled triangle with a second component of
+        # D_A, which meets nothing: the row still composes to zero, and with one
+        # face sign flipped in the built chain it does not
+        # (TestUserMaps.test_composition_must_vanish shows incidence with a
+        # repeated subset that passes the face rule and fails the check)
+        levels = {1: tuple(SncComponent((i,)) for i in "AABC"),
+                  2: tuple(SncComponent(tuple(s), faces=f)
+                           for s, f in (("AB", (2, 0)), ("AC", (3, 0)), ("BC", (3, 2)))),
+                  3: (SncComponent(("A", "B", "C"), faces=(2, 1, 0)),)}
+        assert SncComplexData(levels).validate() == []
         build = SncComplexData._h0_chain.func
 
         def one_sign_flipped(data):
@@ -769,13 +783,20 @@ class TestRankedOnce:
             return chain
 
         monkeypatch.setattr(SncComplexData, "_h0_chain", property(one_sign_flipped))
-        data = complex_from_faces(*TRIANGLE_FILLED)
-        assert data.validate() == ["delta_2 . delta_1 != 0 on the H^0 row"]
+        assert SncComplexData(levels).validate() == ["delta_2 . delta_1 != 0 on the H^0 row"]
+        assert complex_from_faces(*TRIANGLE_FILLED).validate() == []  # proved, never read
 
     def test_each_matrix_ranked_once_per_instance(self, count_calls):
         ranks = count_calls(sncweights, "exact_rank")
         builds = count_calls(SncComplexData._h0_chain, "func")
         data = skeleton_with_user_maps(k=5, top=4)
+        assert data.validate() == []
+        for _ in range(2):
+            report = purity_consequence_check(data, n=1, s=1)
+            assert report["rows"][(2, 1, 1)]["failing_spots"] == [(3, 1)]
+        # simplicial incidence: neither validate() nor a purity call above
+        # the H^0 row builds its chain
+        assert (ranks["exact_rank"], builds["func"]) == (3, 0)
         for _ in range(2):
             for k, p, q in ((0, 0, 0), (2, 1, 1)):
                 dims = [weight_graded_dims(data, k, l, p, q) for l in range(5)]
@@ -786,7 +807,7 @@ class TestRankedOnce:
         assert ranks["exact_rank"] == 6
         assert builds["func"] == 1
         # the ranks belong to the instance, not to the process
-        weight_graded_dims(skeleton_with_user_maps(k=5, top=4), 2, 1, 1, 1)
+        weight_graded_dims(skeleton_with_user_maps(k=5, top=4), 0, 1, 0, 0)
         assert ranks["exact_rank"] == 9
         assert builds["func"] == 2
 
@@ -855,14 +876,25 @@ class TestRankedOnce:
 
 
 class TestH0ChainOfValidData:
-    """coboundary_h0 reads the H^0 chain that `validate` built and checked."""
+    """coboundary_h0 reads the H^0 chain of data that passed `validate`."""
 
     def test_validate_applies_the_face_rule_once_per_component(self, count_calls):
+        # sound levels pass in bulk; a level with a wrong face meets the face
+        # rule once per component, with its messages
         ids = ["A", "B", "C", "D"]
         data = complex_from_faces(ids, [s for r in (2, 3) for s in itertools.combinations(ids, r)])
         calls = count_calls(sncweights, "_face_problems")
         assert data.validate() == []
-        assert calls["_face_problems"] == 4 + 6 + 4
+        assert calls["_face_problems"] == 0
+        levels = dict(data.levels)
+        abc = levels[3][0]
+        swapped = SncComponent(abc.subset, faces=(abc.faces[1], abc.faces[0], abc.faces[2]))
+        levels[3] = (swapped, *levels[3][1:])
+        assert SncComplexData(levels).validate() == [
+            "level 3 component 0: face 0 lands in subset ('A', 'C'), expected ('B', 'C')",
+            "level 3 component 0: face 1 lands in subset ('B', 'C'), expected ('A', 'C')",
+        ]
+        assert calls["_face_problems"] == 4
 
     @pytest.mark.parametrize("k, top", [(k, top) for k in range(3, 6) for top in range(2, k + 1)])
     def test_matches_cech_entry_by_entry(self, k, top):
@@ -878,3 +910,114 @@ class TestH0ChainOfValidData:
         first[0][0] = 99
         assert coboundary_h0(data, 1) != first
         assert weight_graded_dims(data, 0, 1, 0, 0) == 0
+
+
+BAD_DIAMOND = HodgeDiamond(2, {(0, 0): 1, (1, 0): 1, (1, 1): 2, (2, 2): 1})
+
+
+@st.composite
+def sound_levels(draw):
+    """Levels of a random simplicial complex on up to five ids: each subset
+    names one component, each level lists them in a drawn order, and each
+    component carries a drawn diamond or none."""
+    ids = "ABCDE"[: draw(st.integers(1, 5))]
+    tops = draw(st.lists(st.sets(st.sampled_from(ids), min_size=1), max_size=6))
+    family = {(i,) for i in ids} | {
+        s for top in tops for r in range(2, len(top) + 1)
+        for s in itertools.combinations(sorted(top), r)
+    }
+    levels, index = {}, {}
+    for r in range(1, max(map(len, family)) + 1):
+        subsets = draw(st.permutations(sorted(s for s in family if len(s) == r)))
+        levels[r] = tuple(
+            SncComponent(s, draw(st.sampled_from([None, diag(1), diag(1, 1), Q])),
+                         tuple(index[s[:t] + s[t + 1:]] for t in range(r)) if r >= 2 else ())
+            for s in subsets
+        )
+        index = {s: i for i, s in enumerate(subsets)}
+    return levels
+
+
+def mutated(data, levels):
+    """levels with one drawn fault of the subsets, the faces, the diamonds or
+    the level keys; a repeated subset is sound, the others are not."""
+    levels = dict(levels)
+    r = data.draw(st.sampled_from(sorted(levels)))
+    if not levels[r]:
+        return levels
+    idx = data.draw(st.integers(0, len(levels[r]) - 1))
+    comp = levels[r][idx]
+    subset, faces = comp.subset, comp.faces
+    below = len(levels.get(r - 1, ()))
+    kind = data.draw(st.sampled_from([
+        "drop id", "repeat id", "reorder ids", "face count", "shift a face", "swap faces",
+        "face out of range", "negative face", "face True", "repeat subset", "bad diamond",
+        "diamond 0", "diamond ''", "level key",
+    ]))
+    t = data.draw(st.integers(0, max(len(faces) - 1, 0)))
+    if kind == "drop id":
+        comp = dataclasses.replace(comp, subset=subset[:t] + subset[t + 1:])
+    elif kind == "repeat id" and len(subset) >= 2:
+        # id t-1 in place of id t, each face landing on the subset that drops
+        # its id where level r-1 has it: at r = 2 only the repeat is wrong
+        subset = subset[:t] + subset[t - 1 : t] + subset[t + 1:] if t else subset[1:2] + subset[1:]
+        named = {c.subset: i for i, c in enumerate(levels.get(r - 1, ()))}
+        comp = dataclasses.replace(comp, subset=subset, faces=tuple(
+            named.get(subset[:u] + subset[u + 1:], f) for u, f in enumerate(faces)))
+    elif kind == "reorder ids":
+        comp = dataclasses.replace(comp, subset=subset[::-1])
+    elif kind == "face count":
+        comp = dataclasses.replace(comp, faces=faces[:-1] if faces and data.draw(st.booleans())
+                                   else faces + (0,))
+    elif kind == "shift a face" and faces and idx + 1 < len(levels[r]):
+        # the next component's last face becomes this one's first: one face
+        # too many, one too few, and the faces read in bulk are the same list
+        after = levels[r][idx + 1]
+        comp = dataclasses.replace(comp, faces=after.faces[-1:] + faces)
+        levels[r] = levels[r][: idx + 1] + (dataclasses.replace(after, faces=after.faces[:-1]),
+                                             *levels[r][idx + 2:])
+    elif kind == "swap faces" and len(faces) >= 2:
+        u = data.draw(st.integers(0, len(faces) - 1).filter(lambda u: u != t))
+        swapped = list(faces)
+        swapped[t], swapped[u] = faces[u], faces[t]
+        comp = dataclasses.replace(comp, faces=tuple(swapped))
+    elif kind in ("face out of range", "negative face", "face True") and faces:
+        bad = {"face out of range": below + data.draw(st.integers(0, 2)),
+               "negative face": -data.draw(st.integers(1, 2)), "face True": True}[kind]
+        comp = dataclasses.replace(comp, faces=faces[:t] + (bad,) + faces[t + 1:])
+    elif kind == "repeat subset":
+        levels[r] = levels[r] + (comp,)
+    elif kind in ("bad diamond", "diamond 0", "diamond ''"):
+        bad = {"bad diamond": BAD_DIAMOND, "diamond 0": 0, "diamond ''": ""}[kind]
+        comp = dataclasses.replace(comp, diamond=bad)
+    elif kind == "level key":
+        levels[-data.draw(st.integers(0, 2))] = levels[r][:1]
+    levels[r] = levels[r][:idx] + (comp,) + levels[r][idx + 1:]
+    return levels
+
+
+class TestBulkAcceptance:
+    """`validate` accepts a sound level in bulk and proves the H^0 row of
+    simplicial incidence; neither may change what it reports."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sound_levels(), st.data())
+    def test_bulk_and_per_component_paths_report_alike(self, levels, data):
+        for _ in range(data.draw(st.integers(0, 3))):
+            levels = mutated(data, levels)
+        bulk = SncComplexData(levels).validate()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sncweights, "_level_sound", lambda *args: False)
+            assert SncComplexData(levels).validate() == bulk
+
+    @settings(max_examples=200, deadline=None)
+    @given(sound_levels())
+    def test_simplicial_h0_row_composes_to_zero(self, levels):
+        data = SncComplexData(levels)
+        assert data.validate() == []
+        assert "_h0_chain" not in vars(data)  # proved, not built
+        chain = data._h0_chain
+        for r, mat in enumerate(chain, start=1):
+            assert len(mat) == len(levels[r + 1]) and {len(levels[r])}.issuperset(map(len, mat))
+        for i in range(1, len(chain)):
+            assert not any(map(any, matrix_mul(chain[i], chain[i - 1])))
