@@ -3,10 +3,11 @@
 Everything downstream works with Laurent polynomials in u, v with integer
 coefficients, and with rational functions whose denominator is a product
 of cyclotomic-like factors (uv)^m - 1 in the diagonal variable w = uv.
-Along each diagonal such a function is a univariate series in w, written
-in one form: a row, the dense list of w-coefficients keyed by its lowest
-monomial (p, q), whose entry k is the coefficient of u^{p+k} v^{q+k}.
-One recurrence on rows serves expansion and exact division:
+Along each diagonal such a function is a univariate series in w, written in
+one form: a row, the dense list of w-coefficients keyed by its lowest monomial
+(p, q), whose entry k is the coefficient of u^{p+k} v^{q+k}; rows on distinct
+diagonals become a polynomial in `_spread` alone.  One recurrence on rows
+serves expansion and exact division:
 1/(w^m - 1) = -sum_k w^{km}, i.e. q = p/(w^m - 1) has q_k = q_{k-m} - p_k.
 Sums of products of binomials w^e - 1, E_st's numerator among them, are
 built in `_binomial_sum` alone, Kronecker-packed with w = 2^b, and read
@@ -95,13 +96,13 @@ def _unpack(packed: int, size: int, length: int) -> List[int]:
 
 
 def _spread(rows: Mapping[Tuple[int, int], Sequence[int]]) -> BivariatePoly:
-    """The polynomial whose diagonals are the rows: entry k of row (p, q) is
-    the coefficient of u^{p+k} v^{q+k}, summed where rows overlap."""
-    terms: Dict[Tuple[int, int], int] = {}
-    for (p, q), row in rows.items():
-        for k in compress(range(len(row)), row):  # the nonzero entries, found in C
-            terms[p + k, q + k] = terms.get((p + k, q + k), 0) + row[k]
-    return BivariatePoly(terms)
+    """The polynomial whose diagonals are the rows: entry k of row (p, q) is the
+    coefficient of u^{p+k} v^{q+k}.  The rows lie on distinct diagonals (`_slices`,
+    series and quotient rows), so the nonzero entries, found in C, are the terms."""
+    poly = object.__new__(BivariatePoly)
+    poly.terms = {(p + k, q + k): row[k]
+                  for (p, q), row in rows.items() for k in compress(range(len(row)), row)}
+    return poly
 
 
 class BivariatePoly:

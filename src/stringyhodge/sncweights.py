@@ -184,7 +184,7 @@ class SncComplexData(_ValidOnce):
 
     Both mappings are read-only, so what is derived from them alone is kept
     on the instance once it succeeds: the validation, the H^0 coboundary chain
-    and the ranks of each weight row.  Failures are never kept.
+    and the dimensions and ranks of each weight row.  Failures are never kept.
     """
 
     levels: Mapping[int, Tuple[SncComponent, ...]]
@@ -211,6 +211,7 @@ class SncComplexData(_ValidOnce):
             except SncDataError as exc:
                 raise SncDataError("user map ({},{},{}): {}".format(*key, exc)) from None
         object.__setattr__(self, "user_maps", MappingProxyType(maps))
+        object.__setattr__(self, "_sized_rows", {})
         object.__setattr__(self, "_ranked_rows", {})
 
     def max_level(self) -> int:
@@ -307,7 +308,9 @@ class SncComplexData(_ValidOnce):
                 f"no restriction matrices supplied for degree {k}, piece ({p},{q}); "
                 "the row cannot be computed"
             )
-        return [self._piece_dim(r, p, q) for r in range(1, len(mats) + 2)], mats
+        if (k, p, q) not in self._sized_rows:  # once per instance, for validate() and the ranks
+            self._sized_rows[k, p, q] = [self._piece_dim(r, p, q) for r in range(1, len(mats) + 2)]
+        return self._sized_rows[k, p, q], mats
 
     def _weight_row(self, k: int, p: int, q: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Space dimensions and map ranks of the (k, p, q) weight row.

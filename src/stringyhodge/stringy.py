@@ -8,6 +8,7 @@ this module is coefficient arithmetic over those diamonds.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, starmap
@@ -46,7 +47,7 @@ class ResolutionDescriptor(_ValidOnce):
     its keys as written, so a key "E" is reported by validate(), not read as
     ("E",)), so derived data is computed once per instance and kept: the
     outcome of a successful validation, the first stratum that fails
-    Poincare duality, the level sums and E_st.
+    Poincare duality, the signature and level sums, the a_{p,q} and E_st.
     """
 
     n: int
@@ -127,6 +128,26 @@ class ResolutionDescriptor(_ValidOnce):
         return self._kept(problems)
 
     @cached_property
+    def _groups(self) -> Dict[Tuple[int, ...], Dict[Tuple[int, int], int]]:
+        # raw h^{p,q} of the strata summed by signature, the sorted a_j + 1 over J (m <= 1 kept)
+        m_of = {cid: a + 1 for cid, a in self.components}
+        groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
+        for subset, diamond in self.strata.items():
+            h_sum = groups.setdefault(tuple(sorted(map(m_of.__getitem__, subset))), {})
+            for pq, c in diamond.h.items():
+                h_sum[pq] = h_sum.get(pq, 0) + c
+        return groups
+
+    @cached_property
+    def _a_table(self) -> Dict[Tuple[int, int], int]:
+        # every a_{p,q} at once: a group with |sig| = k adds (-1)^k h^{p-k,q-k}
+        table: Dict[Tuple[int, int], int] = Counter()
+        for signature, h_sum in self._groups.items():
+            k = len(signature)
+            table.update({(p + k, q + k): -c if k % 2 else c for (p, q), c in h_sum.items()})
+        return table
+
+    @cached_property
     def _levels(self) -> Dict[int, HodgeDiamond]:
         # the strata of each level summed at once, not one `+` at a time
         levels: Dict[int, List[HodgeDiamond]] = {}
@@ -155,12 +176,8 @@ class ResolutionDescriptor(_ValidOnce):
         return self._pd_failure is None
 
     def discrepancy_one_sum(self, p: int) -> int:
-        """Sum of h^{p-2,0}(D_j) over the discrepancy-1 components D_j."""
-        return sum(
-            self.strata[(cid,)].hpq(p - 2, 0)
-            for cid, a in self.components
-            if a == 1 and (cid,) in self.strata
-        )
+        """Sum of h^{p-2,0}(D_j) over the discrepancy-1 components D_j, the group (2,)."""
+        return self._groups.get((2,), {}).get((p - 2, 0), 0)
 
     @cached_property
     def _e_st(self) -> StringyFunction:
@@ -183,32 +200,28 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     """Sum E(D_J) * prod_{j in J} (w - w^m_j)/(w^m_j - 1), m_j = a_j + 1, by signature.
 
     The factor of a stratum depends only on its signature, the sorted m_j
-    over J, so the raw h^{p,q} of the strata sharing a signature are summed
-    into one plain table first.  The common denominator holds each w^m - 1
-    as often as the most demanding signature needs it.  Over it, a group's
-    factor is its cofactor times prod (w - w^m) = (-w)^{|sig|} prod
+    over J, so it reads the raw h^{p,q} of the strata summed by signature
+    (`ResolutionDescriptor._groups`).  The common denominator holds each
+    w^m - 1 as often as the most demanding signature needs it.  Over it, a
+    group's factor is its cofactor times prod (w - w^m) = (-w)^{|sig|} prod
     (w^{m-1} - 1).  Components with a < 1 give no denominator factor; a = 0
-    makes the numerator factor w - w vanish, so its strata are skipped.
-
-    Each stratum adds its entries to its group's plain table: most strata
-    are points and curves with a handful of entries, so counting repeated
-    (signature, diamond) pairs first would cost more than it saves.
+    makes the numerator factor w - w vanish, so its groups are skipped, and
+    a < 0 (unvalidated input only) is dropped from its signature, which may
+    then coincide with another group's: the two tables are added.
 
     `hodge._signed`, the one home of the sign, gives each entry h^{p,q} of a
     group's table the sign (-1)^{p+q+|sig|}: its E-terms times the (-1)^{|sig|}
     of (-w)^{|sig|}.  `polyalg._binomial_sum` forms the sum of the products.
     """
-    m_of = {cid: a + 1 for cid, a in d.components}
     groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
-    for subset, diamond in d.strata.items():
-        signature = tuple(sorted(map(m_of.__getitem__, subset)))
-        if signature and signature[0] < 2:  # a = 0 kills the stratum, a < 0 adds no factor
+    for signature, h_sum in d._groups.items():
+        if signature and signature[0] < 2:  # a = 0 kills the group, a < 0 adds no factor
             if 1 in signature:
                 continue
             signature = tuple(m for m in signature if m >= 2)
-        h_sum = groups.setdefault(signature, {})
-        for pq, c in diamond.h.items():
-            h_sum[pq] = h_sum.get(pq, 0) + c
+        was = groups.setdefault(signature, h_sum)
+        if was is not h_sum:  # a < 0 only: added, not replaced, whichever came first
+            groups[signature] = {pq: was.get(pq, 0) + h_sum.get(pq, 0) for pq in {**was, **h_sum}}
     need: Dict[int, int] = {}  # m -> its multiplicity in the common denominator
     for signature in groups:
         for m in set(signature):
@@ -320,14 +333,9 @@ def check_polynomial_consequences(d: ResolutionDescriptor) -> Dict[str, object]:
 
 
 def a_pq(d: ResolutionDescriptor, p: int, q: int) -> int:
-    """Discrepancy-free part: alternating sum of h^{p-k,q-k}(D(k)), D(0) = Y."""
+    """Discrepancy-free part: alternating sum of h^{p-k,q-k}(D(k)), D(0) = Y (`_a_table`)."""
     d.check_valid()
-    total = 0
-    for k in range(0, min(p, q, len(d.components)) + 1):
-        lvl = d.level(k)
-        if lvl is not None:
-            total += (-1) ** k * lvl.hpq(p - k, q - k)
-    return total
+    return d._a_table.get((p, q), 0)
 
 
 def _require_terminal(d: ResolutionDescriptor, n: Optional[int] = None, kind: str = "") -> None:

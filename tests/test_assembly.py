@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +103,16 @@ def expand(spec):
     return out
 
 
+def summing_spread(rows):
+    """The polynomial whose diagonals are the rows: entry k of row (p, q) is
+    the coefficient of u^{p+k} v^{q+k}, summed where rows overlap."""
+    terms = {}
+    for (p, q), row in rows.items():
+        for k in compress(range(len(row)), row):  # the nonzero entries, found in C
+            terms[p + k, q + k] = terms.get((p + k, q + k), 0) + row[k]
+    return BivariatePoly(terms)
+
+
 def rowwise_reference_assemble(d):
     """The grouped assembly before Kronecker packing, verbatim: one list of
     w-coefficients per (p, q), each group's factor the common expansion
@@ -133,7 +144,7 @@ def rowwise_reference_assemble(d):
         for (p, q), c in h_sum.items():
             c *= (-1) ** (p + q)
             rows[p, q] = [x + c * f for x, f in zip(rows.get((p, q), zero), factor)]
-    return StringyFunction(polyalg._spread(rows), common)
+    return StringyFunction(summing_spread(rows), common)  # rows of one diagonal overlap
 
 
 def reference_pd_verdict(d, f):
@@ -366,6 +377,109 @@ class TestDiagonalRows:
         assert f.series_coefficients(8) == by_hand.series_coefficients(8)
 
 
+def level_loop_a_pq(d, p, q):
+    """a_{p,q} as the level loop that read one level diamond per k, verbatim."""
+    total = 0
+    for k in range(0, min(p, q, len(d.components)) + 1):
+        lvl = d.level(k)
+        if lvl is not None:
+            total += (-1) ** k * lvl.hpq(p - k, q - k)
+    return total
+
+
+def component_loop_discrepancy_one_sum(d, p):
+    """The discrepancy-1 sum as the loop over components, verbatim."""
+    return sum(
+        d.strata[(cid,)].hpq(p - 2, 0)
+        for cid, a in d.components
+        if a == 1 and (cid,) in d.strata
+    )
+
+
+def assert_closed_forms_match_the_loops(d):
+    terminal = all(a >= 1 for _, a in d.components)
+    for p in range(-1, 2 * d.n + 2):
+        assert d.discrepancy_one_sum(p) == component_loop_discrepancy_one_sum(d, p)
+        for q in range(-1, 2 * d.n + 2):
+            expected = level_loop_a_pq(d, p, q)
+            assert a_pq(d, p, q) == expected
+            if q == 0 or (q in (1, 2) and terminal):
+                if q == 2:
+                    expected += component_loop_discrepancy_one_sum(d, p)
+                assert closed_form_h(d, p, q) == expected
+            elif q in (1, 2):
+                with pytest.raises(DescriptorError, match="discrepancies >= 1"):
+                    closed_form_h(d, p, q)
+
+
+class TestSignatureTable:
+    """a_{p,q} and the discrepancy-1 sum read the strata summed by signature;
+    the level loops they replaced are the reference."""
+
+    @settings(max_examples=120)
+    @given(st.one_of(descriptors(), descriptors(min_discrepancy=1)))
+    def test_random_descriptors(self, d):
+        assert_closed_forms_match_the_loops(d)
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
+    def test_corpus(self, path):
+        assert_closed_forms_match_the_loops(load_bundle(str(path)).descriptor)
+
+    @pytest.mark.parametrize("n, k", [(3, 8), (4, 10)])
+    def test_simplex_pool_shapes(self, n, k):
+        assert_closed_forms_match_the_loops(full_simplex(random.Random(f"{n} {k}"), n, k))
+
+
+def quotient_rows(f):
+    """The quotient rows `exact_divide_test` spreads, or None when f is no polynomial."""
+    factors = f.denominator.factors
+    quotients = {}
+    for pq, row in f._slices.items():
+        series = polyalg._over(row, factors, len(row))
+        cut = max(0, len(row) - sum(factors))
+        if any(series[cut:]):
+            return None
+        quotients[pq] = series[:cut]
+    return quotients
+
+
+@st.composite
+def diagonal_rows(draw):
+    """Rows of arbitrary entries, zeros included, at most one per diagonal."""
+    rows = {}
+    for diagonal in draw(st.sets(st.integers(-4, 4), max_size=5)):
+        p = draw(st.integers(max(0, diagonal), 4))
+        rows[p, p - diagonal] = draw(st.lists(st.integers(-3, 3), max_size=6))
+    return rows
+
+
+class TestSpread:
+    """`_spread` builds its terms in one pass from rows on distinct diagonals,
+    as the summing spread it replaced did from any rows."""
+
+    @settings(max_examples=150)
+    @given(diagonal_rows())
+    def test_rows_on_distinct_diagonals(self, rows):
+        assert polyalg._spread(rows).terms == summing_spread(rows).terms
+
+    @settings(max_examples=80)
+    @given(st.one_of(descriptors(), negative_controls()), st.integers(0, 12))
+    def test_slices_series_and_quotient_rows(self, d, bound):
+        f = stringy._assemble(d)
+        factors = f.denominator.factors
+        series = {pq: polyalg._over(row, factors, max(0, (bound - pq[0] - pq[1]) // 2 + 1))
+                  for pq, row in f._slices.items()}
+        quotients = quotient_rows(f) if factors else None
+        for rows in (f._slices, series, quotients or {}):
+            assert polyalg._spread(rows).terms == summing_spread(rows).terms
+        assert f.numerator.terms == summing_spread(f._slices).terms
+        assert f.series_coefficients(bound) == summing_spread(series).terms
+        if quotients is not None:
+            assert exact_divide_test(f).terms == summing_spread(quotients).terms
+        elif factors:
+            assert exact_divide_test(f) is None
+
+
 class TestOncePerDescriptor:
     def test_conjecture_report_validates_loaded_descriptor_once(self, corpus, count_calls):
         calls = count_calls(ResolutionDescriptor, "validate")
@@ -462,13 +576,20 @@ class TestOncePerDescriptor:
             (("A", 1), ("B", 1)),
             {(): diag(1, 3, 3, 1), ("A",): quadric_surface(), ("B",): diag(1, 1, 1)},
         )
+        groups = count_calls(ResolutionDescriptor.__dict__["_groups"], "func")
         sums = count_calls(ResolutionDescriptor.__dict__["_levels"], "func")
+        stringy_e(d)
+        assert groups["func"] == 1  # (), (2,) = D_A + D_B, summed once
         assert a_pq(d, 2, 2) == 3 - 3
-        assert sums["func"] == 1  # D(0), D(1) = D_A + D_B, summed once
         assert [a_pq(d, p, p) for p in range(4)] == [1, 3 - 2, 3 - 3, 1 - 2]
+        assert closed_form_h(d, 2, 2) == 3 - 3 + 2  # h^{0,0} of D_A and D_B
+        assert [d.discrepancy_one_sum(p) for p in range(1, 5)] == [0, 2, 0, 0]
+        assert groups["func"] == 1
+        assert sums["func"] == 0  # the closed forms read no level sums
         assert d.level(1) == quadric_surface() + diag(1, 1, 1)
         assert d.level(0) is d.strata[()]
-        assert sums["func"] == 1
+        assert sums["func"] == 1  # D(0), D(1) = D_A + D_B, summed once
+        assert groups["func"] == 1
 
     def test_a_level_mixing_dimensions_is_no_disjoint_union(self):
         # unvalidated: B's stratum has the wrong dimension

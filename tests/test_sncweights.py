@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 
@@ -422,7 +423,7 @@ class TestUserMaps:
             "3": [{"subset": ["A", "B", "C"], "faces": [2, 1, 0]}],
         }
         decoded = json.loads(json.dumps({"levels": levels}), object_pairs_hook=tuple)
-        data = _parse_snc(decoded, 3, "snc", {}, {})  # loaded, not yet validated
+        data = _parse_snc(decoded, 3, "snc", {})  # loaded, not yet validated
         delta_1, delta_2 = data._h0_chain
         assert matrix_mul(delta_2, delta_1) == [[-1, 1, 0, 0]]
         assert data.validate() == ["delta_2 . delta_1 != 0 on the H^0 row"]
@@ -810,6 +811,26 @@ class TestRankedOnce:
         weight_graded_dims(skeleton_with_user_maps(k=5, top=4), 0, 1, 0, 0)
         assert ranks["exact_rank"] == 9
         assert builds["func"] == 2
+
+    def test_each_row_sized_once_per_instance(self, monkeypatch):
+        sized = Counter()
+        piece_dim = SncComplexData._piece_dim
+
+        def counted(data, r, p, q):
+            sized[r, p, q] += 1
+            return piece_dim(data, r, p, q)
+
+        monkeypatch.setattr(SncComplexData, "_piece_dim", counted)
+        data = skeleton_with_user_maps(k=5, top=4)
+        assert data.validate() == []
+        for _ in range(2):
+            report = purity_consequence_check(data, n=1, s=1)
+            assert report["rows"][(2, 1, 1)]["failing_spots"] == [(3, 1)]
+            assert weight_graded_dims(data, 2, 3, 1, 1) == 1
+        # one sum per level of the (2,1,1) row, shared by validate() and the ranks
+        assert sized == {(r, 1, 1): 1 for r in range(1, 5)}
+        purity_consequence_check(skeleton_with_user_maps(k=5, top=4), n=1, s=1)
+        assert sized == {(r, 1, 1): 2 for r in range(1, 5)}  # per instance, not per process
 
     @pytest.mark.parametrize("name", sorted(BROKEN_MAPS))
     def test_invalid_data_raises_on_every_call(self, name):
