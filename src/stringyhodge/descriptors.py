@@ -2,8 +2,8 @@
 
 One file describes one variety: ambient dimension, exceptional components
 with discrepancies, stratum Hodge diamonds, and optional SNC incidence and
-per-point fiber blocks.  Rationals are encoded as "num/den" strings so no
-floating point ever appears on the wire.
+per-point fiber blocks.  Rationals are "num/den" strings, so no floating point
+is on the wire; sparse "p,q" keys are read once per process (`_PQ`).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Weight-graded cohomology of a simple normal crossings variety.
 
 The combinatorial input is the collection of connected components of the
-multiple-intersection loci D(r), together with face data saying which
-component of D(r) each component of D(r+1) maps into; validation tests it
-a level at a time in bulk.  The H^0 row of the weight spectral complex is
-built from it alone, and composes to zero by the simplicial identities once
-no subset names two components; higher rows need user-supplied matrices.
+multiple-intersection loci D(r), with face data saying which component of
+D(r) each component of D(r+1) maps into; validation tests it a level at a
+time in bulk.  The H^0 row of the weight spectral complex is built from it
+alone, and composes to zero by the simplicial identities once no subset names
+two components; higher rows need user matrices, each sized once per instance.
 
 Matrices are integer matrices.  The loader reads an integral entry as an
 int, and a map of ints is copied as it is; only a map with a non-integral
@@ -308,7 +308,7 @@ class SncComplexData(_ValidOnce):
                 f"no restriction matrices supplied for degree {k}, piece ({p},{q}); "
                 "the row cannot be computed"
             )
-        if (k, p, q) not in self._sized_rows:  # once per instance, for validate() and the ranks
+        if (k, p, q) not in self._sized_rows:  # for validate() and the ranks alike
             self._sized_rows[k, p, q] = [self._piece_dim(r, p, q) for r in range(1, len(mats) + 2)]
         return self._sized_rows[k, p, q], mats
 

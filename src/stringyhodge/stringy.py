@@ -1,9 +1,9 @@
 """Assembly of the stringy E-function from log-resolution combinatorics.
 
 A resolution descriptor lists the exceptional components with their
-discrepancies and the Hodge diamonds of all nonempty closed strata D_J
-(the empty subset stands for the resolved variety itself).  Everything in
-this module is coefficient arithmetic over those diamonds.
+discrepancies and the Hodge diamonds of all nonempty closed strata D_J (the
+empty subset is the resolved variety).  Everything here is coefficient
+arithmetic over those diamonds, summed once by signature for every reader.
 """
 
 from __future__ import annotations
