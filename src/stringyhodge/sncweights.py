@@ -211,8 +211,7 @@ class SncComplexData(_ValidOnce):
             except SncDataError as exc:
                 raise SncDataError("user map ({},{},{}): {}".format(*key, exc)) from None
         object.__setattr__(self, "user_maps", MappingProxyType(maps))
-        object.__setattr__(self, "_sized_rows", {})
-        object.__setattr__(self, "_ranked_rows", {})
+        object.__setattr__(self, "_rows", {})
 
     def max_level(self) -> int:
         return max((r for r, cs in self.levels.items() if cs), default=0)
@@ -308,21 +307,22 @@ class SncComplexData(_ValidOnce):
                 f"no restriction matrices supplied for degree {k}, piece ({p},{q}); "
                 "the row cannot be computed"
             )
-        if (k, p, q) not in self._sized_rows:  # for validate() and the ranks alike
-            self._sized_rows[k, p, q] = [self._piece_dim(r, p, q) for r in range(1, len(mats) + 2)]
-        return self._sized_rows[k, p, q], mats
+        if (k, p, q) not in self._rows:  # sized once, for validate() and the ranks alike
+            dims = tuple(self._piece_dim(r, p, q) for r in range(1, len(mats) + 2))
+            self._rows[k, p, q] = dims, None
+        return self._rows[k, p, q][0], mats
 
     def _weight_row(self, k: int, p: int, q: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Space dimensions and map ranks of the (k, p, q) weight row.
 
-        ranks[i] is the rank of delta_{i+1}.  Each row is ranked once per
-        instance; a row that cannot be built raises and is not kept.
+        ranks[i] is the rank of delta_{i+1}.  Each row is sized and ranked once
+        per instance; a row that cannot be built raises and is not kept.
         """
-        row = self._ranked_rows.get((k, p, q))
-        if row is None:
+        row = self._rows.get((k, p, q), (None, None))
+        if row[1] is None:
             dims, mats = self._row(k, p, q)
             ranks = tuple(exact_rank(mat, dims[i]) for i, mat in enumerate(mats))
-            row = self._ranked_rows[(k, p, q)] = (tuple(dims), ranks)
+            row = self._rows[k, p, q] = (tuple(dims), ranks)
         return row
 
     def _piece_dim(self, r: int, p: int, q: int) -> int:
