@@ -2,8 +2,8 @@
 
 One file describes one variety: ambient dimension, exceptional components
 with discrepancies, stratum Hodge diamonds, and optional SNC incidence and
-per-point fiber blocks.  Rationals are encoded as "num/den" strings so no
-floating point ever appears on the wire.
+per-point fiber blocks.  Rationals are "num/den" strings, so no floating point
+is on the wire; sparse "p,q" keys are read once per process (`_PQ`).
 """
 
 from __future__ import annotations
@@ -61,16 +61,33 @@ _INTS = frozenset((int,))
 _value = itemgetter(1)
 
 
-def _parse_diamond(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]],
-                   diamonds: Dict[tuple, HodgeDiamond]) -> HodgeDiamond:
+class _Keys(dict):
+    """"p,q" -> (p, q), None for a spelling that does not parse; the first 1024
+    that parse, of at most 16 characters, are read once per process and kept,
+    the rest on every use."""
+
+    def __missing__(self, key):
+        left, _, right = key.partition(",")
+        if left.strip().isdecimal() and right.strip().isdecimal():
+            pq = int(left), int(right)
+            if len(self) < 1024 and len(key) <= 16:
+                self[key] = pq
+            return pq
+
+
+_PQ = _Keys()
+_Memo = Dict[tuple, HodgeDiamond]  # a document's diamonds of sparse maps, by spelling
+
+
+def _parse_diamond(obj, dim: int, location: str, diamonds: _Memo) -> HodgeDiamond:
     """The diamond of one stratum or component, parsed once per spelling.
 
     `diamonds` maps the (dim, pairs) of every sparse map that parsed in the
     document to its diamond, which every later map spelled alike gets.  What
     it holds parsed, so its values are ints, and only a map of ints is looked
     up, since true and 1.0 equal 1 and a list cannot be hashed.  Anything else
-    is parsed, so a bad diamond raises at its first occurrence.  `keys` holds
-    the (p,q) of every well-formed sparse key met so far in the document.
+    is parsed, so a bad diamond raises at its first occurrence.  Sparse keys
+    are read through `_PQ`, which keeps the spellings of the process.
 
     Key paths are spelled out only to raise, below `location`, which is ""
     for a caller that roots the path itself.  JSON true/false load as bool, a
@@ -95,11 +112,7 @@ def _parse_diamond(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]
                     h[(p, q)] = value
     elif type(obj) is tuple:
         for key, value in obj:
-            pq = keys.get(key)
-            if pq is None:
-                left, _, right = key.partition(",")
-                if left.strip().isdecimal() and right.strip().isdecimal():
-                    pq = keys[key] = (int(left), int(right))
+            pq = _PQ[key]
             if pq is None:
                 problem = 'sparse keys must look like "p,q"'
             elif type(value) is not int:
@@ -112,7 +125,7 @@ def _parse_diamond(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]
                 continue
             raise DescriptorFileError(f"{location}[{key!r}]", problem)
         if len(h) < len(obj):  # zeros were dropped, or two keys name the same (p,q)
-            pqs = [keys[key] for key, _ in obj]
+            pqs = [_PQ[key] for key, _ in obj]
             for i, (key, _) in enumerate(obj):
                 _expect(pqs[i] not in pqs[:i], f"{location}[{key!r}]",
                         f"repeats an earlier (p,q) = {pqs[i]}")
@@ -168,8 +181,7 @@ def _parse_matrix(obj, location: str, rationals: Dict[object, Rational]) -> List
     return out
 
 
-def _parse_snc(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]],
-               diamonds: Dict[tuple, HodgeDiamond]) -> SncComplexData:
+def _parse_snc(obj, dim: int, location: str, diamonds: _Memo) -> SncComplexData:
     obj = _fields(obj, location, "snc block must be an object")
     levels_doc = obj.get("levels", ())
     _expect(type(levels_doc) is tuple, f"{location}.levels", "levels must be an object")
@@ -189,7 +201,7 @@ def _parse_snc(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]],
                         ".subset", "subset must be a list of component ids")
                 diamond = None
                 if "diamond" in comp:
-                    diamond = _parse_diamond(comp["diamond"], dim - r, ".diamond", keys, diamonds)
+                    diamond = _parse_diamond(comp["diamond"], dim - r, ".diamond", diamonds)
                 faces = comp.get("faces", [])
                 _expect(isinstance(faces, list) and {int}.issuperset(map(type, faces)),
                         ".faces", "faces must be a list of integer indices")
@@ -217,8 +229,7 @@ def _parse_snc(obj, dim: int, location: str, keys: Dict[str, Tuple[int, int]],
     return SncComplexData(levels=levels, user_maps=user_maps)
 
 
-def _parse_fiber(obj, location: str, keys: Dict[str, Tuple[int, int]],
-                 diamonds: Dict[tuple, HodgeDiamond]) -> ExceptionalFiberDescriptor:
+def _parse_fiber(obj, location: str, diamonds: _Memo) -> ExceptionalFiberDescriptor:
     obj = _fields(obj, location, "fiber entry must be an object")
     point = obj.get("point")
     _expect(isinstance(point, str), f"{location}.point", "point label must be a string")
@@ -229,7 +240,7 @@ def _parse_fiber(obj, location: str, keys: Dict[str, Tuple[int, int]],
     for i, comp in enumerate(comps):
         loc = f"{location}.components[{i}]"
         cid, a, comp = _parse_component(comp, loc)
-        diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond", keys, diamonds)
+        diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond", diamonds)
         parsed.append(FiberComponent(cid, diamond, a))
     counts_doc = obj.get("pairwise_counts", ())
     _expect(type(counts_doc) is tuple, f"{location}.pairwise_counts",
@@ -271,8 +282,7 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     _expect(type(strata_doc) is tuple and strata_doc, f"{location}.strata",
             "missing Y stratum: strata must contain at least the empty key")
     strata: Dict[Tuple[str, ...], HodgeDiamond] = {}
-    keys: Dict[str, Tuple[int, int]] = {}  # sparse "p,q" keys, shared by every diamond
-    diamonds: Dict[tuple, HodgeDiamond] = {}  # and the diamonds of sparse maps, by spelling
+    diamonds: _Memo = {}
     for key, value in strata_doc:
         subset = tuple(sorted(key.split(","))) if key else ()
         try:  # paths below the stratum come back relative, and are rooted only to raise
@@ -280,7 +290,7 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
                 raise DescriptorFileError("", 'names an empty id; only the key "" names Y')
             if subset in strata:
                 raise DescriptorFileError("", "repeats an earlier stratum")
-            strata[subset] = _parse_diamond(value, dim - len(subset), "", keys, diamonds)
+            strata[subset] = _parse_diamond(value, dim - len(subset), "", diamonds)
         except DescriptorFileError as exc:
             raise DescriptorFileError(f"{location}.strata[{key!r}]{exc.location}",
                                       exc.message) from None
@@ -291,13 +301,13 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     _expect(not problems, location, "; ".join(problems))
     snc = None
     if "snc" in doc:
-        snc = _parse_snc(doc["snc"], dim, f"{location}.snc", keys, diamonds)
+        snc = _parse_snc(doc["snc"], dim, f"{location}.snc", diamonds)
         problems = snc.validate()
         _expect(not problems, f"{location}.snc", "; ".join(problems))
     fibers_doc = doc.get("fibers", [])
     _expect(isinstance(fibers_doc, list), f"{location}.fibers", "fibers must be a list")
     fibers = tuple(
-        _parse_fiber(fiber, f"{location}.fibers[{i}]", keys, diamonds)
+        _parse_fiber(fiber, f"{location}.fibers[{i}]", diamonds)
         for i, fiber in enumerate(fibers_doc)
     )
     return DescriptorBundle(descriptor=descriptor, snc=snc, fibers=fibers)

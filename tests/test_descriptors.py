@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from stringyhodge import DescriptorFileError, load_bundle, stringy_e
-from stringyhodge.descriptors import _parse_diamond, _parse_matrix, _parse_snc, parse_bundle
+from stringyhodge import DescriptorFileError, descriptors, load_bundle, stringy_e
+from stringyhodge.descriptors import _parse_matrix, _parse_snc, parse_bundle
 
 ALL_CORPUS = [
     "smooth_p3.json",
@@ -102,45 +102,56 @@ def test_sparse_keys_with_spaces_or_full_width_digits_load(keys):
 
 
 class TestKeySpellings:
-    """The "p,q" spellings are read once per document, through its `keys` memo."""
+    """The "p,q" spellings are read once per process, up to 1024 of them."""
 
-    DIM = 40  # 41 * 41 = 1,681 spellings
+    DIM = 40  # 41 * 41 = 1,681 spellings, more than the memo keeps
 
     def _big(self, spell="{},{}"):
         pairs = [(p, q) for p in range(self.DIM + 1) for q in range(self.DIM + 1)]
         return tuple((spell.format(p, q), 1 + p * q) for p, q in pairs), {
             (p, q): 1 + p * q for p, q in pairs}
 
-    def test_a_diamond_parses_alike_with_a_cold_and_a_warm_memo(self):
+    def test_a_diamond_parses_alike_with_a_cold_and_a_warm_memo(self, monkeypatch):
+        monkeypatch.setattr(descriptors, "_PQ", descriptors._Keys())
         obj, h = self._big()
-        keys = {}
-        cold = _parse_diamond(obj, self.DIM, "", keys, {})
-        assert len(keys) == 1681
-        warm = _parse_diamond(obj, self.DIM, "", keys, {})  # no diamond memo
+        cold = descriptors._parse_diamond(obj, self.DIM, "", {})
+        assert len(descriptors._PQ) == 1024
+        warm = descriptors._parse_diamond(obj, self.DIM, "", {})  # no diamond memo
         assert cold.h == warm.h == h and cold.dim == warm.dim == self.DIM
-        assert len(keys) == 1681
+        assert len(descriptors._PQ) == 1024
 
-    def test_a_repeat_is_found_with_a_warm_memo(self):
+    def test_a_repeat_is_found_past_the_kept_spellings(self, monkeypatch):
+        monkeypatch.setattr(descriptors, "_PQ", descriptors._Keys())
         obj, _ = self._big()
-        keys = {}
-        _parse_diamond(obj, self.DIM, "", keys, {})
+        descriptors._parse_diamond(obj, self.DIM, "", {})
+        assert "40,40" not in descriptors._PQ
         with pytest.raises(DescriptorFileError) as err:
-            _parse_diamond(obj + ((" 40,40", 1),), self.DIM, "", keys, {})
+            descriptors._parse_diamond(obj + ((" 40,40", 1),), self.DIM, "", {})
         assert str(err.value) == "[' 40,40']: repeats an earlier (p,q) = (40, 40)"
 
     @pytest.mark.parametrize("key", ["x,1", "1,2,3", "1", "", "-1,0", "1.0,0"])
-    def test_a_spelling_that_does_not_parse_is_never_kept(self, key):
-        keys = {}
+    def test_a_spelling_that_does_not_parse_is_never_kept(self, key, monkeypatch):
+        monkeypatch.setattr(descriptors, "_PQ", descriptors._Keys())
         for _ in range(2):
             with pytest.raises(DescriptorFileError, match='sparse keys must look like "p,q"'):
-                _parse_diamond((("0,0", 1), (key, 1)), 2, "", keys, {})
-        assert keys == {"0,0": (0, 0)}
+                descriptors._parse_diamond((("0,0", 1), (key, 1)), 2, "", {})
+        assert descriptors._PQ == {"0,0": (0, 0)}
 
-    def test_every_spelling_of_a_document_parses(self):
+    def test_kept_spellings_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(descriptors, "_PQ", descriptors._Keys())
         for spell in ("{},{}", "{}, {}", " {},{} "):
             obj, h = self._big(spell)
             assert parse_bundle({"dim": self.DIM, "strata": {"": dict(obj)}}).descriptor \
                 .strata[()].h == h
+        assert len(descriptors._PQ) <= 1024
+
+    def test_a_long_spelling_is_never_kept(self, monkeypatch):
+        monkeypatch.setattr(descriptors, "_PQ", descriptors._Keys())
+        padded = " " * 15 + "1,1"
+        for _ in range(2):
+            diamond = descriptors._parse_diamond((("0,0", 1), (padded, 2)), 2, "", {})
+            assert diamond.h == {(0, 0): 1, (1, 1): 2}
+        assert descriptors._PQ == {"0,0": (0, 0)}
 
 
 def test_bad_rational_in_user_maps():
@@ -381,7 +392,7 @@ def test_integral_rationals_parse_as_ints():
 def test_user_map_rationals_parsed_exactly():
     text = '{"levels": {}, "user_maps": {"1,1,0": [[["1", 1, "-1"]], [["2/4", "-3/6", 0]]]}}'
     snc = json.loads(text, object_pairs_hook=tuple)  # decoded as the loader decodes
-    maps = _parse_snc(snc, 2, "snc", {}, {}).user_maps[(1, 1, 0)]
+    maps = _parse_snc(snc, 2, "snc", {}).user_maps[(1, 1, 0)]
     assert maps == ([[1, 1, -1]], [[1, -1, 0]])
     assert all(type(x) is int for mat in maps for row in mat for x in row)
 

@@ -423,7 +423,7 @@ class TestUserMaps:
             "3": [{"subset": ["A", "B", "C"], "faces": [2, 1, 0]}],
         }
         decoded = json.loads(json.dumps({"levels": levels}), object_pairs_hook=tuple)
-        data = _parse_snc(decoded, 3, "snc", {}, {})  # loaded, not yet validated
+        data = _parse_snc(decoded, 3, "snc", {})  # loaded, not yet validated
         delta_1, delta_2 = data._h0_chain
         assert matrix_mul(delta_2, delta_1) == [[-1, 1, 0, 0]]
         assert data.validate() == ["delta_2 . delta_1 != 0 on the H^0 row"]
