@@ -63,8 +63,7 @@ _value = itemgetter(1)
 
 class _Keys(dict):
     """"p,q" -> (p, q), None for a spelling that does not parse; the first 1024
-    that parse, of at most 16 characters, are read once per process and kept,
-    the rest on every use."""
+    that parse and have at most 16 characters are kept per process, the rest read anew."""
 
     def __missing__(self, key):
         left, _, right = key.partition(",")
