@@ -8,6 +8,7 @@ expansion: a defect of the library, reported on one line.
 
 `--max-degree` bounds the expansion of `compute` and `check` only; `compare`
 finds the first mismatch exactly, with no bound (`first_coefficient_difference`).
+Machine output is one line of JSON with sorted keys, from one encoder (`_ENCODER`).
 
 A plain argv is read without argparse (`_plain`): a command, its positionals
 (none empty or starting with `-`), `--format text|machine` and, for `compute`
@@ -39,9 +40,12 @@ from .stringy import (
 EXPANSION_NOTE = "series expansion taken at the origin (u = v = 0)"
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(doc, sort_keys=True), built once
+
+
 def _emit(doc: Dict[str, object], fmt: str, text_renderer) -> None:
     if fmt == "machine":
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+        sys.stdout.write(_ENCODER.encode(doc) + "\n")
         return
     text = "".join(f"{line}\n" for line in text_renderer(doc))
     # what the output encoding cannot hold (a label under an ASCII locale) is

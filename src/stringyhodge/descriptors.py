@@ -3,7 +3,8 @@
 One file describes one variety: ambient dimension, exceptional components
 with discrepancies, stratum Hodge diamonds, and optional SNC incidence and
 per-point fiber blocks.  Rationals are "num/den" strings, so no floating point
-is on the wire; sparse "p,q" keys are read once per process (`_PQ`).
+is on the wire; sparse "p,q" keys are read once per process (`_PQ`).  A file
+is read as bytes once and decoded by one module-level decoder (`_DECODER`).
 """
 
 from __future__ import annotations
@@ -312,10 +313,19 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     return DescriptorBundle(descriptor=descriptor, snc=snc, fibers=fibers)
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=tuple)  # an object as its (key, value) pairs
+
+
 def load_bundle(path: str) -> DescriptorBundle:
     try:
-        with open(path, encoding="utf-8") as fh:  # RFC 8259, whatever the locale
-            doc = json.load(fh, object_pairs_hook=tuple)  # an object as its (key, value) pairs
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")  # RFC 8259, whatever the locale
+        # as json.loads of a text-mode read: a BOM raises, and newlines are universal
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        doc = _DECODER.decode(text)
     except OSError as exc:
         raise DescriptorFileError(path, f"cannot read: {exc}")
     except UnicodeDecodeError as exc:

@@ -10,9 +10,9 @@ diagonals become a polynomial in `_spread` alone.  One recurrence on rows
 serves expansion and exact division:
 1/(w^m - 1) = -sum_k w^{km}, i.e. q = p/(w^m - 1) has q_k = q_{k-m} - p_k.
 Sums of products of binomials w^e - 1, E_st's numerator among them, are
-built in `_binomial_sum` alone, Kronecker-packed with w = 2^b, and read
-off one row per diagonal.  No floating point appears anywhere;
-coefficients are Python ints.
+built in `_binomial_sum` alone, Kronecker-packed with w = 2^b, each term
+added straight into the one row of its diagonal.  No floating point
+appears anywhere; coefficients are Python ints.
 """
 
 from __future__ import annotations
@@ -277,38 +277,36 @@ class StringyFunction:
 def _binomial_sum(products: Sequence[Tuple[Mapping[Tuple[int, int], int], Sequence[int], int]],
                   denominator: DenominatorSpec) -> StringyFunction:
     """sum terms * w^shift * prod (w^e - 1) over the (terms, exponents, shift)
-    of `products`, over denominator, kept as its rows (`_slices`) alone.
+    of `products`, over denominator, kept as its rows (`_slices`) alone; the
+    terms' (p, q) are nonnegative.
 
     Kronecker-packed: w becomes 2^b, a row the one integer sum c_k 2^{bk},
-    and w^e - 1 the shift-and-subtract F << be - F.  The rows of a diagonal
-    are merged, row (p, q) shifted by b(p - p0) from the lowest (p0, q0).
-    A product of k binomials has coefficients at most 2^k in size, so b holds
-    the sum of sum |c| * 2^k over the products.  Each diagonal is unpacked
-    once, without its zero ends, and spread into the numerator only if read.
+    and w^e - 1 the shift-and-subtract F << be - F.  Each term c u^p v^q adds
+    c F << b (shift + min(p, q)) into the one row of its diagonal p - q, which
+    starts at u^max(p-q,0) v^max(q-p,0).  A product of k binomials has coefficients at
+    most 2^k in size, so b holds the sum of sum |c| * 2^k over the products.
+    Each diagonal is unpacked once, without its zero ends, and spread into
+    the numerator only if read.
     """
     size = _digit_bytes(sum(sum(map(abs, terms.values())) << len(exponents)
                             for terms, exponents, _ in products))
     b = 8 * size
-    packed: Dict[Tuple[int, int], int] = {}  # (p, q) -> the packed row of u^{p+k} v^{q+k}
+    packed: Dict[int, int] = {}  # p - q -> the packed row of its diagonal
     for terms, exponents, shift in products:
         factor = 1
         for e in exponents:
             factor = (factor << b * e) - factor
-        factor <<= b * shift
-        for pq, c in terms.items():
-            packed[pq] = packed.get(pq, 0) + c * factor
-    diagonals: Dict[int, Tuple[int, int]] = {}  # p - q -> its lowest p, its rows merged
-    for (p, q), row in sorted(packed.items()):
-        p0, merged = diagonals.get(p - q, (p, 0))
-        diagonals[p - q] = p0, merged + (row << b * (p - p0))
+        for (p, q), c in terms.items():
+            packed[p - q] = packed.get(p - q, 0) + (c * factor << b * (shift + min(p, q)))
     rows: Dict[Tuple[int, int], List[int]] = {}
-    for diagonal, (p, row) in diagonals.items():
+    for diagonal, row in packed.items():
         if row:
             k = ((row & -row).bit_length() - 1) // b  # zero digits below the first nonzero one
             row >>= b * k
             # every digit is below 2^(b-1) in size, so with digit h the last
             # nonzero one |row| lies in (2^(bh-1), 2^(bh+b-1)): bh to bh+b-1 bits
-            rows[p + k, p + k - diagonal] = _unpack(row, size, abs(row).bit_length() // b + 1)
+            rows[max(diagonal, 0) + k, max(-diagonal, 0) + k] = _unpack(
+                row, size, abs(row).bit_length() // b + 1)
     f = object.__new__(StringyFunction)
     f.__dict__.update(denominator=denominator, _slices=rows)
     return f

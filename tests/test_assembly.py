@@ -309,6 +309,90 @@ class TestPackedRows:
         assert_agrees_with_reference(d)
 
 
+def sorted_binomial_sum(products, denominator):
+    """The `_binomial_sum` that packed every (p, q) apart, sorted them and merged
+    them per diagonal in a second pass, kept as the reference for its rows."""
+    size = polyalg._digit_bytes(sum(sum(map(abs, terms.values())) << len(exponents)
+                                    for terms, exponents, _ in products))
+    b = 8 * size
+    packed = {}
+    for terms, exponents, shift in products:
+        factor = 1
+        for e in exponents:
+            factor = (factor << b * e) - factor
+        factor <<= b * shift
+        for pq, c in terms.items():
+            packed[pq] = packed.get(pq, 0) + c * factor
+    diagonals = {}
+    for (p, q), row in sorted(packed.items()):
+        p0, merged = diagonals.get(p - q, (p, 0))
+        diagonals[p - q] = p0, merged + (row << b * (p - p0))
+    rows = {}
+    for diagonal, (p, row) in diagonals.items():
+        if row:
+            k = ((row & -row).bit_length() - 1) // b
+            row >>= b * k
+            rows[p + k, p + k - diagonal] = polyalg._unpack(
+                row, size, abs(row).bit_length() // b + 1)
+    f = object.__new__(StringyFunction)
+    f.__dict__.update(denominator=denominator, _slices=rows)
+    return f
+
+
+@st.composite
+def binomial_products(draw):
+    """(terms, exponents, shift) triples: coefficients of either sign, small or
+    past 64 bits, empty exponent lists, shifts 0-4, diagonals that start past
+    p = 0; then maybe one product, or all of them, taken again negated, which
+    cancels whole diagonals."""
+    coefficients = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70))
+    products = draw(st.lists(st.tuples(
+        st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), coefficients,
+                        max_size=8),
+        st.lists(st.integers(1, 6), max_size=3),
+        st.integers(0, 4)), max_size=4))
+    negated = draw(st.sampled_from(["none", "one", "all"])) if products else "none"
+    again = products[-1:] if negated == "one" else products if negated == "all" else []
+    return products + [({pq: -c for pq, c in terms.items()}, exponents, shift)
+                       for terms, exponents, shift in again]
+
+
+def assert_rows_as_sorted_merge(d):
+    """`_assemble` gives the rows the sort-and-merge reference gives its products."""
+    sums = []
+
+    def both(products, denominator):
+        f = polyalg._binomial_sum(products, denominator)
+        sums.append((f._slices, sorted_binomial_sum(products, denominator)._slices))
+        return f
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stringy, "_binomial_sum", both)
+        stringy._assemble(d)
+    (got, want), = sums
+    assert got == want
+
+
+class TestOnePassRows:
+    """`_binomial_sum` packs each term straight into its diagonal's row: the
+    same rows as packing every (p, q) apart, sorting and merging."""
+
+    @settings(max_examples=300)
+    @given(binomial_products())
+    def test_random_products(self, products):
+        got = polyalg._binomial_sum(products, DenominatorSpec())._slices
+        assert got == sorted_binomial_sum(products, DenominatorSpec())._slices
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
+    def test_corpus(self, path):
+        assert_rows_as_sorted_merge(load_bundle(str(path)).descriptor)
+
+    @settings(max_examples=80)
+    @given(st.one_of(descriptors(), negative_controls()))
+    def test_random_descriptors(self, d):
+        assert_rows_as_sorted_merge(d)
+
+
 def full_simplex(rng, n, k):
     """Shaped like the bench's simplex pool: k components with discrepancies
     1, 2, 3 dealt out in turn, and every subset of at most n of them a stratum."""

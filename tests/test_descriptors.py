@@ -6,9 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stringyhodge import DescriptorFileError, descriptors, load_bundle, stringy_e
 from stringyhodge.descriptors import _parse_matrix, _parse_snc, parse_bundle
+from conftest import CORPUS
 
 ALL_CORPUS = [
     "smooth_p3.json",
@@ -842,3 +844,86 @@ def test_mutated_corpus_loads_or_reports_its_file(name, corpus, tmp_path, capsys
             code = main([command, str(path), "--format", "machine"])
             assert code in codes, (command, code, mutated, capsys.readouterr().err)
             capsys.readouterr()
+
+
+def text_mode_load(path):
+    """The reader load_bundle replaced, kept as the reference for its messages:
+    a text-mode read, then json.load."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=tuple)
+    except OSError as exc:
+        raise DescriptorFileError(path, f"cannot read: {exc}")
+    except UnicodeDecodeError as exc:
+        raise DescriptorFileError(path, f"not valid UTF-8: {exc.reason} at byte {exc.start}")
+    except json.JSONDecodeError as exc:
+        raise DescriptorFileError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg)
+    except (ValueError, RecursionError) as exc:
+        raise DescriptorFileError(path, f"cannot parse: {exc}")
+    return parse_bundle(doc, location=path)
+
+
+def assert_loads_as_text_mode(path):
+    """The bundle, or the error message, which both readers must agree on."""
+    outcomes = []
+    for load in (load_bundle, text_mode_load):
+        try:
+            outcomes.append(load(str(path)))
+        except DescriptorFileError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+POINT = b'{"dim": 0,\n "strata": {"": {"0,0": 1}}}'
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("raw, expected", [
+    (b"\xef\xbb\xbf" + POINT, ":1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (b'{"dim": 0,\r\n "strata":\r\n {,}}\r\n', ":3:3: Expecting property name enclosed"),
+    (b'{"dim": 0,\r "strata":\r {,}}\r', ":3:3: Expecting property name enclosed"),
+    (POINT.replace(b'"0,0"', b'"0,\r0"'), ":2:21: Invalid control character at"),
+    (POINT.replace(b"0,0", b"0,\xff0"), ": not valid UTF-8: invalid start byte at byte 31"),
+    (b"\x80" + POINT, ": not valid UTF-8: invalid start byte at byte 0"),
+    (POINT.replace(b"0,0", b"0,0\xe2\x82"), ": not valid UTF-8: invalid continuation byte"),
+    pytest.param(POINT.replace(b": 0", b": " + b"1" * (LIMIT + 1)), ": cannot parse: Exceeds",
+                 marks=pytest.mark.skipif(not LIMIT, reason="no limit on integer literals")),
+    (b"[" * 100_000, ": cannot parse: "),
+    (POINT.replace(b"\n", b"\r\n"), ""),
+    (POINT.replace(b"\n", b"\r"), ""),
+])
+def test_the_loader_reads_bytes_as_text_mode_did(raw, expected, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    got = assert_loads_as_text_mode(path)
+    if expected:
+        assert got.startswith(f"{path}{expected}")
+    else:  # a file with other line endings loads as the LF original
+        path.write_bytes(POINT)
+        assert got == load_bundle(str(path))
+
+
+def test_a_missing_file_or_a_directory_reads_as_text_mode_did(tmp_path):
+    missing = tmp_path / "missing.json"
+    assert assert_loads_as_text_mode(missing).startswith(f"{missing}: cannot read: [Errno 2]")
+    assert assert_loads_as_text_mode(tmp_path).startswith(f"{tmp_path}: cannot read: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(ALL_CORPUS), newline=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+       bom=st.booleans(), edit=st.one_of(st.none(), st.tuples(
+           st.booleans(), st.floats(0, 1, exclude_max=True), st.integers(0, 255))))
+def test_edited_corpus_files_load_as_text_mode(name, newline, bom, edit, tmp_path_factory):
+    """A corpus file with its line endings changed, a BOM maybe, and one byte
+    flipped or inserted: the same bundle or message as the text-mode reader."""
+    raw = (CORPUS / name).read_bytes().replace(b"\n", newline)
+    if bom:
+        raw = b"\xef\xbb\xbf" + raw
+    if edit is not None:
+        flip, where, byte = edit
+        i = int(where * len(raw))
+        raw = raw[:i] + bytes([byte]) + raw[i + flip:]
+    path = tmp_path_factory.mktemp("edited") / name
+    path.write_bytes(raw)
+    assert_loads_as_text_mode(path)
