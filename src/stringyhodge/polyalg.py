@@ -283,10 +283,10 @@ def _binomial_sum(products: Sequence[Tuple[Mapping[Tuple[int, int], int], Sequen
     Kronecker-packed: w becomes 2^b, a row the one integer sum c_k 2^{bk},
     and w^e - 1 the shift-and-subtract F << be - F.  Each term c u^p v^q adds
     c F << b (shift + min(p, q)) into the one row of its diagonal p - q, which
-    starts at u^max(p-q,0) v^max(q-p,0).  A product of k binomials has coefficients at
-    most 2^k in size, so b holds the sum of sum |c| * 2^k over the products.
-    Each diagonal is unpacked once, without its zero ends, and spread into
-    the numerator only if read.
+    starts at u^max(p-q,0) v^max(q-p,0).  A product of k binomials has
+    coefficients at most 2^k in size, so b holds the sum of sum |c| * 2^k over
+    the products.  Each diagonal is unpacked once, without its zero ends, and
+    spread into the numerator only if read.
     """
     size = _digit_bytes(sum(sum(map(abs, terms.values())) << len(exponents)
                             for terms, exponents, _ in products))
