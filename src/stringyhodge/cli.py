@@ -7,6 +7,7 @@ any other exception, such as a closed form that disagrees with the series
 expansion: a defect of the library, reported on one line.
 
 `--max-degree` bounds the expansion of `compute` and `check` only; `compare`
+answers "equal" from equal signature tables, assembling no E_st, and otherwise
 finds the first mismatch exactly, with no bound (`first_coefficient_difference`).
 Machine output is one line of JSON with sorted keys, from one encoder (`_ENCODER`).
 

@@ -131,8 +131,9 @@ def _parse_diamond(obj, dim: int, location: str, diamonds: _Memo) -> HodgeDiamon
                         f"repeats an earlier (p,q) = {pqs[i]}")
     else:
         raise DescriptorFileError(location, "diamond must be a dense matrix or a sparse map")
-    # only an empty [] or {} gets here with dim < 0: the stratum itself must be empty
-    _expect(dim >= 0, location, f"dimension would be {dim}; an empty stratum has no diamond")
+    if dim < 0:  # only an empty [] or {} gets here: the stratum itself must be empty
+        raise DescriptorFileError(location,
+                                  f"dimension would be {dim}; an empty stratum has no diamond")
     diamond = HodgeDiamond._trusted(dim, h)  # in range and free of zeros already
     if spelled is not None:
         diamonds[spelled] = diamond
@@ -143,10 +144,10 @@ def _parse_component(comp, loc: str) -> Tuple[str, int, dict]:
     """The id and discrepancy of one component object, and its fields."""
     comp = _fields(comp, loc, "component must be an object")
     cid = comp.get("id")  # stratum keys and fiber pairs join ids with ","; "" alone is Y
-    _expect(isinstance(cid, str) and cid != "" and "," not in cid, f"{loc}.id",
-            'id must be a nonempty string without ","')
-    _expect(type(comp.get("discrepancy")) is int, f"{loc}.discrepancy",
-            "discrepancy must be an integer")
+    if not (isinstance(cid, str) and cid != "" and "," not in cid):
+        raise DescriptorFileError(f"{loc}.id", 'id must be a nonempty string without ","')
+    if type(comp.get("discrepancy")) is not int:
+        raise DescriptorFileError(f"{loc}.discrepancy", "discrepancy must be an integer")
     return cid, comp["discrepancy"], comp
 
 

@@ -199,15 +199,15 @@ class ResolutionDescriptor(_ValidOnce):
 def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     """Sum E(D_J) * prod_{j in J} (w - w^m_j)/(w^m_j - 1), m_j = a_j + 1, by signature.
 
-    The factor of a stratum depends only on its signature, the sorted m_j
-    over J, so it reads the raw h^{p,q} of the strata summed by signature
-    (`ResolutionDescriptor._groups`).  The common denominator holds each
-    w^m - 1 as often as the most demanding signature needs it.  Over it, a
-    group's factor is its cofactor times prod (w - w^m) = (-w)^{|sig|} prod
-    (w^{m-1} - 1).  Components with a < 1 give no denominator factor; a = 0
+    The factor of a stratum depends only on its signature, the sorted m_j over
+    J, so it reads the raw h^{p,q} of the strata summed by signature
+    (`ResolutionDescriptor._groups`) and nothing else.  The common denominator
+    holds each w^m - 1 as often as the most demanding signature needs it.  Over
+    it, a group's factor is its cofactor times prod (w - w^m) = (-w)^{|sig|}
+    prod (w^{m-1} - 1).  Components with a < 1 give no denominator factor; a = 0
     makes the numerator factor w - w vanish, so its groups are skipped, and
-    a < 0 (unvalidated input only) is dropped from its signature, which may
-    then coincide with another group's: the two tables are added.
+    a < 0 (unvalidated input only) is dropped from its signature, which may then
+    coincide with another group's: the two tables are added.
 
     `hodge._signed`, the one home of the sign, gives each entry h^{p,q} of a
     group's table the sign (-1)^{p+q+|sig|}: its E-terms times the (-1)^{|sig|}
@@ -383,19 +383,22 @@ def first_coefficient_difference(
     """(p, q, b1, b2) at the first (p,q) in the order (p+q, (p,q)) where the
     expansions differ, or None when the E-functions are equal.
 
-    Over D, the union of the two denominators, E_st(d1) - E_st(d2) = M / D
-    with M the difference of the lifted numerators.  D is a polynomial in
-    w = uv with constant term +-1, so along each diagonal the expansion of
-    M / D starts at M's lowest term, times +-1: the first mismatch is M's
-    least term, found with no bound.  b1 and b2 are each read off the one
-    row of the function on the diagonal p - q, from the entries that
-    coefficient needs.
+    d1 is validated, then d2.  Equal signature tables (`_groups`, all that
+    `_assemble` reads) answer "equal" with neither E_st assembled.  Else, over
+    D, the union of the denominators, E_st(d1) - E_st(d2) = M / D with M the
+    difference of the lifted numerators.  D is a polynomial in w = uv with
+    constant term +-1, so along each diagonal the expansion of M / D starts at
+    M's lowest term, times +-1: the first mismatch is M's least term, found
+    with no bound.  b1 and b2 are each read off the one row of the function on
+    the diagonal p - q, from the entries that coefficient needs.
     """
     if d1.n != d2.n:
         raise DescriptorError(f"dimension mismatch: {d1.n} vs {d2.n}")
+    d1.check_valid()
+    d2.check_valid()
+    if d1._groups == d2._groups:
+        return None
     f1, f2 = stringy_e(d1), stringy_e(d2)
-    if f1.denominator == f2.denominator and f1._slices == f2._slices:
-        return None  # rows have nonzero ends, so equal rows are equal numerators
     m1, m2 = f1._lifted(f2)
     if m1 == m2:
         return None

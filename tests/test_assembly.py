@@ -650,7 +650,7 @@ class TestOncePerDescriptor:
         assert main(["compare", path, path, "--format", "machine"]) == 0
         assert json.loads(capsys.readouterr().out)["equal"] is True
         assert first_coefficient_difference(d, relabelled) is None
-        assert spreads["func"] == 0  # equal denominators and rows: equal numerators
+        assert spreads["func"] == 0  # equal signature tables: nothing is assembled
         assert first_coefficient_difference(d, perturbed) == (1, 1, 17, 18)  # h^{1,1}_st + 1
         assert spreads["func"] == 2  # each side formed once, for the lift
 

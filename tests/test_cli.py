@@ -423,6 +423,26 @@ class TestCrashIsNotAVerdict:
         assert (code, out) == (3, "")
         assert err.startswith("internal error: OverflowError: ") and err.count("\n") == 1
 
+    def test_a_discrepancy_too_large_to_assemble_compares_by_its_table(self, tmp_path, capsys):
+        # equal signature tables answer "equal" with no E_st assembled, so X
+        # against itself or a relabelled copy exits 0; a pair whose tables
+        # differ is assembled and exits 3 on one line, as compute and check do
+        paths = {}
+        cases = (("x", "E", 2**70), ("relabelled", "F", 2**70), ("next", "E", 2**70 + 1))
+        for name, cid, a in cases:
+            doc = {"dim": 2, "components": [{"id": cid, "discrepancy": a}],
+                   "strata": {"": [[1, 0, 0], [0, 2, 0], [0, 0, 1]], cid: [[1, 0], [0, 1]]}}
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        for other in ("x", "relabelled"):
+            code, out, _ = run(capsys, "compare", str(paths["x"]), str(paths[other]),
+                               "--format", "machine")
+            assert code == 0 and json.loads(out)["equal"] is True
+        code, out, err = run(capsys, "compare", str(paths["x"]), str(paths["next"]),
+                             "--format", "machine")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: OverflowError: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("exc, line", [
         (ValueError("two\nlines"), "ValueError: two lines"),  # no input error of the package
         (MemoryError(), "MemoryError"),

@@ -2,7 +2,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stringyhodge import (
@@ -29,8 +29,9 @@ from stringyhodge import (
     stringy_e,
     stringy_hodge_table,
 )
+from stringyhodge.descriptors import load_bundle
 from stringyhodge.stringy import first_coefficient_difference
-from conftest import cross_multiplied_equal, descriptors, diag
+from conftest import CORPUS, cross_multiplied_equal, descriptors, diag, pd_diamonds
 
 
 @pytest.fixture
@@ -663,6 +664,122 @@ class TestFirstMismatch:
             tracemalloc.stop()
         assert peak < 100_000
         assert result == (100001, 100001, 1, 0)
+
+
+def rows_first_coefficient_difference(d1, d2):
+    """first_coefficient_difference as it stood before the signature-table
+    shortcut: both E-functions assembled, equal denominators and rows answer
+    "equal", anything else goes through the lift."""
+    if d1.n != d2.n:
+        raise DescriptorError(f"dimension mismatch: {d1.n} vs {d2.n}")
+    f1, f2 = stringy_e(d1), stringy_e(d2)
+    if f1.denominator == f2.denominator and f1._slices == f2._slices:
+        return None  # rows have nonzero ends, so equal rows are equal numerators
+    m1, m2 = f1._lifted(f2)
+    if m1 == m2:
+        return None
+    t1, t2 = m1.terms, m2.terms
+    p, q = min((k for k in t1.keys() | t2.keys() if t1.get(k, 0) != t2.get(k, 0)),
+               key=lambda k: (k[0] + k[1], k))
+    return p, q, f1._coefficient(p, q), f2._coefficient(p, q)
+
+
+def fresh(d, strata=None):
+    """A new descriptor with d's fields (or other strata), so nothing it keeps is shared."""
+    return ResolutionDescriptor(d.n, d.components, dict(strata or d.strata), d.label)
+
+
+def assert_as_by_rows(d1, d2):
+    for a, b in ((d1, d2), (d2, d1)):
+        expected = rows_first_coefficient_difference(fresh(a), fresh(b))
+        assert first_coefficient_difference(fresh(a), fresh(b)) == expected
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """d and a copy with its ids permuted, its keys re-sorted and its strata
+    and components in another order: the same signature table."""
+    d = draw(descriptors())
+    ids = [cid for cid, _ in d.components]
+    renamed = dict(zip(ids, draw(st.permutations(ids))))
+    components = draw(st.permutations([(renamed[cid], a) for cid, a in d.components]))
+    items = draw(st.permutations(list(d.strata.items())))
+    copy = ResolutionDescriptor(
+        d.n, tuple(components), {tuple(sorted(map(renamed.get, J))): s for J, s in items})
+    return d, copy
+
+
+@st.composite
+def killed_strata_pairs(draw):
+    """d and a copy whose strata holding an a = 0 component have other diamonds."""
+    d = draw(descriptors())
+    zero = {cid for cid, a in d.components if a == 0}
+    killed = [J for J in d.strata if zero.intersection(J)]
+    assume(killed)
+    strata = {**d.strata, **{J: draw(pd_diamonds(d.n - len(J))) for J in killed}}
+    return d, fresh(d, strata)
+
+
+@st.composite
+def perturbed_ambient_pairs(draw):
+    d = draw(descriptors())
+    return d, fresh(d, {**d.strata, (): draw(pd_diamonds(d.n, connected=True))})
+
+
+@st.composite
+def random_pairs(draw):
+    d1 = draw(descriptors())
+    return d1, draw(descriptors().filter(lambda d: d.n == d1.n))
+
+
+class TestCompareBySignatureTables:
+    """Equal signature tables answer "equal" with no E_st assembled; every
+    answer is the one that assembling both and comparing rows gives."""
+
+    @settings(max_examples=60)
+    @given(relabelled_pairs())
+    def test_relabelled_copies(self, pair):
+        d, copy = pair
+        assert d._groups == copy._groups
+        assert first_coefficient_difference(d, copy) is None
+        assert "_e_st" not in vars(d) and "_e_st" not in vars(copy)
+        assert_as_by_rows(d, copy)
+
+    @settings(max_examples=60)
+    @given(killed_strata_pairs())
+    def test_copies_that_differ_where_a_0_kills_the_strata(self, pair):
+        # the tables may differ, the functions do not: the lift answers
+        d, copy = pair
+        assert first_coefficient_difference(d, copy) is None
+        assert_as_by_rows(d, copy)
+
+    @settings(max_examples=60)
+    @given(perturbed_ambient_pairs())
+    def test_copies_with_a_perturbed_ambient_diamond(self, pair):
+        assert_as_by_rows(*pair)
+
+    @settings(max_examples=60)
+    @given(random_pairs())
+    def test_random_pairs_of_equal_dimension(self, pair):
+        assert_as_by_rows(*pair)
+
+    def test_the_crepant_node_pair_still_assembles(self):
+        blowup, small = (load_bundle(str(CORPUS / f"node3fold_{name}.json")).descriptor
+                         for name in ("blowup", "small"))
+        assert blowup._groups != small._groups
+        assert first_coefficient_difference(blowup, small) is None
+        assert "_e_st" in vars(blowup) and "_e_st" in vars(small)
+
+    def test_both_are_validated_d1_first(self):
+        asymmetric = ResolutionDescriptor(2, (), {(): HodgeDiamond(2, {(0, 0): 1, (1, 0): 1})})
+        negative = ResolutionDescriptor(2, (("E", -1),), {(): diag(1, 1, 1), ("E",): diag(1, 1)})
+        for compare in (first_coefficient_difference, rows_first_coefficient_difference):
+            with pytest.raises(DescriptorError, match="conjugation symmetry"):
+                compare(fresh(asymmetric), fresh(negative))
+            with pytest.raises(DescriptorError, match="negative discrepancy"):
+                compare(fresh(negative), fresh(asymmetric))
+            with pytest.raises(DescriptorError, match="conjugation symmetry"):
+                compare(fresh(asymmetric), fresh(asymmetric))  # equal tables, not valid
 
 
 class TestClosedFormExpansionEquivalence:
