@@ -84,6 +84,7 @@ class ExceptionalFiberDescriptor(_ValidOnce):
 
     def discrepancy_one_count(self) -> int:
         """Number of discrepancy-1 fiber surfaces, each piece of a union counted."""
+        self.check_valid()
         return sum(c.diamond.hpq(0, 0) for c in self.components if c.discrepancy == 1)
 
 

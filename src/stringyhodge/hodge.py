@@ -120,7 +120,12 @@ class HodgeDiamond:
 
     def __add__(self, other: "HodgeDiamond") -> "HodgeDiamond":
         """Disjoint union: entrywise sum, same dimension."""
-        return _union([self, other])
+        if other.dim != self.dim:
+            raise DiamondError("disjoint union requires equal dimensions")
+        table = dict(self.h)
+        for pq, n in other.h.items():
+            table[pq] = table.get(pq, 0) + n
+        return HodgeDiamond(self.dim, table)
 
     def __mul__(self, copies: int) -> "HodgeDiamond":
         if copies < 0:
@@ -128,18 +133,6 @@ class HodgeDiamond:
         return HodgeDiamond(self.dim, {k: copies * n for k, n in self.h.items()})
 
     __rmul__ = __mul__
-
-
-def _union(diamonds: List[HodgeDiamond]) -> HodgeDiamond:
-    """Disjoint union of diamonds of one dimension, summed entrywise at once."""
-    dim = diamonds[0].dim
-    table: Dict[Tuple[int, int], int] = {}
-    for d in diamonds:
-        if d.dim != dim:
-            raise DiamondError("disjoint union requires equal dimensions")
-        for pq, n in d.h.items():
-            table[pq] = table.get(pq, 0) + n
-    return HodgeDiamond(dim, table)
 
 
 def validate(d: HodgeDiamond, smooth_projective: bool = False) -> List[str]:

@@ -47,7 +47,7 @@ class ResolutionDescriptor(_ValidOnce):
     its keys as written, so a key "E" is reported by validate(), not read as
     ("E",)), so derived data is computed once per instance and kept: the
     outcome of a successful validation, the first stratum that fails
-    Poincare duality, the signature and level sums, the a_{p,q} and E_st.
+    Poincare duality, the signature sums, the a_{p,q} and E_st.
     """
 
     n: int
@@ -147,20 +147,18 @@ class ResolutionDescriptor(_ValidOnce):
             table.update({(p + k, q + k): -c if k % 2 else c for (p, q), c in h_sum.items()})
         return table
 
-    @cached_property
-    def _levels(self) -> Dict[int, HodgeDiamond]:
-        # the strata of each level summed at once, not one `+` at a time
-        levels: Dict[int, List[HodgeDiamond]] = {}
-        for J, d in self.strata.items():
-            levels.setdefault(len(J), []).append(d)
-        return {k: ds[0] if len(ds) == 1 else hodge._union(ds) for k, ds in levels.items()}
-
     def level(self, k: int) -> Optional[HodgeDiamond]:
-        """Summed diamond of D(k), the union of all |J| = k strata.
+        """Summed diamond of D(k), the union of all |J| = k strata: the `_groups`
+        tables of length-k signatures, added into a fresh table.
 
         D(0) is the ambient variety.  Returns None when D(k) is empty.
         """
-        return self._levels.get(k)
+        self.check_valid()
+        tables = [h_sum for signature, h_sum in self._groups.items() if len(signature) == k]
+        table: Dict[Tuple[int, int], int] = Counter()
+        for h_sum in tables:
+            table.update(h_sum)
+        return HodgeDiamond._trusted(self.n - k, dict(table)) if tables else None
 
     @cached_property
     def _pd_failure(self) -> Optional[Subset]:
@@ -173,20 +171,16 @@ class ResolutionDescriptor(_ValidOnce):
         `check_pd_identity` makes, and kept; each diamond keeps the verdicts
         of both flags, so one that validate() scanned adds only duality.
         """
+        self.check_valid()
         return self._pd_failure is None
 
     def discrepancy_one_sum(self, p: int) -> int:
         """Sum of h^{p-2,0}(D_j) over the discrepancy-1 components D_j, the group (2,)."""
+        self.check_valid()
         return self._groups.get((2,), {}).get((p - 2, 0), 0)
 
     @cached_property
     def _e_st(self) -> StringyFunction:
-        # E_st without validation: the identity checks use it so that negative
-        # controls with broken diamonds still evaluate, but no other value does
-        if not self._valid:
-            for J, s in self.strata.items():
-                if not isinstance(s, HodgeDiamond):
-                    raise DescriptorError(f"stratum {J!r}: {hodge._verdict(s)[0]}")
         return _assemble(self)
 
     @cached_property
@@ -204,24 +198,15 @@ def _assemble(d: ResolutionDescriptor) -> StringyFunction:
     (`ResolutionDescriptor._groups`) and nothing else.  The common denominator
     holds each w^m - 1 as often as the most demanding signature needs it.  Over
     it, a group's factor is its cofactor times prod (w - w^m) = (-w)^{|sig|}
-    prod (w^{m-1} - 1).  Components with a < 1 give no denominator factor; a = 0
-    makes the numerator factor w - w vanish, so its groups are skipped, and
-    a < 0 (unvalidated input only) is dropped from its signature, which may then
-    coincide with another group's: the two tables are added.
+    prod (w^{m-1} - 1).  A component with a = 0 (m = 1) makes the numerator
+    factor w - w vanish, so the groups whose signature holds 1 are skipped; the
+    descriptor is valid, so every other m is at least 2.
 
     `hodge._signed`, the one home of the sign, gives each entry h^{p,q} of a
     group's table the sign (-1)^{p+q+|sig|}: its E-terms times the (-1)^{|sig|}
     of (-w)^{|sig|}.  `polyalg._binomial_sum` forms the sum of the products.
     """
-    groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
-    for signature, h_sum in d._groups.items():
-        if signature and signature[0] < 2:  # a = 0 kills the group, a < 0 adds no factor
-            if 1 in signature:
-                continue
-            signature = tuple(m for m in signature if m >= 2)
-        was = groups.setdefault(signature, h_sum)
-        if was is not h_sum:  # a < 0 only: added, not replaced, whichever came first
-            groups[signature] = {pq: was.get(pq, 0) + h_sum.get(pq, 0) for pq in {**was, **h_sum}}
+    groups = {signature: h_sum for signature, h_sum in d._groups.items() if 1 not in signature}
     need: Dict[int, int] = {}  # m -> its multiplicity in the common denominator
     for signature in groups:
         for m in set(signature):
@@ -241,7 +226,8 @@ def stringy_e(d: ResolutionDescriptor) -> StringyFunction:
 
     Sum over subsets J of E(D_J) * prod_{j in J} (w - w^{a_j+1})/(w^{a_j+1}-1)
     with w = uv.  Subsets containing a discrepancy-0 component contribute the
-    zero factor w - w and are skipped.  Assembled once per descriptor.
+    zero factor w - w and are skipped.  The descriptor is validated first, as
+    by every reader of it, and E_st assembled once per descriptor.
     """
     d.check_valid()
     return d._e_st
@@ -266,7 +252,9 @@ class StringyReport:
 
 
 def check_symmetry(d: ResolutionDescriptor) -> bool:
-    """E_st(u, v) = E_st(v, u): the numerator is u <-> v invariant."""
+    """E_st(u, v) = E_st(v, u): the numerator is u <-> v invariant; valid strata
+    are conjugation symmetric, so this checks the assembly, not the input."""
+    d.check_valid()
     num = d._e_st.numerator
     return num == num.swap_vars()
 
@@ -279,9 +267,9 @@ def check_pd_identity(d: ResolutionDescriptor) -> Optional[bool]:
     Returns None (inconclusive) when a stratum fails per-stratum duality:
     the identity presupposes genuine geometric input.
     """
-    f = d._e_st  # raises first for a stratum that is no diamond, as check_symmetry does
-    if not d.strata_pd_consistent():
+    if not d.strata_pd_consistent():  # validates d first
         return None
+    f = d._e_st
     sign = (-1) ** len(f.denominator.factors)
     shift = d.n + sum(f.denominator.factors)
     terms = f.numerator.terms
@@ -383,19 +371,20 @@ def first_coefficient_difference(
     """(p, q, b1, b2) at the first (p,q) in the order (p+q, (p,q)) where the
     expansions differ, or None when the E-functions are equal.
 
-    d1 is validated, then d2.  Equal signature tables (`_groups`, all that
-    `_assemble` reads) answer "equal" with neither E_st assembled.  Else, over
-    D, the union of the denominators, E_st(d1) - E_st(d2) = M / D with M the
-    difference of the lifted numerators.  D is a polynomial in w = uv with
-    constant term +-1, so along each diagonal the expansion of M / D starts at
-    M's lowest term, times +-1: the first mismatch is M's least term, found
-    with no bound.  b1 and b2 are each read off the one row of the function on
-    the diagonal p - q, from the entries that coefficient needs.
+    d1 is validated, then d2, then their dimensions compared.  Equal signature
+    tables (`_groups`, all that `_assemble` reads) answer "equal" with neither
+    E_st assembled.  Else, over D, the union of the denominators, E_st(d1) -
+    E_st(d2) = M / D with M the difference of the lifted numerators.  D is a
+    polynomial in w = uv with constant term +-1, so along each diagonal the
+    expansion of M / D starts at M's lowest term, times +-1: the first mismatch
+    is M's least term, found with no bound.  b1 and b2 are each read off the
+    one row of the function on the diagonal p - q, from the entries that
+    coefficient needs.
     """
-    if d1.n != d2.n:
-        raise DescriptorError(f"dimension mismatch: {d1.n} vs {d2.n}")
     d1.check_valid()
     d2.check_valid()
+    if d1.n != d2.n:
+        raise DescriptorError(f"dimension mismatch: {d1.n} vs {d2.n}")
     if d1._groups == d2._groups:
         return None
     f1, f2 = stringy_e(d1), stringy_e(d2)

@@ -1,6 +1,7 @@
 """The grouped E_st assembly against an independent per-stratum reference,
 and the once-per-descriptor contract of validation and assembly."""
 
+import gc
 import itertools
 import json
 import random
@@ -14,7 +15,8 @@ from stringyhodge import (
     BivariatePoly,
     DenominatorSpec,
     DescriptorError,
-    DiamondError,
+    ExceptionalFiberDescriptor,
+    FiberComponent,
     HodgeDiamond,
     ResolutionDescriptor,
     StringyFunction,
@@ -25,9 +27,11 @@ from stringyhodge import (
     closed_form_h,
     conjecture_report,
     crepant_compare,
+    defect_bound_check,
     exact_divide_test,
     h22st_fourfold,
     load_bundle,
+    local_defect,
     product_stringy,
     projective_space,
     quadric_surface,
@@ -159,21 +163,17 @@ def reference_pd_verdict(d, f):
 
 @st.composite
 def negative_controls(draw):
-    """Descriptors with one diamond entry or one discrepancy broken; unvalidated."""
+    """Descriptors with one diamond entry raised, unvalidated: off the diagonal
+    p = q this breaks conjugation symmetry, which validate() rejects."""
     d = draw(descriptors())
     strata = dict(d.strata)
-    components = list(d.components)
-    if components and draw(st.booleans()):
-        i = draw(st.integers(0, len(components) - 1))
-        components[i] = (components[i][0], -1)
-    else:
-        J = draw(st.sampled_from(sorted(strata)))
-        dim = strata[J].dim
-        p, q = draw(st.integers(0, dim)), draw(st.integers(0, dim))
-        h = dict(strata[J].h)
-        h[(p, q)] = h.get((p, q), 0) + draw(st.integers(1, 3))
-        strata[J] = HodgeDiamond(dim, h)
-    return ResolutionDescriptor(d.n, tuple(components), strata, "negative control")
+    J = draw(st.sampled_from(sorted(strata)))
+    dim = strata[J].dim
+    p, q = draw(st.integers(0, dim)), draw(st.integers(0, dim))
+    h = dict(strata[J].h)
+    h[(p, q)] = h.get((p, q), 0) + draw(st.integers(1, 3))
+    strata[J] = HodgeDiamond(dim, h)
+    return ResolutionDescriptor(d.n, d.components, strata, "negative control")
 
 
 def assert_rows_are_the_split(f):
@@ -194,10 +194,17 @@ def assert_agrees_with_reference(d):
     bound = 2 * d.n + 2
     assert new.series_coefficients(bound) == ref.series_coefficients(bound)
     assert exact_divide_test(new) == exact_divide_test(ref)
-    assert check_symmetry(d) == (ref.numerator == ref.numerator.swap_vars())
-    assert check_pd_identity(d) == reference_pd_verdict(d, ref)
     # at most one factor w^m - 1 per component of a stratum, so at most n
     assert all(c <= d.n for c in Counter(new.denominator.factors).values())
+    problems = d.validate()
+    if problems:  # the identity checks validate first; the assembly alone is compared
+        for check in (check_symmetry, check_pd_identity):
+            with pytest.raises(DescriptorError) as err:
+                check(d)
+            assert str(err.value) == "; ".join(problems)
+        return
+    assert check_symmetry(d) == (ref.numerator == ref.numerator.swap_vars())
+    assert check_pd_identity(d) == reference_pd_verdict(d, ref)
 
 
 class TestAgainstReference:
@@ -232,18 +239,16 @@ class TestAgainstReference:
 
 
 def mixed(scale):
-    """Unvalidated: entries of either sign near `scale`, a component with
-    a = -1 (no factor) and one with a = 0 (its strata are skipped)."""
+    """Unvalidated: entries of either sign near `scale`, and a component with
+    a = 0 (its strata are skipped)."""
     return ResolutionDescriptor(
         2,
-        (("A", 1), ("B", -1), ("C", 0), ("D", 2)),
+        (("A", 1), ("C", 0), ("D", 2)),
         {
             (): HodgeDiamond(2, {(0, 0): scale, (1, 0): 1 - scale, (2, 2): scale, (1, 1): -3}),
             ("A",): HodgeDiamond(1, {(0, 0): scale, (1, 1): -scale}),
-            ("B",): HodgeDiamond(1, {(0, 1): scale - 1}),
             ("C",): HodgeDiamond(1, {(0, 0): scale}),
             ("D",): HodgeDiamond(1, {(1, 0): -scale}),
-            ("A", "B"): HodgeDiamond(0, {(0, 0): -scale}),
             ("A", "D"): HodgeDiamond(0, {(0, 0): scale}),
             ("C", "D"): HodgeDiamond(0, {(0, 0): 7}),
         },
@@ -409,7 +414,7 @@ def full_simplex(rng, n, k):
 class TestDiagonalRows:
     """E_st's rows come out of the packed assembly, one per diagonal; the
     references above check the same on random descriptors, unvalidated
-    controls with a = -1 and a = 0, and long chains."""
+    controls with a = 0, and long chains."""
 
     @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
     def test_corpus(self, path):
@@ -654,33 +659,43 @@ class TestOncePerDescriptor:
         assert first_coefficient_difference(d, perturbed) == (1, 1, 17, 18)  # h^{1,1}_st + 1
         assert spreads["func"] == 2  # each side formed once, for the lift
 
-    def test_level_sums_computed_once(self, count_calls):
+    def test_signature_sums_computed_once_for_every_reader(self, count_calls):
         d = ResolutionDescriptor(
             3,
-            (("A", 1), ("B", 1)),
-            {(): diag(1, 3, 3, 1), ("A",): quadric_surface(), ("B",): diag(1, 1, 1)},
+            (("A", 1), ("B", 2), ("C", 1)),
+            {(): diag(1, 3, 3, 1), ("A",): quadric_surface(), ("B",): diag(1, 1, 1),
+             ("C",): diag(1, 1, 1), ("A", "C"): diag(1, 1)},
         )
         groups = count_calls(ResolutionDescriptor.__dict__["_groups"], "func")
-        sums = count_calls(ResolutionDescriptor.__dict__["_levels"], "func")
         stringy_e(d)
-        assert groups["func"] == 1  # (), (2,) = D_A + D_B, summed once
-        assert a_pq(d, 2, 2) == 3 - 3
-        assert [a_pq(d, p, p) for p in range(4)] == [1, 3 - 2, 3 - 3, 1 - 2]
-        assert closed_form_h(d, 2, 2) == 3 - 3 + 2  # h^{0,0} of D_A and D_B
+        assert groups["func"] == 1  # (), (2,) = D_A + D_C, (3,) = D_B, (2, 2): summed once
+        assert a_pq(d, 2, 2) == 3 - 4 + 1
+        assert [a_pq(d, p, p) for p in range(4)] == [1, 3 - 3, 3 - 4 + 1, 1 - 3 + 1]
+        assert closed_form_h(d, 2, 2) == 3 - 4 + 1 + 2  # h^{0,0} of D_A and D_C
         assert [d.discrepancy_one_sum(p) for p in range(1, 5)] == [0, 2, 0, 0]
-        assert groups["func"] == 1
-        assert sums["func"] == 0  # the closed forms read no level sums
-        assert d.level(1) == quadric_surface() + diag(1, 1, 1)
-        assert d.level(0) is d.strata[()]
-        assert sums["func"] == 1  # D(0), D(1) = D_A + D_B, summed once
-        assert groups["func"] == 1
+        assert d.level(1) == quadric_surface() + diag(1, 1, 1) + diag(1, 1, 1)
+        assert d.level(2) == diag(1, 1)
+        assert d.level(0) == d.strata[()] and d.level(0) is not d.strata[()]
+        assert d.level(3) is None
+        assert groups["func"] == 1  # every reader, level() included, reads the one table
+        # each level is a fresh table: no diamond wraps a dict that _groups holds
+        held = [id(h_sum) for h_sum in d._groups.values()]
+        for k in range(3):
+            assert not {id(ref) for ref in gc.get_referents(d.level(k).h)} & set(held)
+
+    def test_an_empty_stratum_diamond_is_a_level(self):
+        # a level is empty only when no stratum has |J| = k, not when its sum is 0
+        d = ResolutionDescriptor(2, (("A", 1),), {(): diag(1, 1, 1), ("A",): HodgeDiamond(1)})
+        assert d.level(1) == HodgeDiamond(1) and d.level(2) is None
 
     def test_a_level_mixing_dimensions_is_no_disjoint_union(self):
-        # unvalidated: B's stratum has the wrong dimension
+        # B's stratum has the wrong dimension: level() validates first and says so
         d = ResolutionDescriptor(
             2, (("A", 1), ("B", 1)), {(): diag(1, 1, 1), ("A",): diag(1, 1), ("B",): diag(1)})
-        with pytest.raises(DiamondError, match="disjoint union requires equal dimensions"):
-            d.level(1)
+        for _ in range(2):
+            with pytest.raises(DescriptorError) as err:
+                d.level(1)
+            assert str(err.value) == "stratum ('B',) has dimension 0, expected 1"
 
     def test_strata_are_read_only(self):
         d = ResolutionDescriptor(2, (), {(): diag(1, 1, 1)})
@@ -721,6 +736,10 @@ class TestDualityRecord:
         d, validated = case
         if validated:
             d.validate()
+        if any(hodge.validate(s) for s in d.strata.values()):  # validate() rejects d
+            with pytest.raises(DescriptorError):
+                d.strata_pd_consistent()
+            return
         failing = [J for J, s in d.strata.items() if hodge.validate(s, smooth_projective=True)]
         assert d.strata_pd_consistent() == all(
             not hodge.validate(s, smooth_projective=True) for s in d.strata.values()
@@ -731,21 +750,25 @@ class TestDualityRecord:
     @pytest.mark.parametrize("validated", [False, True])
     def test_record_is_a_stratum_only_validate_rejects(self, validated):
         # h^{1,1} = -1 on a surface keeps conjugation and duality, so only
-        # validate()'s own record makes D_E fail; D_F, later, breaks duality
-        d = ResolutionDescriptor(
-            3,
-            (("E", 1), ("F", 1)),
-            {
-                (): diag(1, 2, 2, 1),
-                ("E",): diag(1, -1, 1),
-                ("F",): HodgeDiamond(2, {(0, 0): 1, (1, 1): 1}),
-            },
-        )
+        # validate() rejects D_E, and the readers of the record raise its
+        # message; with D_E mended, D_F, which breaks duality, is the record
+        strata = {
+            (): diag(1, 2, 2, 1),
+            ("E",): diag(1, -1, 1),
+            ("F",): HodgeDiamond(2, {(0, 0): 1, (1, 1): 1}),
+        }
+        d = ResolutionDescriptor(3, (("E", 1), ("F", 1)), strata)
+        message = "stratum ('E',): negative entry h^{1,1} = -1"
         if validated:
-            assert d.validate() == ["stratum ('E',): negative entry h^{1,1} = -1"]
+            assert d.validate() == [message]
+        for reader in (check_pd_identity, ResolutionDescriptor.strata_pd_consistent):
+            with pytest.raises(DescriptorError) as err:
+                reader(d)
+            assert str(err.value) == message
         assert not hodge.validate(d.strata[("F",)]) and hodge.validate(d.strata[("F",)], True)
-        assert d._pd_failure == ("E",)
-        assert check_pd_identity(d) is None
+        mended = ResolutionDescriptor(3, (("E", 1), ("F", 1)), {**strata, ("E",): diag(1, 1, 1)})
+        assert check_pd_identity(mended) is None
+        assert mended._pd_failure == ("F",)
 
     @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.name)
     def test_duality_is_scanned_only_by_the_identity_check(self, path, capsys, count_scans):
@@ -790,33 +813,79 @@ class TestDualityRecord:
         assert scans[False] == diamonds and scans[True] <= len(doc["strata"])
 
 
-BROKEN = ResolutionDescriptor(
-    3,
-    (("E", 1),),
-    {(): HodgeDiamond(3, {(0, 0): 1, (1, 0): 1, (3, 3): 1}), ("E",): quadric_surface()},
-    "asymmetric ambient diamond",
-)
+def node(**fields):
+    """The node threefold's descriptor with some fields replaced, built anew."""
+    node = dict(n=3, components=(("E", 1),),
+                strata={(): diag(1, 3, 3, 1), ("E",): quadric_surface()})
+    return ResolutionDescriptor(**{**node, **fields})
+
+
+# each made anew for each reader, so that nothing one reader keeps meets another
+PROBES = {
+    "asymmetric ambient": lambda: node(strata={
+        (): HodgeDiamond(3, {(0, 0): 1, (1, 0): 1, (3, 3): 1}), ("E",): quadric_surface()}),
+    "unknown id": lambda: node(strata={(): diag(1, 3, 3, 1), ("E",): quadric_surface(),
+                                      ("X",): diag(1, 1, 1)}),
+    "a = None": lambda: node(components=(("E", None),)),
+    "a = 1.5": lambda: node(components=(("E", 1.5),)),
+    "a = -3": lambda: node(components=(("E", -3),)),
+    'key "E"': lambda: node(strata={(): diag(1, 3, 3, 1), "E": quadric_surface()}),
+    'n = "2"': lambda: node(n="2"),
+}
 
 VALIDATING = {
     "stringy_e": lambda d: stringy_e(d),
     "stringy_hodge_table": lambda d: stringy_hodge_table(d),
     "check_polynomial_consequences": lambda d: check_polynomial_consequences(d),
+    "check_symmetry": lambda d: check_symmetry(d),
+    "check_pd_identity": lambda d: check_pd_identity(d),
     "closed_form_h": lambda d: closed_form_h(d, 0, 0),
     "a_pq": lambda d: a_pq(d, 1, 1),
+    "level": lambda d: d.level(1),
+    "strata_pd_consistent": lambda d: d.strata_pd_consistent(),
+    "discrepancy_one_sum": lambda d: d.discrepancy_one_sum(2),
     "h22st_fourfold": lambda d: h22st_fourfold(d),
     "threefold_h22_minus_h11": lambda d: threefold_h22_minus_h11(d),
     "product_stringy": lambda d: product_stringy(d, projective_space(0)),
     "conjecture_report": lambda d: conjecture_report(d),
     "crepant_compare": lambda d: crepant_compare(d, d),
     "first_coefficient_difference": lambda d: first_coefficient_difference(d, d),
+    "first_coefficient_difference, valid d1": lambda d: first_coefficient_difference(node(), d),
+}
+
+FIBER_PROBES = {
+    "not a FiberComponent": lambda: ExceptionalFiberDescriptor(
+        "p", (("A", quadric_surface(), 1),)),
+    "a = 1.0": lambda: ExceptionalFiberDescriptor(
+        "p", (FiberComponent("A", quadric_surface(), 1.0),)),
+}
+
+FIBER_READERS = {
+    "local_defect": local_defect,
+    "defect_bound_check": defect_bound_check,
+    "discrepancy_one_count": lambda fd: fd.discrepancy_one_count(),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(VALIDATING))
-def test_invalid_descriptor_raises_at_every_entry_point(entry):
-    # the unvalidated identity checks assemble E_st first; that must not
-    # let the descriptor through, and a failed validation is not remembered
-    assert not check_symmetry(BROKEN)
+def assert_raises_validate_message(read, made):
+    """read(made) raises the package error with validate()'s message, each time:
+    a failed validation is not kept, and no KeyError, TypeError or
+    AttributeError comes first."""
+    message = "; ".join(made.validate())
+    assert message
     for _ in range(2):
-        with pytest.raises(DescriptorError, match="conjugation symmetry"):
-            VALIDATING[entry](BROKEN)
+        with pytest.raises(DescriptorError) as err:
+            read(made)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+@pytest.mark.parametrize("entry", sorted(VALIDATING))
+def test_invalid_descriptor_raises_at_every_entry_point(entry, probe):
+    assert_raises_validate_message(VALIDATING[entry], PROBES[probe]())
+
+
+@pytest.mark.parametrize("probe", sorted(FIBER_PROBES))
+@pytest.mark.parametrize("entry", sorted(FIBER_READERS))
+def test_invalid_fiber_raises_at_every_entry_point(entry, probe):
+    assert_raises_validate_message(FIBER_READERS[entry], FIBER_PROBES[probe]())

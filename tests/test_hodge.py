@@ -168,12 +168,14 @@ class TestDiamondSlot:
         except (DiamondError, DescriptorError, SncDataError):
             return
         assert type(problems) is list and all(type(p) is str for p in problems)
-        if holder == "stratum":  # the identity checks read E_st with no validation
+        if holder == "stratum":  # the identity checks validate first
             for check in (check_symmetry, check_pd_identity):
-                try:
-                    assert check(made) in (True, False, None)
-                except DescriptorError as err:
-                    assert str(err) in problems
+                if problems:
+                    with pytest.raises(DescriptorError) as err:
+                        check(made)
+                    assert str(err.value) == "; ".join(problems)
+                else:  # both identities are theorems for valid strata
+                    assert check(made) in (True, None)
         if problems and holder != "h argument":
             with pytest.raises((DescriptorError, SncDataError)):
                 made.check_valid()
@@ -281,3 +283,7 @@ class TestProperties:
     @given(pd_diamonds(2), pd_diamonds(2))
     def test_disjoint_union_additivity(self, a, b):
         assert e_polynomial(a + b) == e_polynomial(a) + e_polynomial(b)
+
+    def test_disjoint_union_requires_equal_dimensions(self):
+        with pytest.raises(DiamondError, match="disjoint union requires equal dimensions"):
+            projective_space(2) + projective_space(1)

@@ -2,7 +2,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringyhodge import (
@@ -26,6 +26,7 @@ from stringyhodge import (
     local_defect,
     projective_space,
     quadric_surface,
+    stringy,
     stringy_e,
     stringy_hodge_table,
 )
@@ -383,7 +384,7 @@ class TestSymmetry:
         assert check_symmetry(node)
 
     def test_broken_diamond_negative_control(self):
-        # validation bypassed on purpose: asymmetric ambient diamond
+        # an asymmetric ambient diamond is refused, never assembled
         broken = ResolutionDescriptor(
             3,
             (("E", 1),),
@@ -393,7 +394,25 @@ class TestSymmetry:
             },
             "broken",
         )
-        assert not check_symmetry(broken)
+        for check in (check_symmetry, check_pd_identity):
+            with pytest.raises(DescriptorError, match="conjugation symmetry broken"):
+                check(broken)
+        assert "_e_st" not in vars(broken)
+
+    def test_an_asymmetric_e_st_fails_both_identity_checks(self, node, monkeypatch):
+        # on valid input both identities are theorems, so break the assembly:
+        # an extra u-term in the numerator must make both checks answer False
+        assemble = stringy._assemble
+
+        def with_extra_u_term(d):
+            f = assemble(d)
+            return StringyFunction(f.numerator + BivariatePoly({(1, 0): 1}), f.denominator)
+
+        assert check_symmetry(node) and check_pd_identity(node)
+        monkeypatch.setattr(stringy, "_assemble", with_extra_u_term)
+        for check in (check_symmetry, check_pd_identity):
+            fresh_node = ResolutionDescriptor(node.n, node.components, node.strata, node.label)
+            assert check(fresh_node) is False
 
     def test_node_explicit(self, node):
         assert check_symmetry(node)
@@ -712,10 +731,12 @@ def relabelled_pairs(draw):
 @st.composite
 def killed_strata_pairs(draw):
     """d and a copy whose strata holding an a = 0 component have other diamonds."""
-    d = draw(descriptors())
-    zero = {cid for cid, a in d.components if a == 0}
+    d = draw(descriptors().filter(lambda d: len(d.strata) > 1))  # a component in a stratum
+    held = draw(st.sampled_from(sorted({cid for J in d.strata for cid in J})))
+    components = tuple((cid, 0 if cid == held else a) for cid, a in d.components)
+    d = ResolutionDescriptor(d.n, components, d.strata, d.label)
+    zero = {cid for cid, a in components if a == 0}
     killed = [J for J in d.strata if zero.intersection(J)]
-    assume(killed)
     strata = {**d.strata, **{J: draw(pd_diamonds(d.n - len(J))) for J in killed}}
     return d, fresh(d, strata)
 
