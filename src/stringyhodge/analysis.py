@@ -202,7 +202,7 @@ def conjecture_report(
                 negative_details[(p, q)] = {
                     "h_st": value,
                     "a_pq": a_pq(d, p, q),
-                    "discrepancy_one_count": d.discrepancy_one_sum(2),
+                    "discrepancy_one_count": d._groups.get((2,), {}).get((0, 0), 0),
                 }
     ineq = None
     if d.n == 3 and terminal:

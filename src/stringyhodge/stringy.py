@@ -174,11 +174,6 @@ class ResolutionDescriptor(_ValidOnce):
         self.check_valid()
         return self._pd_failure is None
 
-    def discrepancy_one_sum(self, p: int) -> int:
-        """Sum of h^{p-2,0}(D_j) over the discrepancy-1 components D_j, the group (2,)."""
-        self.check_valid()
-        return self._groups.get((2,), {}).get((p - 2, 0), 0)
-
     @cached_property
     def _e_st(self) -> StringyFunction:
         return _assemble(self)
@@ -341,21 +336,22 @@ def _require_terminal(d: ResolutionDescriptor, n: Optional[int] = None, kind: st
 def closed_form_h(d: ResolutionDescriptor, p: int, q: int) -> int:
     """Closed forms for h^{p,q}_st with q <= 2 (terminal input for q >= 1).
 
-    One rule: a_{p,q} plus, for q = 2, the sum of h^{p-2,0}(D_j) over the
-    discrepancy-1 components.  Spelled out, q = 0 gives h^{p,0}(Y), q = 1
-    gives h^{p,1}(Y) - h^{p-1,0}(D(1)) and q = 2 gives
-    h^{p,2}(Y) - h^{p-1,1}(D(1)) + h^{p-2,0}(D(2)) + that sum.
+    The k <= q truncation of Batyrev's sum expanded one stratum at a time,
+    h^{p,q}_st = sum_J sum_{k >= |J|} g_J(k) h^{p-k,q-k}(D_J), g_J(k) the w^k
+    coefficient of prod_{j in J} (w - w^m_j)/(w^m_j - 1), m_j = a_j + 1.  On
+    terminal input g_J(|J|) = (-1)^{|J|} gives a_{p,q}, and g(2) = 1 at m = 2
+    adds, for q = 2, h^{p-2,0} of the discrepancy-1 components (group (2,)).
     """
     if q not in (0, 1, 2):
         raise ValueError("closed forms are only available for q in {0, 1, 2}")
     if q:
         _require_terminal(d)
-    return a_pq(d, p, q) + (d.discrepancy_one_sum(p) if q == 2 else 0)
+    return a_pq(d, p, q) + (d._groups.get((2,), {}).get((p - 2, 0), 0) if q == 2 else 0)
 
 
 def h22st_fourfold(d: ResolutionDescriptor) -> int:
-    """h^{2,2}_st of a terminal fourfold: the p = q = 2 closed form,
-    a_{2,2} plus the discrepancy-1 count."""
+    """h^{2,2}_st of a terminal fourfold: the p = q = 2 closed form, a_{2,2}
+    plus h^{0,0} of the discrepancy-1 components (the group (2,))."""
     _require_terminal(d, 4, "fourfold")
     return closed_form_h(d, 2, 2)
 

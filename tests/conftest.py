@@ -1,11 +1,15 @@
 import itertools
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from stringyhodge import BivariatePoly, HodgeDiamond, ResolutionDescriptor, hodge
+from stringyhodge import (
+    BivariatePoly, DescriptorError, HodgeDiamond, ResolutionDescriptor, closed_form_h, hodge,
+    stringy_hodge_table,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -184,3 +188,56 @@ def descriptors(draw, min_discrepancy=0, max_dim=4, max_components=5):
     d = ResolutionDescriptor(n=n, components=discs, strata=strata, label="random")
     assert not d.validate()
     return d
+
+
+def f_coefficient(m, t):
+    """Coefficient of w^t, t >= 1, in f_m(w) = (w - w^m)/(w^m - 1) = -w + w^m - w^{m+1} + ...:
+    [m | t] - [t = 1 mod m].  Both brackets hold for m = 1, so f_1 = 0."""
+    return (t % m == 0) - (t % m == 1 % m)
+
+
+@lru_cache(maxsize=None)
+def stratum_weights(signature, top):
+    """g(0), ..., g(top): the coefficients of prod_{m in signature} f_m(w)."""
+    g = (1,) + (0,) * top
+    for m in signature:
+        g = tuple(sum(g[k - t] * f_coefficient(m, t) for t in range(1, k + 1))
+                  for k in range(top + 1))
+    return g
+
+
+def stratum_sum_table(d, bound):
+    """The nonzero h^{p,q}_st with p + q <= bound from Batyrev's sum expanded at
+    w = uv = 0 one stratum at a time:
+
+        h^{p,q}_st = sum_J sum_{k >= |J|} g_J(k) h^{p-k,q-k}(D_J),
+
+    g_J(k) the coefficient of w^k in prod_{j in J} f_{a_j+1}(w), read from
+    d.strata and d.components alone: no signature table, no common
+    denominator, no series recurrence and no division."""
+    m_of = {cid: a + 1 for cid, a in d.components}
+    table = Counter()
+    for J, diamond in d.strata.items():
+        g = stratum_weights(tuple(sorted(m_of[cid] for cid in J)), bound // 2)
+        for (i, j), h in diamond.h.items():
+            for k in range(len(J), (bound - i - j) // 2 + 1):
+                table[i + k, j + k] += g[k] * h
+    return {pq: c for pq, c in table.items() if c}
+
+
+def assert_matches_the_stratum_sum(d):
+    """Every entry p + q <= 2n + 4 of stringy_hodge_table and every closed form
+    (q = 0, and q = 1, 2 on terminal input) equal the stratum-wise sum; on other
+    input closed_form_h refuses q = 1, 2."""
+    bound = 2 * d.n + 4
+    expected = stratum_sum_table(d, bound)
+    table = stringy_hodge_table(d, bound).h_st_table()
+    assert {pq: c for pq, c in table.items() if c} == expected
+    terminal = all(a >= 1 for _, a in d.components)
+    for p in range(-1, bound - 1):
+        for q in (0, 1, 2):
+            if q == 0 or terminal:
+                assert closed_form_h(d, p, q) == expected.get((p, q), 0)
+            else:
+                with pytest.raises(DescriptorError, match="discrepancies >= 1"):
+                    closed_form_h(d, p, q)

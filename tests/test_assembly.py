@@ -7,6 +7,7 @@ import json
 import random
 from collections import Counter
 from itertools import compress
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,7 +45,8 @@ from stringyhodge import hodge, polyalg
 from stringyhodge.cli import main
 from stringyhodge.stringy import first_coefficient_difference
 from conftest import (
-    CORPUS, cross_multiplied_equal, descriptors, diag, expand_w, from_w, random_pd_diamond, w_mul,
+    CORPUS, assert_matches_the_stratum_sum, cross_multiplied_equal, descriptors, diag, expand_w,
+    from_w, random_descriptor, random_pd_diamond, w_mul,
 )
 
 
@@ -476,37 +478,20 @@ def level_loop_a_pq(d, p, q):
     return total
 
 
-def component_loop_discrepancy_one_sum(d, p):
-    """The discrepancy-1 sum as the loop over components, verbatim."""
-    return sum(
-        d.strata[(cid,)].hpq(p - 2, 0)
-        for cid, a in d.components
-        if a == 1 and (cid,) in d.strata
-    )
-
-
 def assert_closed_forms_match_the_loops(d):
-    terminal = all(a >= 1 for _, a in d.components)
     for p in range(-1, 2 * d.n + 2):
-        assert d.discrepancy_one_sum(p) == component_loop_discrepancy_one_sum(d, p)
         for q in range(-1, 2 * d.n + 2):
-            expected = level_loop_a_pq(d, p, q)
-            assert a_pq(d, p, q) == expected
-            if q == 0 or (q in (1, 2) and terminal):
-                if q == 2:
-                    expected += component_loop_discrepancy_one_sum(d, p)
-                assert closed_form_h(d, p, q) == expected
-            elif q in (1, 2):
-                with pytest.raises(DescriptorError, match="discrepancies >= 1"):
-                    closed_form_h(d, p, q)
+            assert a_pq(d, p, q) == level_loop_a_pq(d, p, q)
+    assert_matches_the_stratum_sum(d)
 
 
 class TestSignatureTable:
-    """a_{p,q} and the discrepancy-1 sum read the strata summed by signature;
-    the level loops they replaced are the reference."""
+    """a_{p,q} reads the strata summed by signature, against the level loop it
+    replaced; the closed forms and every h^{p,q}_st with p + q <= 2n + 4 against
+    the stratum-wise sum, which reads no signature table."""
 
-    @settings(max_examples=120)
-    @given(st.one_of(descriptors(), descriptors(min_discrepancy=1)))
+    @settings(max_examples=200)
+    @given(descriptors())
     def test_random_descriptors(self, d):
         assert_closed_forms_match_the_loops(d)
 
@@ -514,9 +499,30 @@ class TestSignatureTable:
     def test_corpus(self, path):
         assert_closed_forms_match_the_loops(load_bundle(str(path)).descriptor)
 
-    @pytest.mark.parametrize("n, k", [(3, 8), (4, 10)])
+    @pytest.mark.parametrize("n, k", [(3, 8), (3, 10), (4, 8), (4, 10)])
     def test_simplex_pool_shapes(self, n, k):
         assert_closed_forms_match_the_loops(full_simplex(random.Random(f"{n} {k}"), n, k))
+
+    def test_the_stratum_sum_fails_an_assembly_that_drops_a_group(self, monkeypatch):
+        # _assemble reads d._groups alone: hand it all but the longest signature
+        # whose factor is nonzero (no m = 1), whose h^{0,0} moves h^{k,k}_st, k <= n
+        assemble = stringy._assemble
+
+        def dropping(d):
+            groups = dict(d._groups)
+            del groups[max((s for s in groups if s and 1 not in s), key=len)]
+            return assemble(SimpleNamespace(_groups=groups))
+
+        # fresh descriptors, made after the patch, so no E_st is kept from before
+        monkeypatch.setattr(stringy, "_assemble", dropping)
+        made = [load_bundle(str(path)).descriptor for path in sorted(CORPUS.glob("*.json"))]
+        made += [full_simplex(random.Random(f"{n} {k}"), n, k) for n, k in [(3, 8), (4, 10)]]
+        made += [random_descriptor(random.Random(seed)) for seed in range(40)]
+        made = [d for d in made if any(s and 1 not in s for s in d._groups)]
+        assert len(made) >= 20
+        for d in made:
+            with pytest.raises(AssertionError):
+                assert_matches_the_stratum_sum(d)
 
 
 def quotient_rows(f):
@@ -672,7 +678,7 @@ class TestOncePerDescriptor:
         assert a_pq(d, 2, 2) == 3 - 4 + 1
         assert [a_pq(d, p, p) for p in range(4)] == [1, 3 - 3, 3 - 4 + 1, 1 - 3 + 1]
         assert closed_form_h(d, 2, 2) == 3 - 4 + 1 + 2  # h^{0,0} of D_A and D_C
-        assert [d.discrepancy_one_sum(p) for p in range(1, 5)] == [0, 2, 0, 0]
+        assert [closed_form_h(d, p, 2) - a_pq(d, p, 2) for p in range(1, 5)] == [0, 2, 0, 0]
         assert d.level(1) == quadric_surface() + diag(1, 1, 1) + diag(1, 1, 1)
         assert d.level(2) == diag(1, 1)
         assert d.level(0) == d.strata[()] and d.level(0) is not d.strata[()]
@@ -840,10 +846,10 @@ VALIDATING = {
     "check_symmetry": lambda d: check_symmetry(d),
     "check_pd_identity": lambda d: check_pd_identity(d),
     "closed_form_h": lambda d: closed_form_h(d, 0, 0),
+    "closed_form_h, q = 2": lambda d: closed_form_h(d, 2, 2),
     "a_pq": lambda d: a_pq(d, 1, 1),
     "level": lambda d: d.level(1),
     "strata_pd_consistent": lambda d: d.strata_pd_consistent(),
-    "discrepancy_one_sum": lambda d: d.discrepancy_one_sum(2),
     "h22st_fourfold": lambda d: h22st_fourfold(d),
     "threefold_h22_minus_h11": lambda d: threefold_h22_minus_h11(d),
     "product_stringy": lambda d: product_stringy(d, projective_space(0)),

@@ -32,7 +32,9 @@ from stringyhodge import (
 )
 from stringyhodge.descriptors import load_bundle
 from stringyhodge.stringy import first_coefficient_difference
-from conftest import CORPUS, cross_multiplied_equal, descriptors, diag, pd_diamonds
+from conftest import (
+    CORPUS, cross_multiplied_equal, descriptors, diag, pd_diamonds, stratum_sum_table,
+)
 
 
 @pytest.fixture
@@ -845,7 +847,7 @@ class TestOneRuleClosedForms:
     def test_fourfold_h22_is_the_p2_case(self, d):
         from stringyhodge import h22st_fourfold
 
-        assert h22st_fourfold(d) == a_pq(d, 2, 2) + d.discrepancy_one_sum(2)
+        assert h22st_fourfold(d) == closed_form_h(d, 2, 2) == stratum_sum_table(d, 4).get((2, 2), 0)
         assert h22st_fourfold(d) == explicit_closed_form(d, 2, 2)
 
 
