@@ -9,7 +9,8 @@ expansion: a defect of the library, reported on one line.
 `--max-degree` bounds the expansion of `compute` and `check` only; `compare`
 answers "equal" from equal signature tables, assembling no E_st, and otherwise
 finds the first mismatch exactly, with no bound (`first_coefficient_difference`).
-Machine output is one line of JSON with sorted keys, from one encoder (`_ENCODER`).
+Machine output is one line of JSON with sorted keys, from one encoder (`_ENCODER`);
+only the maps that a text renderer iterates are built in (p, q) order.
 
 A plain argv is read without argparse (`_plain`): a command, its positionals
 (none empty or starting with `-`), `--format text|machine` and, for `compute`
@@ -70,32 +71,40 @@ _PQ_KEYS = _Spellings()
 
 
 def _pq_map(table) -> Dict[str, object]:
+    """The table keyed by "p,q" spellings in (p, q) order, for a map that a text
+    renderer iterates (or whose order a list takes)."""
     pqs = sorted(table)
     return dict(zip(map(_PQ_KEYS.__getitem__, pqs), map(table.__getitem__, pqs)))
+
+
+def _pq_keys(table) -> Dict[str, object]:
+    """The table keyed by "p,q" spellings, unsorted, for a map that only the
+    encoder reads: it sorts keys itself."""
+    return dict(zip(map(_PQ_KEYS.__getitem__, table), table.values()))
 
 
 def cmd_compute(args) -> int:
     bundle = load_bundle(args.path)
     report = stringy_hodge_table(bundle.descriptor, args.max_degree)
-    h_st = report.h_st_table()
+    h_st = _pq_map(report.h_st_table())
     doc: Dict[str, object] = {
         "label": report.label,
         "dim": report.n,
         "expansion_bound": report.bound,
         "expansion_point": EXPANSION_NOTE,
         "e_function": {
-            "numerator": _pq_map(report.e_function.numerator.terms),
+            "numerator": _pq_keys(report.e_function.numerator.terms),
             "denominator_factors": list(report.e_function.denominator.factors),
         },
-        "polynomial": _pq_map(report.polynomial.terms) if report.polynomial else None,
-        "b_coefficients": _pq_map(report.coefficients),
-        "stringy_hodge_numbers": _pq_map(h_st),
+        "polynomial": _pq_keys(report.polynomial.terms) if report.polynomial else None,
+        "b_coefficients": _pq_keys(report.coefficients),
+        "stringy_hodge_numbers": h_st,
         "checks": {
             "symmetry": check_symmetry(bundle.descriptor),
             "poincare_duality": check_pd_identity(bundle.descriptor),
             "polynomial_consequences": check_polynomial_consequences(bundle.descriptor),
         },
-        "negative_at": [_PQ_KEYS[pq] for pq, h in sorted(h_st.items()) if h < 0],
+        "negative_at": [key for key, h in h_st.items() if h < 0],
     }
     if bundle.snc is not None:
         top = bundle.snc.max_level()
@@ -139,9 +148,9 @@ def cmd_check(args) -> int:
         "expansion_bound": report.bound,
         "expansion_point": EXPANSION_NOTE,
         "polynomial": report.polynomial,
-        "verdicts": _pq_map(report.verdicts),
-        "values": _pq_map(report.values),
-        "provenance": _pq_map(report.provenance),
+        "verdicts": _pq_keys(report.verdicts),
+        "values": _pq_keys(report.values),
+        "provenance": _pq_keys(report.provenance),
         "negative_details": _pq_map(report.negative_details),
         "threefold_inequality": report.threefold_inequality,
         "all_nonnegative": report.all_nonnegative(),

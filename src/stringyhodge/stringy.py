@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, starmap
-from operator import lt
+from operator import lt, neg, pos
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -141,11 +141,20 @@ class ResolutionDescriptor(_ValidOnce):
     @cached_property
     def _a_table(self) -> Dict[Tuple[int, int], int]:
         # every a_{p,q} at once: a group with |sig| = k adds (-1)^k h^{p-k,q-k}
-        table: Dict[Tuple[int, int], int] = Counter()
+        table: Dict[Tuple[int, int], int] = {}
         for signature, h_sum in self._groups.items():
             k = len(signature)
-            table.update({(p + k, q + k): -c if k % 2 else c for (p, q), c in h_sum.items()})
+            sign = -1 if k % 2 else 1
+            for (p, q), c in h_sum.items():
+                pq = (p + k, q + k)
+                table[pq] = table.get(pq, 0) + sign * c
         return table
+
+    @cached_property
+    def _crepant_ids(self) -> List[str]:
+        # the components with a = 0, which the terminal-only formulas refuse;
+        # read only after validation, which makes every a an int
+        return [cid for cid, a in self.components if a < 1]
 
     def level(self, k: int) -> Optional[HodgeDiamond]:
         """Summed diamond of D(k), the union of all |J| = k strata: the `_groups`
@@ -247,28 +256,34 @@ class StringyReport:
 
 
 def check_symmetry(d: ResolutionDescriptor) -> bool:
-    """E_st(u, v) = E_st(v, u): the numerator is u <-> v invariant; valid strata
-    are conjugation symmetric, so this checks the assembly, not the input."""
+    """E_st(u, v) = E_st(v, u): the numerator is u <-> v invariant, read off its
+    rows (`_slices`, nonzero at both ends): u <-> v maps row (p, q) onto row
+    (q, p).  Valid strata are conjugation symmetric, so this checks the
+    assembly, not the input."""
     d.check_valid()
-    num = d._e_st.numerator
-    return num == num.swap_vars()
+    rows = d._e_st._slices
+    return all(rows.get((q, p)) == row for (p, q), row in rows.items())
 
 
 def check_pd_identity(d: ResolutionDescriptor) -> Optional[bool]:
     """E_st(u, v) = (uv)^n E_st(1/u, 1/v), checked exactly.
 
     Each denominator factor transforms as w^{-m} - 1 = -w^{-m}(w^m - 1), so
-    the identity reduces to a Laurent-polynomial comparison of numerators.
+    with K factors and S = n + sum m the identity says the numerator equals
+    (-1)^K u^S v^S N(1/u, 1/v).  That map sends a row (p, q) of length L,
+    nonzero at both ends, reversed, onto the row keyed (S - p - L + 1,
+    S - q - L + 1), so the rows are compared with no numerator formed.
     Returns None (inconclusive) when a stratum fails per-stratum duality:
     the identity presupposes genuine geometric input.
     """
     if not d.strata_pd_consistent():  # validates d first
         return None
     f = d._e_st
-    sign = (-1) ** len(f.denominator.factors)
-    shift = d.n + sum(f.denominator.factors)
-    terms = f.numerator.terms
-    return terms == {(shift - p, shift - q): sign * c for (p, q), c in terms.items()}
+    rows = f._slices
+    sign = neg if len(f.denominator.factors) % 2 else pos
+    shift = d.n + sum(f.denominator.factors) + 1  # S + 1
+    return all(rows.get((shift - p - len(row), shift - q - len(row)))
+               == list(map(sign, reversed(row))) for (p, q), row in rows.items())
 
 
 def stringy_hodge_table(d: ResolutionDescriptor, bound: Optional[int] = None) -> StringyReport:
@@ -326,10 +341,9 @@ def _require_terminal(d: ResolutionDescriptor, n: Optional[int] = None, kind: st
     d.check_valid()
     if n is not None and d.n != n:
         raise DescriptorError(f"{kind} formula requires n = {n}, got n = {d.n}")
-    bad = [cid for cid, a in d.components if a < 1]
-    if bad:
+    if d._crepant_ids:
         raise DescriptorError(
-            f"operation requires all discrepancies >= 1; components {bad} have a = 0"
+            f"operation requires all discrepancies >= 1; components {d._crepant_ids} have a = 0"
         )
 
 
@@ -346,7 +360,10 @@ def closed_form_h(d: ResolutionDescriptor, p: int, q: int) -> int:
         raise ValueError("closed forms are only available for q in {0, 1, 2}")
     if q:
         _require_terminal(d)
-    return a_pq(d, p, q) + (d._groups.get((2,), {}).get((p - 2, 0), 0) if q == 2 else 0)
+    else:
+        d.check_valid()
+    a = d._a_table.get((p, q), 0)
+    return a + d._groups.get((2,), {}).get((p - 2, 0), 0) if q == 2 else a
 
 
 def h22st_fourfold(d: ResolutionDescriptor) -> int:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringyhodge import cli, stringy
+from stringyhodge import cli, conjecture_report, load_bundle, stringy
 from stringyhodge.cli import main
-from conftest import CORPUS
+from stringyhodge.stringy import (
+    check_pd_identity, check_polynomial_consequences, check_symmetry, stringy_hodge_table,
+)
+from conftest import CORPUS, descriptors
 
 
 def run(capsys, *argv):
@@ -219,6 +224,90 @@ def test_negative_max_degree_is_input_error(command, corpus, capsys):
                          "--max-degree", "-1")
     assert code == 2 and not out
     assert "expansion bound must be nonnegative" in err
+
+
+@pytest.mark.parametrize("name", ["node3fold_blowup.json", "chain_snc.json"])
+def test_max_degree_zero_reports_the_origin_alone(name, corpus, capsys):
+    # bound 0 is a valid bound: p + q <= 0 leaves exactly the entry (0, 0)
+    path = str(corpus / name)
+    code, out, _ = run(capsys, "compute", path, "--max-degree", "0", "--format", "machine")
+    doc = json.loads(out)
+    assert code == 0 and doc["expansion_bound"] == 0
+    assert doc["b_coefficients"] == doc["stringy_hodge_numbers"] == {"0,0": 1}
+    code, out, _ = run(capsys, "compute", path, "--max-degree", "0")
+    assert code == 0 and [line for line in out.splitlines() if line.startswith("  h^")] == [
+        "  h^{0,0}_st = 1"]
+    code, out, _ = run(capsys, "check", path, "--max-degree", "0", "--format", "machine")
+    doc = json.loads(out)
+    assert code == 0 and doc["expansion_bound"] == 0 and doc["all_nonnegative"]
+    assert doc["values"] == {"0,0": 1} and doc["verdicts"] == {"0,0": "nonnegative"}
+    assert doc["provenance"] == {"0,0": "closed-form"}
+    code, out, _ = run(capsys, "check", path, "--max-degree", "0")
+    assert code == 0 and "all stringy Hodge numbers with p+q <= 0 are nonnegative\n" in out
+
+
+def descriptor_doc(d, break_duality):
+    """The JSON document of a descriptor; with break_duality, the ambient
+    h^{0,0} is raised by one, which validate() accepts and duality does not."""
+    strata = {",".join(J): {f"{p},{q}": c for (p, q), c in diamond.h.items()}
+              for J, diamond in d.strata.items()}
+    if break_duality:
+        strata[""]["0,0"] += 1
+    return {"dim": d.n, "label": d.label, "strata": strata,
+            "components": [{"id": cid, "discrepancy": a} for cid, a in d.components]}
+
+
+def sorted_reference(command, path, bound):
+    """What compute or check print in machine form, from a document whose maps
+    are all built in (p, q) order, as the encoder's sorting makes no need to."""
+    d = load_bundle(path).descriptor
+    pq_map, note = cli._pq_map, cli.EXPANSION_NOTE
+    if command == "compute":
+        report = stringy_hodge_table(d, bound)
+        h_st = report.h_st_table()
+        doc = {
+            "label": report.label, "dim": report.n, "expansion_bound": report.bound,
+            "expansion_point": note,
+            "e_function": {"numerator": pq_map(report.e_function.numerator.terms),
+                           "denominator_factors": list(report.e_function.denominator.factors)},
+            "polynomial": pq_map(report.polynomial.terms) if report.polynomial else None,
+            "b_coefficients": pq_map(report.coefficients),
+            "stringy_hodge_numbers": pq_map(h_st),
+            "checks": {"symmetry": check_symmetry(d), "poincare_duality": check_pd_identity(d),
+                       "polynomial_consequences": check_polynomial_consequences(d)},
+            "negative_at": [f"{p},{q}" for (p, q), h in sorted(h_st.items()) if h < 0],
+        }
+    else:
+        report = conjecture_report(d, bound)
+        doc = {
+            "label": report.label, "dim": report.n, "expansion_bound": report.bound,
+            "expansion_point": note, "polynomial": report.polynomial,
+            "verdicts": pq_map(report.verdicts), "values": pq_map(report.values),
+            "provenance": pq_map(report.provenance),
+            "negative_details": pq_map(report.negative_details),
+            "threefold_inequality": report.threefold_inequality,
+            "all_nonnegative": report.all_nonnegative(),
+        }
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+class TestMachineMapsNeedNoOrder:
+    """compute and check build the maps that only the encoder reads unsorted;
+    the encoder sorts every key, so the bytes are those of sorted maps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(descriptors(max_dim=3, max_components=4), st.booleans(),
+           st.one_of(st.none(), st.integers(0, 10)))
+    def test_unsorted_maps_print_the_sorted_bytes(self, tmp_path_factory, d, break_duality,
+                                                  bound):
+        path = tmp_path_factory.mktemp("drawn") / "d.json"
+        path.write_text(json.dumps(descriptor_doc(d, break_duality)), encoding="utf-8")
+        bound_argv = [] if bound is None else ["--max-degree", str(bound)]
+        for command in ("compute", "check"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main([command, str(path), *bound_argv, "--format", "machine"])
+            assert out.getvalue() == sorted_reference(command, str(path), bound)
 
 
 class TestDefectFlags:

@@ -445,6 +445,96 @@ class TestPdIdentity:
         assert check_pd_identity(d) is True
 
 
+def numerator_symmetric(f):
+    """check_symmetry's definition on the numerator polynomial itself."""
+    return f.numerator == f.numerator.swap_vars()
+
+
+def numerator_dual(d, f):
+    """check_pd_identity's definition on the numerator polynomial itself."""
+    if not d.strata_pd_consistent():
+        return None
+    sign = (-1) ** len(f.denominator.factors)
+    shift = d.n + sum(f.denominator.factors)
+    terms = f.numerator.terms
+    return terms == {(shift - p, shift - q): sign * c for (p, q), c in terms.items()}
+
+
+def without_duality(d):
+    """d with its ambient h^{0,0} raised by one: still valid, but Y fails
+    Poincare duality (h^{n,n} stays), so the duality verdict is None."""
+    y = d.strata[()]
+    strata = {**d.strata, (): HodgeDiamond(d.n, {**y.h, (0, 0): y.h[(0, 0)] + 1})}
+    return ResolutionDescriptor(d.n, d.components, strata, d.label)
+
+
+def e_function_with(d, terms, factors, symmetric, dual):
+    """A numerator from `terms` over prod (w^m - 1), closed under u <-> v and
+    under the duality map of check_pd_identity as asked; the closures commute."""
+    num = BivariatePoly(terms)
+    if symmetric:
+        num = num + num.swap_vars()
+    if dual:
+        shift = d.n + sum(factors)
+        sign = (-1) ** len(factors)
+        num = num + BivariatePoly({(shift - p, shift - q): sign * c
+                                   for (p, q), c in num.terms.items()})
+    return StringyFunction(num, DenominatorSpec(factors))
+
+
+@st.composite
+def kept_e_functions(draw):
+    """A valid descriptor, with or without duality of its strata, whose kept
+    E_st is either its assembly or a function built with or without each
+    symmetry (on valid input both identities are theorems, so only a kept
+    function that is no assembly can fail them)."""
+    d = draw(descriptors(max_dim=3, max_components=3))
+    if draw(st.booleans()):
+        d = without_duality(d)
+    if draw(st.booleans()):
+        factors = tuple(draw(st.lists(st.integers(2, 4), max_size=3)))
+        terms = draw(st.dictionaries(st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+                                     st.integers(-3, 3), max_size=6))
+        d.check_valid()
+        d.__dict__["_e_st"] = e_function_with(d, terms, factors, draw(st.booleans()),
+                                              draw(st.booleans()))
+    return d
+
+
+class TestIdentityChecksReadRows:
+    """check_symmetry and check_pd_identity compare rows (`_slices`); they must
+    give the verdicts of the definitions on the numerator polynomial."""
+
+    @settings(max_examples=150)
+    @given(kept_e_functions())
+    def test_rows_give_the_numerator_verdicts(self, d):
+        f = stringy_e(d)
+        assert check_symmetry(d) is numerator_symmetric(f)
+        assert check_pd_identity(d) is numerator_dual(d, f)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("dual", [True, False])
+    @pytest.mark.parametrize("factors", [(), (2,), (2, 3)])  # (-1)^K = 1, -1, 1
+    def test_every_verdict_occurs(self, node, symmetric, dual, factors):
+        # (2, 0) alone has neither symmetry; each closure adds its own
+        d = ResolutionDescriptor(node.n, node.components, node.strata, node.label)
+        d.check_valid()
+        f = d.__dict__["_e_st"] = e_function_with(d, {(2, 0): 1, (1, 1): 3}, factors,
+                                                  symmetric, dual)
+        assert "numerator" in vars(f)  # the test built it; the checks read rows
+        assert check_symmetry(d) is symmetric is numerator_symmetric(f)
+        assert check_pd_identity(d) is dual is numerator_dual(d, f)
+        broken = without_duality(d)
+        broken.check_valid()
+        broken.__dict__["_e_st"] = f
+        assert check_pd_identity(broken) is None is numerator_dual(broken, f)
+
+    def test_an_assembled_e_st_is_checked_with_no_numerator_formed(self, node):
+        d = ResolutionDescriptor(node.n, node.components, node.strata, node.label)
+        assert check_symmetry(d) is True and check_pd_identity(d) is True
+        assert "numerator" not in vars(stringy_e(d))
+
+
 def two_quadrics(a):
     """A threefold resolved by two quadric surfaces of discrepancies a and
     a + 1 that meet in a P^1."""
@@ -474,6 +564,18 @@ class TestPolynomialConsequences:
         )
         assert exact_divide_test(stringy_e(non_poly)) is None
         assert check_polynomial_consequences(non_poly) == {"applicable": False}
+
+    def test_a_degree_below_2n_is_named(self):
+        # E_st = 1 + uv: a valid surface descriptor whose polynomial has
+        # degree 2, not 4, and is not dual under (p, q) -> (2 - p, 2 - q)
+        surface = ResolutionDescriptor(2, (), {(): HodgeDiamond(2, {(0, 0): 1, (1, 1): 1})})
+        assert not surface.validate()
+        assert stringy_hodge_table(surface).polynomial.terms == {(0, 0): 1, (1, 1): 1}
+        assert check_polynomial_consequences(surface) == {
+            "applicable": True,
+            "passed": False,
+            "failures": ["degree 2 != 4", "duality broken between (0,0) and (2,2)"],
+        }
 
     def test_terms_outside_the_diamond_are_named(self):
         # no descriptor assembles such a quotient, so the kept one is set by
