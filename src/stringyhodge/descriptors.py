@@ -45,14 +45,6 @@ def _expect(cond: bool, location: str, message: str) -> None:
         raise DescriptorFileError(location, message)
 
 
-def _rooted(exc: DescriptorFileError, parent: str) -> DescriptorFileError:
-    """exc, raised at a path relative to one item, at that item's path `parent`.
-
-    A loop over items passes "" below each item and roots a path only to
-    raise, so a valid document spells no path at all."""
-    return DescriptorFileError(parent + exc.location, exc.message)
-
-
 def _fields(obj, location: str, message: str) -> dict:
     """The fields of a decoded object read by name; a key written twice raises
     at the later one, as do all keys that name one thing."""
@@ -109,12 +101,10 @@ def _parse_diamond(obj, dim: int, location: str, diamonds: _Memo) -> HodgeDiamon
             return diamond
     h: Dict[Tuple[int, int], int] = {}
     if isinstance(obj, list):
-        if len(obj) != dim + 1:
-            raise DescriptorFileError(location, f"dense matrix must have {dim + 1} rows")
+        _expect(len(obj) == dim + 1, location, f"dense matrix must have {dim + 1} rows")
         for p, row in enumerate(obj):
-            if not (isinstance(row, list) and len(row) == dim + 1):
-                raise DescriptorFileError(f"{location}[{p}]",
-                                          f"dense matrix row must have {dim + 1} entries")
+            _expect(isinstance(row, list) and len(row) == dim + 1, f"{location}[{p}]",
+                    f"dense matrix row must have {dim + 1} entries")
             for q, value in enumerate(row):
                 if type(value) is not int:
                     raise DescriptorFileError(f"{location}[{p}][{q}]", "entries must be integers")
@@ -198,53 +188,45 @@ def _parse_snc(obj, dim: int, location: str, diamonds: _Memo) -> SncComplexData:
     _expect(type(levels_doc) is tuple, f"{location}.levels", "levels must be an object")
     levels: Dict[int, Tuple[SncComponent, ...]] = {}
     for key, comps in levels_doc:
-        try:  # paths below the level and each component come back relative (`_rooted`)
-            _expect(str(key).isdecimal() and int(key) >= 1, "", "level keys must be integers >= 1")
-            r = int(key)
-            _expect(r not in levels, "", "repeats an earlier level")
-            parsed = []
-            _expect(isinstance(comps, list), "", "must be a list")
-            for i, comp in enumerate(comps):
-                try:
-                    comp = _fields(comp, "", "component must be an object")
-                    subset = comp.get("subset")
-                    _expect(isinstance(subset, list) and all(map(isinstance, subset, repeat(str))),
-                            ".subset", "subset must be a list of component ids")
-                    diamond = None
-                    if "diamond" in comp:
-                        diamond = _parse_diamond(comp["diamond"], dim - r, ".diamond", diamonds)
-                    faces = comp.get("faces", [])
-                    _expect(isinstance(faces, list) and {int}.issuperset(map(type, faces)),
-                            ".faces", "faces must be a list of integer indices")
-                except DescriptorFileError as exc:
-                    raise _rooted(exc, f"[{i}]") from None
-                parsed.append(
-                    SncComponent(subset=tuple(subset), diamond=diamond, faces=tuple(faces))
-                )
-        except DescriptorFileError as exc:
-            raise _rooted(exc, f"{location}.levels[{key!r}]") from None
+        loc = f"{location}.levels[{key!r}]"
+        _expect(str(key).isdecimal() and int(key) >= 1, loc, "level keys must be integers >= 1")
+        r = int(key)
+        _expect(r not in levels, loc, "repeats an earlier level")
+        parsed = []
+        _expect(isinstance(comps, list), loc, "must be a list")
+        for i, comp in enumerate(comps):
+            try:  # paths below the component come back relative, and are rooted only to raise
+                comp = _fields(comp, "", "component must be an object")
+                subset = comp.get("subset")
+                _expect(isinstance(subset, list) and all(map(isinstance, subset, repeat(str))),
+                        ".subset", "subset must be a list of component ids")
+                diamond = None
+                if "diamond" in comp:
+                    diamond = _parse_diamond(comp["diamond"], dim - r, ".diamond", diamonds)
+                faces = comp.get("faces", [])
+                _expect(isinstance(faces, list) and {int}.issuperset(map(type, faces)),
+                        ".faces", "faces must be a list of integer indices")
+            except DescriptorFileError as exc:
+                raise DescriptorFileError(f"{loc}[{i}]{exc.location}", exc.message) from None
+            parsed.append(
+                SncComponent(subset=tuple(subset), diamond=diamond, faces=tuple(faces))
+            )
         levels[r] = tuple(parsed)
     maps_doc = obj.get("user_maps", ())
     _expect(type(maps_doc) is tuple, f"{location}.user_maps", "user_maps must be an object")
     user_maps: Dict[Tuple[int, int, int], Tuple[List[List[Rational]], ...]] = {}
     rationals: Dict[object, Rational] = {}  # "1", "-1" and "0" recur in every matrix
     for key, mats in maps_doc:
-        try:  # paths below the row and each matrix come back relative (`_rooted`)
-            parts = str(key).split(",")
-            _expect(len(parts) == 3 and all(part.strip().isdecimal() for part in parts), "",
-                    'keys must look like "k,p,q"')
-            _expect(isinstance(mats, list), "", "must be a list")
-            k, p, q = (int(part) for part in parts)
-            _expect((k, p, q) not in user_maps, "", "repeats an earlier row")
-            matrices = []
-            for i, mat in enumerate(mats):
-                try:
-                    matrices.append(_parse_matrix(mat, "", rationals))
-                except DescriptorFileError as exc:
-                    raise _rooted(exc, f"[{i}]") from None
-        except DescriptorFileError as exc:
-            raise _rooted(exc, f"{location}.user_maps[{key!r}]") from None
-        user_maps[(k, p, q)] = tuple(matrices)
+        loc = f"{location}.user_maps[{key!r}]"
+        parts = str(key).split(",")
+        _expect(len(parts) == 3 and all(part.strip().isdecimal() for part in parts), loc,
+                'keys must look like "k,p,q"')
+        _expect(isinstance(mats, list), loc, "must be a list")
+        k, p, q = (int(part) for part in parts)
+        _expect((k, p, q) not in user_maps, loc, "repeats an earlier row")
+        user_maps[(k, p, q)] = tuple(
+            _parse_matrix(mat, f"{loc}[{i}]", rationals) for i, mat in enumerate(mats)
+        )
     return SncComplexData(levels=levels, user_maps=user_maps)
 
 
@@ -257,11 +239,9 @@ def _parse_fiber(obj, location: str, diamonds: _Memo) -> ExceptionalFiberDescrip
             "fiber needs a nonempty component list")
     parsed = []
     for i, comp in enumerate(comps):
-        try:  # paths below the component come back relative (`_rooted`)
-            cid, a, comp = _parse_component(comp, "")
-            diamond = _parse_diamond(comp.get("diamond"), 2, ".diamond", diamonds)
-        except DescriptorFileError as exc:
-            raise _rooted(exc, f"{location}.components[{i}]") from None
+        loc = f"{location}.components[{i}]"
+        cid, a, comp = _parse_component(comp, loc)
+        diamond = _parse_diamond(comp.get("diamond"), 2, f"{loc}.diamond", diamonds)
         parsed.append(FiberComponent(cid, diamond, a))
     counts_doc = obj.get("pairwise_counts", ())
     _expect(type(counts_doc) is tuple, f"{location}.pairwise_counts",
@@ -296,12 +276,9 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     _expect(isinstance(label, str), f"{location}.label", "label must be a string")
     comps_doc = doc.get("components", [])
     _expect(isinstance(comps_doc, list), f"{location}.components", "must be a list")
-    components = []
-    for i, comp in enumerate(comps_doc):
-        try:  # paths below the component come back relative (`_rooted`)
-            components.append(_parse_component(comp, "")[:2])
-        except DescriptorFileError as exc:
-            raise _rooted(exc, f"{location}.components[{i}]") from None
+    components = tuple(
+        _parse_component(c, f"{location}.components[{i}]")[:2] for i, c in enumerate(comps_doc)
+    )
     strata_doc = doc.get("strata")
     _expect(type(strata_doc) is tuple and strata_doc, f"{location}.strata",
             "missing Y stratum: strata must contain at least the empty key")
@@ -309,14 +286,15 @@ def parse_bundle(doc, location: str = "<document>") -> DescriptorBundle:
     diamonds: _Memo = {}
     for key, value in strata_doc:
         subset = tuple(sorted(key.split(","))) if key else ()
-        try:  # paths below the stratum come back relative (`_rooted`)
+        try:  # paths below the stratum come back relative, and are rooted only to raise
             if subset and not subset[0]:  # an empty id sorts first
                 raise DescriptorFileError("", 'names an empty id; only the key "" names Y')
             if subset in strata:
                 raise DescriptorFileError("", "repeats an earlier stratum")
             strata[subset] = _parse_diamond(value, dim - len(subset), "", diamonds)
         except DescriptorFileError as exc:
-            raise _rooted(exc, f"{location}.strata[{key!r}]") from None
+            raise DescriptorFileError(f"{location}.strata[{key!r}]{exc.location}",
+                                      exc.message) from None
     descriptor = ResolutionDescriptor(
         n=dim, components=components, strata=strata, label=label
     )

@@ -150,12 +150,6 @@ class ResolutionDescriptor(_ValidOnce):
                 table[pq] = table.get(pq, 0) + sign * c
         return table
 
-    @cached_property
-    def _crepant_ids(self) -> List[str]:
-        # the components with a = 0, which the terminal-only formulas refuse;
-        # read only after validation, which makes every a an int
-        return [cid for cid, a in self.components if a < 1]
-
     def level(self, k: int) -> Optional[HodgeDiamond]:
         """Summed diamond of D(k), the union of all |J| = k strata: the `_groups`
         tables of length-k signatures, added into a fresh table.
@@ -341,9 +335,10 @@ def _require_terminal(d: ResolutionDescriptor, n: Optional[int] = None, kind: st
     d.check_valid()
     if n is not None and d.n != n:
         raise DescriptorError(f"{kind} formula requires n = {n}, got n = {d.n}")
-    if d._crepant_ids:
+    bad = [cid for cid, a in d.components if a < 1]
+    if bad:
         raise DescriptorError(
-            f"operation requires all discrepancies >= 1; components {d._crepant_ids} have a = 0"
+            f"operation requires all discrepancies >= 1; components {bad} have a = 0"
         )
 
 
@@ -360,10 +355,7 @@ def closed_form_h(d: ResolutionDescriptor, p: int, q: int) -> int:
         raise ValueError("closed forms are only available for q in {0, 1, 2}")
     if q:
         _require_terminal(d)
-    else:
-        d.check_valid()
-    a = d._a_table.get((p, q), 0)
-    return a + d._groups.get((2,), {}).get((p - 2, 0), 0) if q == 2 else a
+    return a_pq(d, p, q) + (d._groups.get((2,), {}).get((p - 2, 0), 0) if q == 2 else 0)
 
 
 def h22st_fourfold(d: ResolutionDescriptor) -> int:
